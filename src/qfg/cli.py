@@ -10,31 +10,24 @@ order, so identical invocations are byte-identical. Errors are reported as
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .errors import DegenerateSld, InvariantViolation, QfgError
+import numpy as np
+
+from .errors import InvariantViolation, QfgError
 from .fisher import (
     classical_fisher,
     fisher_tensor,
     fisher_tensor_general,
-    qfi_qubit_closed_form,
     quantum_fisher,
     wavefunction_fisher,
 )
+from .scan import COLUMNS, scan
 from .scenario import Options, Scenario, load_scenario
-from .serialize import dumps_canonical, format_float, matrix_to_json
-from .sld import (
-    GreatCirclePure,
-    PureQditCoeffs,
-    SphereCurve,
-    TableCurve,
-    TransverseCurve,
-    differentiate_curve,
-    sld_solve,
-)
-from .optimize import maximize_cfi, sld_eigenbasis_povm
+from .serialize import dumps_canonical, format_rows, matrix_to_json
+from .sld import SphereCurve, TransverseCurve, differentiate_curve, sld_solve
+from .optimize import maximize_cfi
 
 
 def _parse_complex_flag(text: str, flag: str) -> complex:
@@ -67,12 +60,11 @@ def _require_curve(scenario: Scenario):
     return scenario.curve
 
 
-def _state_and_direction(scenario: Scenario, args, theta: float | None = None):
+def _state_and_direction(scenario: Scenario, args):
     curve = _require_curve(scenario)
     opts = _effective_options(scenario, args)
-    th = scenario.theta0 if theta is None else theta
-    rho = curve.rho_at(th)
-    drho = differentiate_curve(curve, th, mode=opts.mode, h=opts.fd_step)
+    rho = curve.rho_at(scenario.theta0)
+    drho = differentiate_curve(curve, scenario.theta0, mode=opts.mode, h=opts.fd_step)
     return rho, drho
 
 
@@ -106,46 +98,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _qfi_decomposition(curve, theta: float, total: float) -> tuple[float, float]:
-    """Split the QFI into (sphere, transverse) parts per curve family."""
-    if isinstance(curve, SphereCurve):
-        return total, 0.0
-    if isinstance(curve, TransverseCurve):
-        k = curve.k_at(theta)
-        return 0.0, qfi_qubit_closed_form(k, curve.rate, 0j, 0j).transverse
-    if isinstance(curve, (GreatCirclePure, PureQditCoeffs)):
-        return total, 0.0
-    if isinstance(curve, TableCurve):
-        # eigenvalue drift gives the transverse share for full-rank qubit tables
-        h = 1e-5
-        try:
-            lo = curve.rho_at(theta - h).eigenvalues
-            hi = curve.rho_at(theta + h).eigenvalues
-            k = float(curve.rho_at(theta).eigenvalues[0])
-            dk = float(hi[0] - lo[0]) / (2 * h)
-        except QfgError:
-            return total, 0.0
-        if not (0.0 < k <= 0.5):
-            return total, 0.0
-        transverse = dk * dk / (k * (1.0 - k))
-        return max(total - transverse, 0.0), min(transverse, total)
-    return total, 0.0
-
-
-def _scan_row(scenario: Scenario, args, theta: float) -> list[float]:
-    rho, drho = _state_and_direction(scenario, args, theta=theta)
-    total = quantum_fisher(rho, drho)
-    sphere, transverse = _qfi_decomposition(scenario.curve, theta, total)
-    if scenario.povm is not None:
-        cfi = classical_fisher(rho, drho, scenario.povm)
-    else:
-        try:
-            cfi = classical_fisher(rho, drho, sld_eigenbasis_povm(rho, drho))
-        except DegenerateSld:
-            cfi = 0.0
-    return [theta, cfi, sphere, transverse, total]
-
-
 def _cmd_scan(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_curve(scenario)
@@ -160,25 +112,16 @@ def _cmd_scan(args) -> int:
         raise InvariantViolation(f"--range expects 'a:b:n', got {args.range!r}") from None
     if count < 1:
         raise InvariantViolation("--range needs n >= 1")
-    thetas = [lo] if count == 1 else [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    opts = _effective_options(scenario, args)
 
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("QFG_JOBS", "1"))
-    if jobs < 1:
-        raise InvariantViolation(f"--jobs must be at least 1, got {jobs!r}")
-    if jobs == 1:
-        rows = [_scan_row(scenario, args, th) for th in thetas]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda th: _scan_row(scenario, args, th), thetas))
-
-    lines = ["theta,cfi,qfi_sphere,qfi_transverse,qfi_total"]
-    lines += [",".join(format_float(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # rows are written chunk by chunk; a failing chunk leaves the earlier ones written
+    with contextlib.ExitStack() as stack:
+        out = None
+        for rows in scan(scenario, lo, hi, count, opts.mode, opts.fd_step):
+            if out is None:
+                out = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+                out.write(",".join(COLUMNS) + "\n")
+            out.write(format_rows(rows))
     return 0
 
 
@@ -268,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--param", default="theta")
     p_scan.add_argument("--range", required=True, help="a:b:n inclusive grid")
     p_scan.add_argument("--out", help="output CSV path (default stdout)")
-    p_scan.add_argument("--jobs", type=int, help="worker threads (default $QFG_JOBS or 1)")
     add_numeric_flags(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
@@ -295,7 +237,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # non-finite intermediates are caught by the checks and reported as errors
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except QfgError as exc:
         sys.stderr.write(
             dumps_canonical({"error": {"kind": exc.kind, "detail": str(exc)}}) + "\n"

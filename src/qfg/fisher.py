@@ -23,12 +23,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidPovm, NotAPovm, NotNormalized
-from .linalg import DensityOp, herm_eigen, require_hermitian
-from .sld import drho_sphere, drho_transverse, sld_solve
+from .errors import DomainError, InvalidPovm, NotAPovm, NotNormalized, QfgError
+from .linalg import DensityOp, DensityStack, herm_eigen, require_hermitian, traces
+from .sld import TableCurve, TransverseCurve, drho_sphere, drho_transverse, sld_solve
 
 #: Outcomes with probability at or below this are excluded from classical sums.
 EPS_P = 1e-12
+#: Step of the eigenvalue-drift derivative that splits a tabulated curve's QFI.
+TABLE_SPLIT_STEP = 1e-5
 
 
 def povm_diagnose(elements: Sequence) -> str | None:
@@ -60,12 +62,19 @@ class Povm:
         diag = povm_diagnose(elements)
         if diag is not None:
             raise InvalidPovm(diag)
-        mats = []
-        for m in elements:
-            h = require_hermitian(m)
-            h.setflags(write=False)
-            mats.append(h)
-        self._elements = tuple(mats)
+        self._set(np.array([require_hermitian(m) for m in elements]))
+
+    @classmethod
+    def of_projectors(cls, projectors: np.ndarray) -> "Povm":
+        """A POVM from Hermitian rank-one projectors known to resolve the identity, unchecked."""
+        povm = cls.__new__(cls)
+        povm._set(projectors)
+        return povm
+
+    def _set(self, stack: np.ndarray):
+        stack.setflags(write=False)
+        self.stack = stack
+        self._elements = tuple(stack)
 
     @property
     def elements(self) -> tuple:
@@ -73,7 +82,7 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self._elements[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -85,26 +94,75 @@ class Povm:
         return f"Povm({len(self)} outcomes, dim={self.dim})"
 
 
+def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.ndarray:
+    """Classical Fisher information of each row of (rho, drho) stacks.
+
+    ``drho`` must be exactly Hermitian (as ``require_hermitian`` returns it).
+    ``outcomes`` yields one POVM element per outcome: an (n, d, d) stack with
+    the element of each row, or a (1, d, d) one that measures every row alike.
+    """
+    total = np.zeros(len(drho))
+    for m in outcomes:
+        if m.shape[-1] != rho.dim or drho.shape[-1] != rho.dim:
+            raise DomainError("rho, drho and POVM dimensions must agree")
+        p = traces(rho.matrices @ m).real
+        dp = traces(drho @ m).real
+        total = total + np.divide(dp * dp, p, out=np.zeros_like(p), where=p > EPS_P)
+    return total
+
+
 def classical_fisher(rho: DensityOp, drho, povm: Povm) -> float:
     """Classical Fisher information of the POVM at (rho, drho)."""
     drho = require_hermitian(drho)
-    if povm.dim != rho.dim or drho.shape[0] != rho.dim:
-        raise DomainError("rho, drho and POVM dimensions must agree")
-    total = 0.0
-    for m in povm:
-        p = float(np.trace(rho.matrix @ m).real)
-        if p <= EPS_P:
-            continue
-        dp = float(np.trace(drho @ m).real)
-        total += dp * dp / p
-    return total
+    return float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
+
+
+def quantum_fisher_of_sld(rho: DensityStack, ell: np.ndarray) -> np.ndarray:
+    """Quantum Fisher information Tr[rho L^2] of each row, from the SLD stack ``ell``."""
+    return np.maximum(traces(rho.matrices @ ell @ ell).real, 0.0)
 
 
 def quantum_fisher(rho: DensityOp, drho) -> float:
     """Quantum Fisher information Tr[rho L^2]."""
-    ell = sld_solve(rho, drho)
-    value = float(np.trace(rho.matrix @ ell @ ell).real)
-    return max(value, 0.0)
+    return float(quantum_fisher_of_sld(rho.stack, sld_solve(rho, drho)[None])[0])
+
+
+def _smallest_eigenvalues(curve: TableCurve, thetas: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of rho(theta) per theta; NaN where rho(theta) cannot be formed."""
+    out = np.full(len(thetas), np.nan)
+    inside = np.flatnonzero(curve.covers(thetas))
+    try:
+        out[inside] = curve.rho_stack(thetas[inside]).eigenvalues[:, 0]
+    except QfgError:
+        for i in inside:
+            try:
+                out[i] = curve.rho_stack(thetas[i : i + 1]).eigenvalues[0, 0]
+            except QfgError:
+                pass
+    return out
+
+
+def qfi_split(curve, thetas: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split each QFI value along a curve into (sphere, transverse) parts.
+
+    Transverse curves are all transverse (the closed form dk^2 / (k (1-k))),
+    tabulated curves take the transverse share from the drift of the smallest
+    eigenvalue k over +-TABLE_SPLIT_STEP (none where that cannot be formed or
+    k is outside (0, 1/2]), and every other family is all sphere.
+    """
+    if isinstance(curve, TransverseCurve):
+        return np.zeros_like(total), _transverse_qfi(curve.k_at(thetas), curve.rate)
+    if not isinstance(curve, TableCurve):
+        return total, np.zeros_like(total)
+    h = TABLE_SPLIT_STEP
+    lo = _smallest_eigenvalues(curve, thetas - h)
+    hi = _smallest_eigenvalues(curve, thetas + h)
+    k = _smallest_eigenvalues(curve, thetas)
+    dk = (hi - lo) / (2 * h)
+    ok = ~np.isnan(dk) & (0.0 < k) & (k <= 0.5)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        transverse = np.where(ok, _transverse_qfi(k, dk), 0.0)
+    return np.where(ok, np.maximum(total - transverse, 0.0), total), np.minimum(transverse, total)
 
 
 class QubitQfi(NamedTuple):
@@ -124,8 +182,12 @@ def qfi_qubit_closed_form(k: float, dk: float, z: complex, v: complex) -> QubitQ
     v = complex(v)
     kdiff = 2.0 * k - 1.0
     sphere = 4.0 * kdiff * kdiff * abs(v) ** 2 / (1.0 + abs(z) ** 2) ** 2
-    transverse = dk * dk / (k * (1.0 - k))
+    transverse = _transverse_qfi(k, dk)
     return QubitQfi(sphere, transverse, sphere + transverse)
+
+
+def _transverse_qfi(k, dk):
+    return dk * dk / (k * (1.0 - k))
 
 
 def total_fisher_metric(

@@ -2,12 +2,14 @@
 
 Conventions used everywhere downstream:
 
-* matrices are ``numpy.ndarray`` with ``dtype=complex128``, row-major;
+* matrices are ``numpy.ndarray`` with ``dtype=complex128``, row-major; n
+  matrices of one dimension form a stack of shape ``(n, d, d)``;
 * a matrix is accepted as Hermitian when ``||M - M^dag||_F <= 1e-12 * max(1, ||M||_F)``;
 * eigenvalues are returned ascending, eigenvectors as unitary column matrices.
 
-The eigensolver is self-contained: a closed-form solve at d=2 (the hot path)
-and cyclic Jacobi sweeps for 2 < d <= 8.
+Eigendecompositions come from ``np.linalg.eigh``, which decomposes a whole
+stack in one call. The single-matrix functions are the n = 1 case of the
+stacked ones, so a matrix gives the same bits alone and as a row of a stack.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
 
 HERMITIAN_RTOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
+TRACE_TOL = 1e-9
 MAX_DIM = 8
 
 IDENTITY2 = np.eye(2, dtype=complex)
@@ -34,79 +37,65 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix, checking shape and finiteness."""
+def _square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > MAX_DIM:
-        raise DimensionMismatch(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(a.view(float))):
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a square complex matrix, checking shape and finiteness."""
+    return as_stack(_square(m)[None])[0]
+
+
+def as_stack(m) -> np.ndarray:
+    """Coerce to an (n, d, d) stack of square complex matrices, checking shape and finiteness."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    if a.shape[1] > MAX_DIM:
+        raise DimensionMismatch(f"dimension {a.shape[1]} exceeds supported maximum {MAX_DIM}")
+    if not np.isfinite(a).all():
         raise NonHermitianInput("matrix contains NaN or Inf entries")
     return a
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in an (n, d, d) stack."""
+    x = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(x, x).real)
+
+
+def traces(a: np.ndarray) -> np.ndarray:
+    """Trace of each matrix in a stack."""
+    return a.trace(axis1=-2, axis2=-1)
+
+
+def hermitian_part(m, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+    """Validate every matrix of a stack as Hermitian; return the exactly symmetrized stack.
+
+    The first non-Hermitian row raises NonHermitianInput with its defect.
+    """
+    a = as_stack(m)
+    ah = dagger(a)
+    bad = frobenius_norms(a - ah) > rtol * np.maximum(1.0, frobenius_norms(a))
+    if bad.any():
+        row = a[int(np.argmax(bad))]
+        scale = max(1.0, float(np.linalg.norm(row)))
+        defect = float(np.linalg.norm(row - row.conj().T))
+        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}")
+    return (a + ah) / 2
+
+
 def require_hermitian(m, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Validate Hermiticity and return the exactly symmetrized matrix."""
-    a = as_matrix(m)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > rtol * scale:
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}")
-    return (a + a.conj().T) / 2
-
-
-def _eigh2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigensolve for a 2x2 Hermitian matrix."""
-    a = m[0, 0].real
-    c = m[1, 1].real
-    b = m[0, 1]
-    mean = (a + c) / 2
-    half_gap = np.hypot((a - c) / 2, abs(b))
-    lo, hi = mean - half_gap, mean + half_gap
-    if abs(b) == 0.0:
-        if a <= c:
-            return np.array([a, c]), np.eye(2, dtype=complex)
-        return np.array([c, a]), np.array([[0, 1], [1, 0]], dtype=complex)
-    # (b, hi - a) is the hi-eigenvector; its orthocomplement carries lo.
-    t = hi - a
-    norm = np.hypot(abs(b), t)
-    v_hi = np.array([b / norm, t / norm])
-    v_lo = np.array([-t / norm, b.conjugate() / norm])
-    vecs = np.column_stack([v_lo, v_hi])
-    return np.array([lo, hi]), vecs
-
-
-def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization for complex Hermitian matrices."""
-    d = m.shape[0]
-    a = m.copy()
-    v = np.eye(d, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(60):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-16 * scale:
-                    continue
-                phase = apq / abs(apq)
-                app, aqq = a[p, p].real, a[q, q].real
-                tau = (aqq - app) / (2 * abs(apq))
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                cth = 1.0 / np.hypot(1.0, t)
-                sth = t * cth
-                g = np.eye(d, dtype=complex)
-                g[p, p] = cth
-                g[q, q] = cth
-                g[p, q] = sth * phase
-                g[q, p] = -sth * np.conj(phase)
-                a = g.conj().T @ a @ g
-                v = v @ g
-        a = (a + a.conj().T) / 2
-    return np.diag(a).real.copy(), v
+    return hermitian_part(_square(m)[None], rtol=rtol)[0]
 
 
 def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
@@ -114,15 +103,7 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
     Raises NonHermitianInput if M is not Hermitian within tolerance.
     """
-    a = require_hermitian(m)
-    d = a.shape[0]
-    if d == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
-    if d == 2:
-        return _eigh2(a)
-    w, v = _jacobi(a)
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(require_hermitian(m))
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -150,48 +131,80 @@ def comm_anticomm(a, b) -> tuple[np.ndarray, np.ndarray]:
     return ab - ba, ab + ba
 
 
-class DensityOp:
-    """A density operator: Hermitian, unit trace, positive semidefinite.
+class DensityStack:
+    """n density operators of one dimension as an (n, d, d) stack.
 
-    The eigendecomposition is computed once on demand and cached; instances
-    are treated as immutable.
+    Every row is checked to be Hermitian, of unit trace and positive
+    semidefinite, each check once per row as an array operation, and the
+    eigendecomposition of the whole stack is one batched ``eigh``. A failing
+    row raises the error the matrix alone would raise; among several failing
+    rows, the check listed first reports first. Instances are immutable.
     """
 
-    def __init__(self, matrix):
-        m = require_hermitian(matrix)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > 1e-9:
+    def __init__(self, matrices):
+        m = hermitian_part(matrices)
+        bad = np.abs(traces(m).real - 1.0) > TRACE_TOL
+        if bad.any():
+            tr = float(np.trace(m[int(np.argmax(bad))]).real)
             raise NotNormalized(f"trace {tr!r} differs from 1 by more than 1e-9")
-        self._matrix = m
-        self._matrix.setflags(write=False)
-        if self.eigenvalues[0] < PSD_EIGENVALUE_FLOOR:
+        w, v = np.linalg.eigh(m)
+        low = w[:, 0] < PSD_EIGENVALUE_FLOOR
+        if low.any():
             raise NotPositiveSemidefinite(
-                f"density operator has eigenvalue {self.eigenvalues[0]:.3e}"
+                f"density operator has eigenvalue {w[int(np.argmax(low)), 0]:.3e}"
             )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
+        for a in (m, w, v):
+            a.setflags(write=False)
+        self.matrices, self.eigenvalues, self.eigenvectors = m, w, v
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return self.matrices.shape[1]
 
-    @cached_property
-    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        return herm_eigen(self._matrix)
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, i: int) -> "DensityOp":
+        """Row i as a DensityOp, without checking it again."""
+        row = object.__new__(DensityStack)
+        rows = slice(i, i + 1)
+        row.matrices, row.eigenvalues, row.eigenvectors = (
+            self.matrices[rows], self.eigenvalues[rows], self.eigenvectors[rows]
+        )
+        op = object.__new__(DensityOp)
+        op.stack = row
+        return op
+
+
+class DensityOp:
+    """A density operator: Hermitian, unit trace, positive semidefinite.
+
+    A one-row DensityStack (``stack``); the eigendecomposition is computed
+    once at construction. Instances are treated as immutable.
+    """
+
+    def __init__(self, matrix):
+        self.stack = DensityStack(_square(matrix)[None])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.stack.matrices[0]
+
+    @property
+    def dim(self) -> int:
+        return self.stack.dim
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigen[0]
+        return self.stack.eigenvalues[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._eigen[1]
+        return self.stack.eigenvectors[0]
 
     @cached_property
     def sqrt(self) -> np.ndarray:
-        w, v = self._eigen
+        w, v = self.eigenvalues, self.eigenvectors
         root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
         return (root + root.conj().T) / 2
 

@@ -31,7 +31,9 @@ from .linalg import (
     IDENTITY2,
     PAULIS,
     DensityOp,
+    dagger,
     herm_eigen,
+    hermitian_part,
     psd_sqrt,
     require_hermitian,
 )
@@ -184,13 +186,32 @@ def mixed_conditions_check(
     )
 
 
+#: SLD spectra with an eigenvalue gap below this have no unique eigenbasis.
+SLD_GAP = 1e-10
+
+
+def sld_eigenbasis(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of each SLD in an (n, d, d) stack, and where it fails to be unique.
+
+    Returns the ascending spectra (n, d), the eigenvectors (n, d, d) as
+    columns, and a mask of the rows whose spectrum has a gap below SLD_GAP.
+    """
+    w, v = np.linalg.eigh(hermitian_part(ell))
+    return w, v, np.diff(w, axis=1).min(axis=1, initial=np.inf) < SLD_GAP
+
+
+def eigenprojector(v: np.ndarray, i: int) -> np.ndarray:
+    """The projectors on eigenvector column i of each row of an (n, d, d) eigenvector stack."""
+    p = v[:, :, i, None] * v[:, None, :, i].conj()
+    return (p + dagger(p)) / 2
+
+
 def sld_eigenbasis_povm(rho: DensityOp, drho) -> Povm:
     """Rank-one eigenprojectors of the SLD; the bound-attaining measurement."""
-    ell = sld_solve(rho, drho)
-    w, v = herm_eigen(ell)
-    if float(np.min(np.diff(w))) < 1e-10:
-        raise DegenerateSld(f"SLD spectrum {w} has a gap below 1e-10")
-    return Povm([np.outer(v[:, i], v[:, i].conj()) for i in range(rho.dim)])
+    w, v, degenerate = sld_eigenbasis(sld_solve(rho, drho)[None])
+    if degenerate[0]:
+        raise DegenerateSld(f"SLD spectrum {w[0]} has a gap below {SLD_GAP:g}")
+    return Povm.of_projectors(np.array([eigenprojector(v, i)[0] for i in range(rho.dim)]))
 
 
 def bloch_vector(matrix) -> np.ndarray:

@@ -10,6 +10,8 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import ParseError
@@ -47,13 +49,24 @@ def matrix_from_json(data, path: str = "matrix") -> np.ndarray:
     return out
 
 
+_FLOAT_FORMAT = "%.12g"
+
+
 def format_float(x: float) -> str:
     x = float(x)
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    if x == 0.0:
-        return "0"
-    return f"{x:.12g}"
+    return _FLOAT_FORMAT % (x + 0.0)  # + 0.0 prints -0.0 as 0
+
+
+def format_rows(rows) -> str:
+    """CSV lines of a 2-d float array, each value written as ``format_float`` writes it."""
+    rows = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        format_float(rows[bad][0])  # raises
+    line = ",".join([_FLOAT_FORMAT] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple((rows + 0.0).ravel().tolist())
 
 
 def dumps_canonical(obj) -> str:
@@ -65,8 +78,8 @@ def dumps_canonical(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        # escapes quotes, backslashes and control characters; other text stays as is
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -15,7 +15,6 @@ available for all families and are the only route for tabulated curves.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,12 +22,31 @@ import numpy as np
 
 from .errors import (
     ChartSingularity,
+    DimensionMismatch,
     DomainError,
     SupportMismatch,
     TableResolutionError,
 )
-from .linalg import DensityOp, herm_eigen, require_hermitian
-from .states import Chart, PureState, QubitPoint, pure_projector, rho_of_kz, unitary_of_z
+from .linalg import (
+    DensityOp,
+    DensityStack,
+    as_matrix,
+    dagger,
+    frobenius_norms,
+    herm_eigen,
+    hermitian_part,
+    traces,
+)
+from .states import (
+    Chart,
+    PureState,
+    QubitPoint,
+    pure_projector_stack,
+    require_finite_coords,
+    require_normalized,
+    rho_of_kz_stack,
+    unitary_of_z,
+)
 
 ANALYTIC = "analytic"
 FD = "fd"
@@ -36,38 +54,70 @@ DEFAULT_FD_STEP = 1e-5
 
 #: Minimum eigenvalue keeping a rank-2 family at constant rank.
 RANK_GUARD = 1e-9
+#: Eigenvalue pairs with lam_i + lam_j at or below this are outside rho's support.
+SUPPORT_CUTOFF = 1e-12
+#: Largest |drho_ij| tolerated on an eigenvalue pair outside the support.
+SUPPORT_LEAK_TOL = 1e-10
 
 
-def _guard_rank2(k: float, theta: float):
-    if not (RANK_GUARD <= k <= 0.5):
+def _thetas(theta) -> np.ndarray:
+    """One parameter value as the one-row theta vector of the stacked methods."""
+    return np.array([float(theta)])
+
+
+def _guard_rank2(k, thetas: np.ndarray):
+    k = np.asarray(k)
+    bad = ~((RANK_GUARD <= k) & (k <= 0.5))
+    if bad.any():
+        i = int(np.argmax(np.broadcast_to(bad, thetas.shape)))
+        theta, k = float(thetas[i]), float(np.broadcast_to(k, thetas.shape)[i])
         raise DomainError(
             f"mixing weight k(theta={theta!r}) = {k!r} leaves [{RANK_GUARD}, 1/2]; "
             "rank-2 curves must keep their rank"
         )
 
 
+class _StackedCurve:
+    """Base of the curve families, which evaluate a vector of thetas at once.
+
+    ``rho_stack`` gives the DensityStack of rho(theta) and ``drho_stack`` the
+    exact derivatives as an (n, d, d) array. The one-theta methods (these two,
+    and ``point_at`` or ``state_at``) are their one-row case.
+    """
+
+    def rho_at(self, theta: float) -> DensityOp:
+        return self.rho_stack(_thetas(theta))[0]
+
+    def drho_analytic(self, theta: float) -> np.ndarray:
+        return self.drho_stack(_thetas(theta))[0]
+
+
 @dataclass(frozen=True)
-class GreatCirclePure:
+class GreatCirclePure(_StackedCurve):
     """Pure qubit great circle psi(theta) = (cos(theta/2), e^{i phase} sin(theta/2))."""
 
     phase: float = 0.0
 
+    def _amplitudes(self, thetas: np.ndarray) -> np.ndarray:
+        half = thetas / 2.0
+        amps = np.stack([np.cos(half), cmath.exp(1j * self.phase) * np.sin(half)], axis=1)
+        return require_normalized(amps)
+
     def state_at(self, theta: float) -> PureState:
-        half = theta / 2.0
-        return PureState(np.array([math.cos(half), cmath.exp(1j * self.phase) * math.sin(half)]))
+        return PureState(self._amplitudes(_thetas(theta))[0])
 
-    def rho_at(self, theta: float) -> DensityOp:
-        return pure_projector(self.state_at(theta))
+    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
+        return pure_projector_stack(self._amplitudes(thetas))
 
-    def drho_analytic(self, theta: float) -> np.ndarray:
-        half = theta / 2.0
-        psi = self.state_at(theta).amplitudes
-        dpsi = 0.5 * np.array([-math.sin(half), cmath.exp(1j * self.phase) * math.cos(half)])
-        return np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
+    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
+        half = thetas / 2.0
+        psi = self._amplitudes(thetas)
+        dpsi = 0.5 * np.stack([-np.sin(half), cmath.exp(1j * self.phase) * np.cos(half)], axis=1)
+        return dpsi[:, :, None] * psi.conj()[:, None, :] + psi[:, :, None] * dpsi.conj()[:, None, :]
 
 
 @dataclass(frozen=True)
-class SphereCurve:
+class SphereCurve(_StackedCurve):
     """Fixed mixing k, stereographic path z(theta) = z0 + velocity * theta."""
 
     k: float
@@ -78,20 +128,22 @@ class SphereCurve:
         if not (0.0 < self.k <= 0.5):
             raise DomainError(f"k={self.k!r} outside (0, 1/2]")
 
+    def _coords(self, thetas: np.ndarray) -> np.ndarray:
+        _guard_rank2(self.k, thetas)
+        return require_finite_coords(self.z0 + self.velocity * thetas)
+
     def point_at(self, theta: float) -> QubitPoint:
-        _guard_rank2(self.k, theta)
-        return QubitPoint(self.k, self.z0 + self.velocity * theta)
+        return QubitPoint(self.k, complex(self._coords(_thetas(theta))[0]))
 
-    def rho_at(self, theta: float) -> DensityOp:
-        return rho_of_kz(self.point_at(theta))
+    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
+        return rho_of_kz_stack(self.k, self._coords(thetas), Chart.NORTH)
 
-    def drho_analytic(self, theta: float) -> np.ndarray:
-        point = self.point_at(theta)
-        return drho_sphere(self.k, point.coord, self.velocity)
+    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
+        return _drho_sphere(2.0 * self.k - 1.0, self._coords(thetas), self.velocity)
 
 
 @dataclass(frozen=True)
-class TransverseCurve:
+class TransverseCurve(_StackedCurve):
     """Mixing path k(theta) = k0 + rate * theta at a fixed sphere point.
 
     ``z=None`` places the curve at the infinity pole, where rho(theta) is the
@@ -102,30 +154,43 @@ class TransverseCurve:
     rate: float = 1.0
     z: complex | None = None
 
-    def k_at(self, theta: float) -> float:
+    def k_at(self, theta):
+        """k at one theta or at each of an array of thetas."""
         return self.k0 + self.rate * theta
 
-    def point_at(self, theta: float) -> QubitPoint:
-        k = self.k_at(theta)
-        _guard_rank2(k, theta)
+    def _weights(self, thetas: np.ndarray) -> np.ndarray:
+        k = self.k_at(thetas)
+        _guard_rank2(k, thetas)
+        return k
+
+    def _chart_points(self, thetas: np.ndarray):
+        k = self._weights(thetas)
         if self.z is None:
-            return QubitPoint(k, 0j, Chart.SOUTH)
-        return QubitPoint(k, complex(self.z))
+            return k, np.zeros(len(thetas), dtype=complex), Chart.SOUTH
+        return k, require_finite_coords(np.full(len(thetas), complex(self.z))), Chart.NORTH
 
-    def rho_at(self, theta: float) -> DensityOp:
-        return rho_of_kz(self.point_at(theta))
+    def point_at(self, theta: float) -> QubitPoint:
+        k, coord, chart = self._chart_points(_thetas(theta))
+        return QubitPoint(float(k[0]), complex(coord[0]), chart)
 
-    def drho_analytic(self, theta: float) -> np.ndarray:
-        _guard_rank2(self.k_at(theta), theta)
+    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
+        return rho_of_kz_stack(*self._chart_points(thetas))
+
+    @cached_property
+    def _drho(self) -> np.ndarray:
         diag = np.diag([self.rate, -self.rate]).astype(complex)
         if self.z is None:
             return diag
         u = unitary_of_z(self.z)
         return u @ diag @ u.conj().T
 
+    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
+        self._weights(thetas)
+        return np.broadcast_to(self._drho, (len(thetas), 2, 2)).copy()
+
 
 @dataclass(frozen=True)
-class PureQditCoeffs:
+class PureQditCoeffs(_StackedCurve):
     """Pure d-level curve with prescribed velocity coefficients at theta = 0.
 
     In the adapted frame psi(0) = e1 and dpsi(0) = sum_i a_i e_i with a_1 pure
@@ -153,23 +218,29 @@ class PureQditCoeffs:
             gen[0, i] = -self.a[i].conjugate()
         return gen
 
+    @cached_property
+    def _flow_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        return herm_eigen(1j * self._generator)  # 1j * A is Hermitian
+
+    def _amplitudes(self, thetas: np.ndarray) -> np.ndarray:
+        w, v = self._flow_eigen
+        u = (v * np.exp(-1j * thetas[:, None] * w)[:, None, :]) @ v.conj().T
+        return require_normalized(u[:, :, 0])
+
     def state_at(self, theta: float) -> PureState:
-        h = 1j * self._generator  # Hermitian
-        w, v = herm_eigen(h)
-        u = (v * np.exp(-1j * theta * w)) @ v.conj().T
-        return PureState(u[:, 0])
+        return PureState(self._amplitudes(_thetas(theta))[0])
 
-    def rho_at(self, theta: float) -> DensityOp:
-        return pure_projector(self.state_at(theta))
+    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
+        return pure_projector_stack(self._amplitudes(thetas))
 
-    def drho_analytic(self, theta: float) -> np.ndarray:
-        rho = self.rho_at(theta).matrix
+    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
+        rho = self.rho_stack(thetas).matrices
         gen = self._generator
         return gen @ rho - rho @ gen
 
 
 @dataclass(frozen=True)
-class TableCurve:
+class TableCurve(_StackedCurve):
     """Curve tabulated as (theta_j, rho_j) samples; evaluated by linear interpolation."""
 
     thetas: tuple[float, ...]
@@ -183,73 +254,105 @@ class TableCurve:
         ):
             raise DomainError("table thetas must be strictly increasing")
 
-    def rho_at(self, theta: float) -> DensityOp:
-        if len(self.thetas) < 2:
-            raise TableResolutionError("tabulated curve needs at least 2 samples")
+    def covers(self, thetas: np.ndarray) -> np.ndarray:
+        """Which thetas lie in the tabulated range."""
         ts = self.thetas
-        if not (ts[0] <= theta <= ts[-1]):
+        if len(ts) < 2:
+            return np.zeros(len(thetas), dtype=bool)
+        return (ts[0] <= thetas) & (thetas <= ts[-1])
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        try:
+            return np.array(self.rhos, dtype=complex)
+        except ValueError:
+            raise DimensionMismatch("table samples differ in dimension") from None
+
+    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
+        ts = self.thetas
+        if len(ts) < 2:
+            raise TableResolutionError("tabulated curve needs at least 2 samples")
+        outside = ~self.covers(thetas)
+        if outside.any():
+            theta = float(thetas[int(np.argmax(outside))])
             raise TableResolutionError(
                 f"theta={theta!r} outside the tabulated range [{ts[0]}, {ts[-1]}]"
             )
-        j = int(np.searchsorted(ts, theta, side="right") - 1)
-        j = min(j, len(ts) - 2)
-        frac = (theta - ts[j]) / (ts[j + 1] - ts[j])
-        m = (1.0 - frac) * np.asarray(self.rhos[j]) + frac * np.asarray(self.rhos[j + 1])
-        return DensityOp(m)
+        knots = np.asarray(ts)
+        j = np.minimum(np.searchsorted(knots, thetas, side="right") - 1, len(ts) - 2)
+        frac = ((thetas - knots[j]) / (knots[j + 1] - knots[j]))[:, None, None]
+        samples = self._samples
+        return DensityStack((1.0 - frac) * samples[j] + frac * samples[j + 1])
 
-    def drho_analytic(self, theta: float) -> np.ndarray:
+    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
         raise TableResolutionError("tabulated curves support finite-difference derivatives only")
 
 
 Curve = GreatCirclePure | SphereCurve | TransverseCurve | PureQditCoeffs | TableCurve
 
 
-def differentiate_curve(curve, theta: float, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """d rho / d theta along a curve, closed-form or central finite difference."""
+def differentiate_stack(
+    curve, thetas: np.ndarray, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP
+) -> np.ndarray:
+    """d rho / d theta at each of a vector of thetas, closed-form or central finite difference.
+
+    Returns an (n, d, d) stack of exactly Hermitian, traceless matrices.
+    """
     if mode == ANALYTIC:
-        drho = curve.drho_analytic(theta)
+        drho = curve.drho_stack(thetas)
     elif mode == FD:
         if not (h > 0):
             raise DomainError(f"finite-difference step h={h!r} must be positive")
-        drho = (curve.rho_at(theta + h).matrix - curve.rho_at(theta - h).matrix) / (2 * h)
+        drho = (curve.rho_stack(thetas + h).matrices - curve.rho_stack(thetas - h).matrices) / (2 * h)
     else:
         raise DomainError(f"unknown differentiation mode {mode!r}")
-    drho = (drho + drho.conj().T) / 2
+    drho = (drho + dagger(drho)) / 2
     # the FD trace residue is pure roundoff of unit traces and grows like eps/h
     tol = 1e-12 if mode == ANALYTIC else 1e-10 * max(1.0, DEFAULT_FD_STEP / h)
-    trace = complex(np.trace(drho))
-    if abs(trace) > tol * max(1.0, float(np.linalg.norm(drho))):
-        raise DomainError(f"drho trace {trace!r} is not negligible; curve is not trace preserving")
-    dim = drho.shape[0]
-    return drho - (trace.real / dim) * np.eye(dim)
+    trace = traces(drho)
+    bad = np.abs(trace) > tol * np.maximum(1.0, frobenius_norms(drho))
+    if bad.any():
+        residue = complex(trace[int(np.argmax(bad))])
+        raise DomainError(f"drho trace {residue!r} is not negligible; curve is not trace preserving")
+    dim = drho.shape[1]
+    return drho - (trace.real / dim)[:, None, None] * np.eye(dim)
+
+
+def differentiate_curve(curve, theta: float, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """d rho / d theta along a curve, closed-form or central finite difference."""
+    return differentiate_stack(curve, _thetas(theta), mode, h)[0]
+
+
+def sld_solve_stack(rho: DensityStack, drho) -> np.ndarray:
+    """Solve drho = (rho L + L rho)/2 for Hermitian L, row by row over a stack.
+
+    In each rho's eigenbasis L_ij = 2 drho_ij / (lam_i + lam_j) on the
+    support. Entries over eigenvalue pairs outside the support are set to 0
+    when drho vanishes there too; otherwise the direction leaves the support
+    and SupportMismatch is raised.
+    """
+    drho = hermitian_part(drho)
+    if drho.shape[1] != rho.dim:
+        raise DomainError(f"drho dimension {drho.shape[1]} does not match rho dimension {rho.dim}")
+    if (np.abs(traces(drho)) > 1e-10 * np.maximum(1.0, frobenius_norms(drho))).any():
+        raise DomainError("drho must be traceless")
+    w, v = rho.eigenvalues, rho.eigenvectors
+    vh = dagger(v)
+    dr = vh @ drho @ v
+    denom = w[:, :, None] + w[:, None, :]
+    support = denom > SUPPORT_CUTOFF
+    leak = ~support & (np.abs(dr) > SUPPORT_LEAK_TOL)
+    if leak.any():
+        weight = abs(dr[tuple(np.argwhere(leak)[0])])
+        raise SupportMismatch(f"drho has weight {weight:.3e} outside the support of rho")
+    ell = np.divide(2.0 * dr, denom, out=np.zeros_like(dr), where=support)
+    out = v @ ell @ vh
+    return (out + dagger(out)) / 2
 
 
 def sld_solve(rho: DensityOp, drho) -> np.ndarray:
-    """Solve drho = (rho L + L rho)/2 for Hermitian L in rho's eigenbasis.
-
-    Entries over vanishing eigenvalue pairs are set to 0 when drho vanishes
-    there too; otherwise the direction leaves the support and SupportMismatch
-    is raised.
-    """
-    drho = require_hermitian(drho)
-    if drho.shape[0] != rho.dim:
-        raise DomainError(f"drho dimension {drho.shape[0]} does not match rho dimension {rho.dim}")
-    if abs(complex(np.trace(drho))) > 1e-10 * max(1.0, float(np.linalg.norm(drho))):
-        raise DomainError("drho must be traceless")
-    w, v = rho.eigenvalues, rho.eigenvectors
-    dr = v.conj().T @ drho @ v
-    ell = np.zeros_like(dr)
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            denom = w[i] + w[j]
-            if denom > 1e-12:
-                ell[i, j] = 2.0 * dr[i, j] / denom
-            elif abs(dr[i, j]) > 1e-10:
-                raise SupportMismatch(
-                    f"drho has weight {abs(dr[i, j]):.3e} outside the support of rho"
-                )
-    out = v @ ell @ v.conj().T
-    return (out + out.conj().T) / 2
+    """Solve drho = (rho L + L rho)/2 for Hermitian L in rho's eigenbasis (see ``sld_solve_stack``)."""
+    return sld_solve_stack(rho.stack, as_matrix(drho)[None])[0]
 
 
 def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:
@@ -265,27 +368,28 @@ def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     )
 
 
-def _drho_sphere(kdiff: float, z: complex, v: complex) -> np.ndarray:
-    z = complex(z)
+def _drho_sphere(kdiff: float, z: np.ndarray, v: complex) -> np.ndarray:
+    """Sphere-direction drho at each point of the coordinate array z, for one velocity v."""
     v = complex(v)
-    zc, vc = z.conjugate(), v.conjugate()
-    pref = kdiff / (1.0 + abs(z) ** 2) ** 2
-    return pref * np.array(
-        [[zc * v + z * vc, z * z * vc - v], [zc * zc * v - vc, -(zc * v + z * vc)]],
-        dtype=complex,
-    )
+    zc, vc = z.conj(), v.conjugate()
+    out = np.empty((len(z), 2, 2), dtype=complex)
+    out[:, 0, 0] = zc * v + z * vc
+    out[:, 0, 1] = z * z * vc - v
+    out[:, 1, 0] = zc * zc * v - vc
+    out[:, 1, 1] = -(zc * v + z * vc)
+    return (kdiff / (1.0 + np.abs(z) ** 2) ** 2)[:, None, None] * out
 
 
 def drho_sphere(k: float, z: complex, v: complex) -> np.ndarray:
     """Sphere-direction drho at mixing k, point z, stereographic velocity v."""
     if not (0.0 < k <= 0.5):
         raise DomainError(f"k={k!r} outside (0, 1/2]")
-    return _drho_sphere(2.0 * k - 1.0, z, v)
+    return _drho_sphere(2.0 * k - 1.0, np.array([complex(z)]), v)[0]
 
 
 def drho_sphere_pure(z: complex, v: complex) -> np.ndarray:
     """Sphere-direction drho of the pure projector family (the k -> 0 limit)."""
-    return _drho_sphere(-1.0, z, v)
+    return _drho_sphere(-1.0, np.array([complex(z)]), v)[0]
 
 
 def drho_transverse(k: float, dk: float, z: complex) -> np.ndarray:

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChartSingularity, DomainError, NotNormalized
-from .linalg import DensityOp
+from .linalg import DensityOp, DensityStack
 
 
 class Chart(Enum):
@@ -30,6 +30,23 @@ class Chart(Enum):
 AT_INFINITY = "inf"
 
 
+def require_normalized(amps: np.ndarray) -> np.ndarray:
+    """Check that every row of an (n, d) amplitude array has unit norm within 1e-12."""
+    norms = np.sqrt(np.vecdot(amps, amps).real)
+    bad = np.abs(norms - 1.0) > 1e-12
+    if bad.any():
+        norm = float(np.linalg.norm(amps[int(np.argmax(bad))]))
+        raise NotNormalized(f"state norm {norm!r} differs from 1 by more than 1e-12")
+    return amps
+
+
+def require_finite_coords(coord: np.ndarray) -> np.ndarray:
+    """Check that every chart coordinate of an array is finite."""
+    if not np.isfinite(coord).all():
+        raise DomainError("chart coordinate must be finite")
+    return coord
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of a d-level system."""
@@ -37,10 +54,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
-            raise NotNormalized(f"state norm {norm!r} differs from 1 by more than 1e-12")
+        amps = require_normalized(np.asarray(self.amplitudes, dtype=complex).reshape(1, -1))[0]
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -65,8 +79,7 @@ class QubitPoint:
         if not (0.0 < self.k <= 0.5):
             raise DomainError(f"k={self.k!r} outside (0, 1/2]")
         c = complex(self.coord)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise DomainError("chart coordinate must be finite")
+        require_finite_coords(np.array([c]))
         object.__setattr__(self, "coord", c)
 
     @property
@@ -134,8 +147,12 @@ class S3Point:
 
 def pure_projector(psi: PureState) -> DensityOp:
     """Rank-one projector |psi><psi|."""
-    amps = psi.amplitudes
-    return DensityOp(np.outer(amps, amps.conj()))
+    return pure_projector_stack(psi.amplitudes[None])[0]
+
+
+def pure_projector_stack(amps: np.ndarray) -> DensityStack:
+    """Projectors |psi><psi| of the rows of an (n, d) array of normalized amplitudes."""
+    return DensityStack(amps[:, :, None] * amps.conj()[:, None, :])
 
 
 def unitary_of_z(z: complex) -> np.ndarray:
@@ -158,20 +175,29 @@ def rho_of_kz(point: QubitPoint) -> DensityOp:
     Eigenvalues are exactly {k, 1-k}; at the south-chart origin (z = infinity)
     the matrix is diag(k1, k2).
     """
-    k1, k2 = point.k1, point.k2
-    c = point.coord
-    ac2 = abs(c) ** 2
-    if point.chart is Chart.NORTH:
-        m = np.array(
-            [[k1 * ac2 + k2, (k2 - k1) * c], [(k2 - k1) * c.conjugate(), k1 + ac2 * k2]],
-            dtype=complex,
-        )
+    return rho_of_kz_stack(np.array([point.k]), np.array([point.coord]), point.chart)[0]
+
+
+def rho_of_kz_stack(k, coord: np.ndarray, chart: Chart) -> DensityStack:
+    """``rho_of_kz`` for n chart points of one chart: weights ``k`` and coordinates ``coord``.
+
+    ``k`` is an array of n weights or one weight for all points; the points
+    must be valid, as QubitPoint checks them.
+    """
+    k1, k2 = k, 1.0 - k
+    ac2 = np.abs(coord) ** 2
+    m = np.empty((len(coord), 2, 2), dtype=complex)
+    if chart is Chart.NORTH:
+        m[:, 0, 0] = k1 * ac2 + k2
+        m[:, 0, 1] = (k2 - k1) * coord
+        m[:, 1, 0] = (k2 - k1) * coord.conj()
+        m[:, 1, 1] = k1 + ac2 * k2
     else:
-        m = np.array(
-            [[k1 + k2 * ac2, (k2 - k1) * c.conjugate()], [(k2 - k1) * c, k2 + k1 * ac2]],
-            dtype=complex,
-        )
-    return DensityOp(m / (1.0 + ac2))
+        m[:, 0, 0] = k1 + k2 * ac2
+        m[:, 0, 1] = (k2 - k1) * coord.conj()
+        m[:, 1, 0] = (k2 - k1) * coord
+        m[:, 1, 1] = k2 + k1 * ac2
+    return DensityStack(m / (1.0 + ac2)[:, None, None])
 
 
 def chart_convert(point: QubitPoint, target: str):

@@ -82,8 +82,6 @@ def test_all_suites_registered():
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
 def test_suite_output_is_deterministic(name):
-    if name in ("optimizer-attainment", "cli-determinism"):
-        pytest.skip("covered above; rerunning would double the slowest suites")
     first = verify.SUITES[name]()
     second = verify.SUITES[name]()
     assert first == second

@@ -85,12 +85,6 @@ class TestKnownValues:
         assert data["gap"] == pytest.approx(0.0, abs=1e-6)
         assert data["degenerate"] is False
 
-    def test_scan_jobs_deterministic(self):
-        argv = ["scan", "--scenario", fixture("sphere_k025.json"), "--param", "theta", "--range", "0:1:9"]
-        serial = run_cli(*argv)
-        threaded = run_cli(*argv, "--jobs", "4")
-        assert serial[1] == threaded[1]
-
     def test_scan_to_file(self, tmp_path):
         out_path = tmp_path / "scan.csv"
         code, out, _ = run_cli(
@@ -201,6 +195,63 @@ class TestErrorMapping:
     def test_bad_tangent_flag_exit_2(self):
         code, _, err = run_cli("tensor", "--scenario", fixture("sphere_k025.json"), "--v", "x", "--v2", "1")
         assert code == 2 and error_kind(err) == "invariant"
+
+
+def write_scenario(tmp_path, payload):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+TABLE = {
+    "curve": {"family": "table", "samples": [
+        {"theta": 0.0, "rho": [[[0.7, 0], [0.1, 0.05]], [[0.1, -0.05], [0.3, 0]]]},
+        {"theta": 1.0, "rho": [[[0.4, 0], [0, 0.1]], [[0, -0.1], [0.6, 0]]]},
+    ]},
+    "theta0": 0.5,
+    "options": {"mode": "fd"},
+}
+
+
+class TestScanErrors:
+    """A scan failing inside the grid reports the first failing row's error, as row-by-row evaluation does."""
+
+    @pytest.mark.parametrize("payload, argv, kind, detail", [
+        (
+            {"curve": {"family": "transverse_curve", "z": [0.3, 0.1],
+                       "path": {"type": "linear", "k0": 0.25, "rate": 1.0}}, "theta0": 0.0},
+            ["--range", "0:0.5:11"],
+            "domain",
+            "mixing weight k(theta=0.3) = 0.55 leaves [1e-09, 1/2]; rank-2 curves must keep their rank",
+        ),
+        # theta = 1.5 leaves the table first, but row theta = 1 fails earlier at theta + h
+        (TABLE, ["--range", "0.5:1.5:3"], "table-resolution",
+         "theta=1.00001 outside the tabulated range [0.0, 1.0]"),
+        (TABLE, ["--range", "0:1:5"], "table-resolution",
+         "theta=-1e-05 outside the tabulated range [0.0, 1.0]"),
+        (TABLE, ["--range", "0.5:1.5:3", "--mode", "analytic"], "table-resolution",
+         "tabulated curves support finite-difference derivatives only"),
+    ])
+    def test_first_failing_row_reported(self, tmp_path, payload, argv, kind, detail):
+        code, out, err = run_cli("scan", "--scenario", write_scenario(tmp_path, payload), *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": {"kind": kind, "detail": detail}}
+
+    def test_earlier_chunks_stay_written(self, tmp_path, monkeypatch):
+        from qfg import scan
+
+        monkeypatch.setattr(scan, "CHUNK_ROWS", 4)
+        path = write_scenario(tmp_path, TABLE)
+        code, out, err = run_cli("scan", "--scenario", path, "--range", "0.5:1.5:11")
+        assert code == 3 and json.loads(err)["error"]["detail"].startswith("theta=1.00001 ")
+        _, head, _ = run_cli("scan", "--scenario", path, "--range", "0.5:0.9:5")
+        # rows 0.5 .. 0.8 form the first chunk; the second chunk fails at theta = 1
+        assert out == "".join(head.splitlines(keepends=True)[:5])
+
+    def test_error_detail_with_control_characters_is_json(self, tmp_path):
+        code, _, err = run_cli("eval", "--scenario", str(tmp_path / "a\nb\x01.json"), "--quantity", "qfi")
+        assert code == 2
+        assert "a\nb\x01.json" in json.loads(err)["error"]["detail"]
 
 
 class TestVerifySubcommand:
