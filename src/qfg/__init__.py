@@ -72,7 +72,6 @@ from .optimize import (
     fibonacci_sphere,
     maximize_cfi,
     mixed_conditions_check,
-    povm_validate,
     projector_pair,
     reach_check_pure,
     sld_eigenbasis_povm,

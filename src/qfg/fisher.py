@@ -23,9 +23,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidPovm, NotAPovm, NotNormalized, QfgError
-from .linalg import DensityOp, DensityStack, herm_eigen, require_hermitian, traces
-from .sld import TableCurve, TransverseCurve, drho_sphere, drho_transverse, sld_solve
+from .errors import DimensionMismatch, DomainError, InvalidPovm, NotAPovm, NotNormalized, QfgError
+from .linalg import (
+    PSD_EIGENVALUE_FLOOR,
+    DensityOp,
+    DensityStack,
+    _square,
+    hermitian_part,
+    require_hermitian,
+    traces,
+)
+from .sld import TableCurve, TransverseCurve, assemble_drho, sld_solve  # noqa: F401  (assemble_drho re-exported)
+from .states import require_mixing_weight
 
 #: Outcomes with probability at or below this are excluded from classical sums.
 EPS_P = 1e-12
@@ -33,36 +42,46 @@ EPS_P = 1e-12
 TABLE_SPLIT_STEP = 1e-5
 
 
-def povm_diagnose(elements: Sequence) -> str | None:
-    """Return a defect description for an operator family, or None if it is a POVM."""
+def _povm_stack(elements: Sequence) -> tuple[np.ndarray | None, str | None]:
+    """The exactly Hermitian (m, d, d) stack of a POVM's elements, or None and its first defect."""
     if len(elements) == 0:
-        return "POVM has no elements"
+        return None, "POVM has no elements"
     try:
-        mats = [require_hermitian(m) for m in elements]
-    except Exception as exc:
-        return f"element is not Hermitian: {exc}"
+        mats = [_square(m) for m in elements]
+    except (DimensionMismatch, TypeError, ValueError) as exc:
+        return None, f"element is not Hermitian: {exc}"
     dim = mats[0].shape[0]
     for i, m in enumerate(mats):
         if m.shape[0] != dim:
-            return f"element {i} has dimension {m.shape[0]}, expected {dim}"
-        w, _ = herm_eigen(m)
-        if w[0] < -1e-10:
-            return f"element {i} has negative eigenvalue {w[0]:.3e}"
-    total = sum(mats)
-    defect = float(np.linalg.norm(total - np.eye(dim)))
+            return None, f"element {i} has dimension {m.shape[0]}, expected {dim}"
+    try:
+        stack = hermitian_part(np.array(mats))
+    except QfgError as exc:
+        return None, f"element is not Hermitian: {exc}"
+    low = np.linalg.eigvalsh(stack)[:, 0]
+    bad = low < PSD_EIGENVALUE_FLOOR
+    if bad.any():
+        i = int(np.argmax(bad))
+        return None, f"element {i} has negative eigenvalue {low[i]:.3e}"
+    defect = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
     if defect > 1e-9:
-        return f"elements sum to identity with defect {defect:.3e} > 1e-9"
-    return None
+        return None, f"elements sum to identity with defect {defect:.3e} > 1e-9"
+    return stack, None
+
+
+def povm_diagnose(elements: Sequence) -> str | None:
+    """Return a defect description for an operator family, or None if it is a POVM."""
+    return _povm_stack(elements)[1]
 
 
 class Povm:
     """Finite POVM: PSD elements summing to the identity within 1e-9."""
 
     def __init__(self, elements: Sequence):
-        diag = povm_diagnose(elements)
-        if diag is not None:
-            raise InvalidPovm(diag)
-        self._set(np.array([require_hermitian(m) for m in elements]))
+        stack, defect = _povm_stack(elements)
+        if defect is not None:
+            raise InvalidPovm(defect)
+        self._set(stack)
 
     @classmethod
     def of_projectors(cls, projectors: np.ndarray) -> "Povm":
@@ -148,7 +167,7 @@ def qfi_split(curve, thetas: np.ndarray, total: np.ndarray) -> tuple[np.ndarray,
     Transverse curves are all transverse (the closed form dk^2 / (k (1-k))),
     tabulated curves take the transverse share from the drift of the smallest
     eigenvalue k over +-TABLE_SPLIT_STEP (none where that cannot be formed or
-    k is outside (0, 1/2]), and every other family is all sphere.
+    k is not in (0, 1/2]), and every other family is all sphere.
     """
     if isinstance(curve, TransverseCurve):
         return np.zeros_like(total), _transverse_qfi(curve.k_at(thetas), curve.rate)
@@ -176,8 +195,7 @@ def qfi_qubit_closed_form(k: float, dk: float, z: complex, v: complex) -> QubitQ
 
     sphere = 4 (k1-k2)^2 |v|^2 / (1+|z|^2)^2, transverse = dk^2 / (k (1-k)).
     """
-    if not (0.0 < k <= 0.5):
-        raise DomainError(f"k={k!r} outside (0, 1/2]")
+    require_mixing_weight(k)
     z = complex(z)
     v = complex(v)
     kdiff = 2.0 * k - 1.0
@@ -197,24 +215,13 @@ def total_fisher_metric(
 
     The diagonal t1 = t2 reproduces qfi_qubit_closed_form.total.
     """
-    if not (0.0 < k <= 0.5):
-        raise DomainError(f"k={k!r} outside (0, 1/2]")
+    require_mixing_weight(k)
     dk1, v1 = t1
     dk2, v2 = t2
     kdiff = 2.0 * k - 1.0
     sphere = 4.0 * kdiff * kdiff * (complex(v1).conjugate() * complex(v2)).real
     sphere /= (1.0 + abs(complex(z)) ** 2) ** 2
     return dk1 * dk2 / (k * (1.0 - k)) + sphere
-
-
-def assemble_drho(k: float, z: complex, dk: float, v: complex) -> np.ndarray:
-    """Full qubit drho for the combined tangent (dk, v) at (k, z)."""
-    out = np.zeros((2, 2), dtype=complex)
-    if v != 0:
-        out = out + drho_sphere(k, z, v)
-    if dk != 0:
-        out = out + drho_transverse(k, dk, z)
-    return out
 
 
 @dataclass(frozen=True)
@@ -234,8 +241,7 @@ class FisherTensorValue:
 
 def fisher_tensor(k: float, z: complex, v: complex, v2: complex) -> FisherTensorValue:
     """Closed-form Fisher tensor on sphere tangents (v, v2) at (k, z)."""
-    if not (0.0 < k <= 0.5):
-        raise DomainError(f"k={k!r} outside (0, 1/2]")
+    require_mixing_weight(k)
     z = complex(z)
     kdiff = 2.0 * k - 1.0
     pref = 4.0 * kdiff * kdiff / (1.0 + abs(z) ** 2) ** 2

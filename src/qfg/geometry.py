@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotOrthogonal, NotTangentForm
 from .linalg import DensityOp, as_matrix, comm_anticomm, require_hermitian
-from .sld import connection_coefficient
-from .states import PureState
+from .sld import sphere_tangent_matrix  # noqa: F401  (re-exported)
+from .states import PureState, require_mixing_weight
 
 
 class KahlerPair(NamedTuple):
@@ -86,14 +86,6 @@ def coordinate_forms(z: complex, v: complex, v2: complex) -> KahlerPair:
     return KahlerPair(pref * ip.real, -pref * ip.imag)
 
 
-def sphere_tangent_matrix(k: float, z: complex, v: complex) -> np.ndarray:
-    """Reference-frame matrix tangent (k1-k2) [[0, v* lam*], [v lam, 0]]."""
-    if not (0.0 < k <= 0.5):
-        raise DomainError(f"k={k!r} outside (0, 1/2]")
-    lv = connection_coefficient(z) * complex(v)
-    return (2.0 * k - 1.0) * np.array([[0.0, lv.conjugate()], [lv, 0.0]], dtype=complex)
-
-
 def complex_structure(xt) -> np.ndarray:
     """Complex structure J on reference-frame sphere tangents: X0(v) -> X0(iv)."""
     xt = as_matrix(xt)
@@ -115,8 +107,7 @@ def g_kks(rho: DensityOp, xt1, xt2) -> float:
 
 def reference_density(k: float) -> DensityOp:
     """Reference point diag(k, 1-k) of the co-adjoint orbit."""
-    if not (0.0 < k <= 0.5):
-        raise DomainError(f"k={k!r} outside (0, 1/2]")
+    require_mixing_weight(k)
     return DensityOp(np.diag([k, 1.0 - k]).astype(complex))
 
 

@@ -27,6 +27,8 @@ from .errors import (
 
 HERMITIAN_RTOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
+#: Eigenvalues at or below this times max(1, lam_max) are zero in a square root.
+SQRT_RANK_CUTOFF = 1e-12
 TRACE_TOL = 1e-9
 MAX_DIM = 8
 
@@ -109,14 +111,19 @@ def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 def psd_sqrt(m) -> np.ndarray:
     """Positive-semidefinite square root via eigendecomposition.
 
-    Eigenvalues in [-1e-10, 0] are clamped to 0; anything more negative
-    raises NotPositiveSemidefinite.
+    Eigenvalues at or below SQRT_RANK_CUTOFF * max(1, lam_max) count as zero,
+    so floating-point debris is not amplified to ~1e-6 by the root; an
+    eigenvalue below -1e-10 raises NotPositiveSemidefinite.
     """
-    w, v = herm_eigen(m)
+    return _psd_root(*herm_eigen(m))
+
+
+def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` from the ascending eigenpairs (w, v) of the matrix."""
     if w[0] < PSD_EIGENVALUE_FLOOR:
         raise NotPositiveSemidefinite(f"minimum eigenvalue {w[0]:.3e} below {PSD_EIGENVALUE_FLOOR:.1e}")
-    w = np.sqrt(np.clip(w, 0.0, None))
-    root = (v * w) @ v.conj().T
+    w = np.where(w > SQRT_RANK_CUTOFF * max(1.0, float(w[-1])), w, 0.0)
+    root = (v * np.sqrt(w)) @ v.conj().T
     return (root + root.conj().T) / 2
 
 
@@ -204,9 +211,7 @@ class DensityOp:
 
     @cached_property
     def sqrt(self) -> np.ndarray:
-        w, v = self.eigenvalues, self.eigenvectors
-        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        return (root + root.conj().T) / 2
+        return _psd_root(self.eigenvalues, self.eigenvectors)
 
     def __repr__(self) -> str:
         return f"DensityOp(dim={self.dim})"

@@ -26,13 +26,12 @@ from .errors import (
     DomainError,
     ZeroVelocityCurve,
 )
-from .fisher import EPS_P, Povm, classical_fisher, povm_diagnose
+from .fisher import EPS_P, Povm, classical_fisher
 from .linalg import (
     IDENTITY2,
     PAULIS,
     DensityOp,
     dagger,
-    herm_eigen,
     hermitian_part,
     psd_sqrt,
     require_hermitian,
@@ -56,35 +55,15 @@ class AttainabilityReport:
     vacuous: bool = False
 
 
-def povm_validate(elements: Sequence) -> bool:
-    """True iff the elements are PSD and sum to the identity within 1e-9.
-
-    The failure description, if any, is available via
-    :func:`qfg.fisher.povm_diagnose`.
-    """
-    return povm_diagnose(elements) is None
-
-
-def _sqrt_at_numerical_rank(m) -> np.ndarray:
-    # eigenvalues at or below 1e-12 are floating-point debris; taking their
-    # square root would amplify them to ~1e-6 and drown the residual
-    w, v = herm_eigen(m)
-    if w[0] < -1e-10:
-        return psd_sqrt(m)  # raises NotPositiveSemidefinite with the standard message
-    w = np.where(w > 1e-12 * max(1.0, float(w[-1])), w, 0.0)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
-
-
 def attainability_check(rho: DensityOp, drho, m, tol: float = 1e-8) -> AttainabilityReport:
     """Decide whether the outcome m can saturate the quantum bound at (rho, drho).
 
-    The element is taken at its numerical rank (eigenvalues <= 1e-12 count as
-    zero) before the square root, so spurious floating-point weight cannot
-    masquerade as support.
+    The element is taken at its numerical rank before the square root (see
+    ``psd_sqrt``), so spurious floating-point weight cannot masquerade as
+    support.
     """
     ell = sld_solve(rho, drho)
-    root_m = _sqrt_at_numerical_rank(m)
+    root_m = psd_sqrt(m)
     b = root_m @ rho.sqrt
     norm_b = float(np.linalg.norm(b))
     if norm_b <= 1e-12:

@@ -43,6 +43,7 @@ from .states import (
     QubitPoint,
     pure_projector_stack,
     require_finite_coords,
+    require_mixing_weight,
     require_normalized,
     rho_of_kz_stack,
     unitary_of_z,
@@ -125,8 +126,7 @@ class SphereCurve(_StackedCurve):
     velocity: complex = 0j
 
     def __post_init__(self):
-        if not (0.0 < self.k <= 0.5):
-            raise DomainError(f"k={self.k!r} outside (0, 1/2]")
+        require_mixing_weight(self.k)
 
     def _coords(self, thetas: np.ndarray) -> np.ndarray:
         _guard_rank2(self.k, thetas)
@@ -176,17 +176,10 @@ class TransverseCurve(_StackedCurve):
     def rho_stack(self, thetas: np.ndarray) -> DensityStack:
         return rho_of_kz_stack(*self._chart_points(thetas))
 
-    @cached_property
-    def _drho(self) -> np.ndarray:
-        diag = np.diag([self.rate, -self.rate]).astype(complex)
-        if self.z is None:
-            return diag
-        u = unitary_of_z(self.z)
-        return u @ diag @ u.conj().T
-
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
         self._weights(thetas)
-        return np.broadcast_to(self._drho, (len(thetas), 2, 2)).copy()
+        drho = self.rate * _transverse_direction(self.z)
+        return np.broadcast_to(drho, (len(thetas), 2, 2)).copy()
 
 
 @dataclass(frozen=True)
@@ -357,8 +350,7 @@ def sld_solve(rho: DensityOp, drho) -> np.ndarray:
 
 def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     """Closed-form SLD of the transverse (mixing-weight) direction at (k, z)."""
-    if not (0.0 < k <= 0.5):
-        raise DomainError(f"k={k!r} outside (0, 1/2]")
+    require_mixing_weight(k)
     z = complex(z)
     az2 = abs(z) ** 2
     pref = dk / ((1.0 + az2) * k * (1.0 - k))
@@ -382,8 +374,7 @@ def _drho_sphere(kdiff: float, z: np.ndarray, v: complex) -> np.ndarray:
 
 def drho_sphere(k: float, z: complex, v: complex) -> np.ndarray:
     """Sphere-direction drho at mixing k, point z, stereographic velocity v."""
-    if not (0.0 < k <= 0.5):
-        raise DomainError(f"k={k!r} outside (0, 1/2]")
+    require_mixing_weight(k)
     return _drho_sphere(2.0 * k - 1.0, np.array([complex(z)]), v)[0]
 
 
@@ -392,12 +383,19 @@ def drho_sphere_pure(z: complex, v: complex) -> np.ndarray:
     return _drho_sphere(-1.0, np.array([complex(z)]), v)[0]
 
 
+def _transverse_direction(z: complex | None) -> np.ndarray:
+    """Unit transverse drho U(z) diag(1, -1) U(z)^dag; diag(1, -1) at the infinity pole z = None."""
+    diag = np.diag([1.0, -1.0]).astype(complex)
+    if z is None:
+        return diag
+    u = unitary_of_z(z)
+    return u @ diag @ u.conj().T
+
+
 def drho_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     """Transverse drho: dk * U(z) diag(1, -1) U(z)^dag."""
-    if not (0.0 < k <= 0.5):
-        raise DomainError(f"k={k!r} outside (0, 1/2]")
-    u = unitary_of_z(z)
-    return dk * (u @ np.diag([1.0, -1.0]).astype(complex) @ u.conj().T)
+    require_mixing_weight(k)
+    return dk * _transverse_direction(complex(z))
 
 
 def connection_coefficient(z: complex) -> complex:
@@ -405,6 +403,18 @@ def connection_coefficient(z: complex) -> complex:
     z = complex(z)
     chi = cmath.phase(z) if z != 0 else 0.0
     return cmath.exp(-2j * chi) / (1.0 + abs(z) ** 2)
+
+
+def sphere_tangent_matrix(k: float, z: complex, v: complex) -> np.ndarray:
+    """Reference-frame matrix tangent (k1-k2) [[0, v* lam*], [v lam, 0]]."""
+    require_mixing_weight(k)
+    lv = connection_coefficient(z) * complex(v)
+    return (2.0 * k - 1.0) * np.array([[0.0, lv.conjugate()], [lv, 0.0]], dtype=complex)
+
+
+def assemble_drho(k: float, z: complex, dk: float, v: complex) -> np.ndarray:
+    """Full qubit drho for the combined tangent (dk, v) at (k, z)."""
+    return TangentDir(QubitPoint(k, z), dk, v).drho
 
 
 @dataclass(frozen=True)
@@ -433,17 +443,11 @@ class TangentDir:
 
     @cached_property
     def drho_sphere_part(self) -> np.ndarray:
-        if self.v == 0:
-            return np.zeros((2, 2), dtype=complex)
         return drho_sphere(self.point.k, self._z, self.v)
 
     @cached_property
     def drho_transverse_part(self) -> np.ndarray:
-        if self.dk == 0:
-            return np.zeros((2, 2), dtype=complex)
-        if self.point.at_infinity:
-            return np.diag([self.dk, -self.dk]).astype(complex)
-        return drho_transverse(self.point.k, self.dk, self._z)
+        return self.dk * _transverse_direction(None if self.point.at_infinity else self.point.z)
 
     @cached_property
     def drho(self) -> np.ndarray:
@@ -455,9 +459,7 @@ class TangentDir:
 
     @cached_property
     def xtilde0(self) -> np.ndarray:
-        kdiff = self.point.k1 - self.point.k2
-        lv = self.lam * self.v
-        return kdiff * np.array([[0.0, lv.conjugate()], [lv, 0.0]], dtype=complex)
+        return sphere_tangent_matrix(self.point.k, self._z, self.v)
 
     @cached_property
     def xtilde(self) -> np.ndarray:

@@ -40,6 +40,13 @@ def require_normalized(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+def require_mixing_weight(k: float) -> float:
+    """Check that a mixing weight lies in (0, 1/2]."""
+    if not (0.0 < k <= 0.5):
+        raise DomainError(f"k={k!r} outside (0, 1/2]")
+    return k
+
+
 def require_finite_coords(coord: np.ndarray) -> np.ndarray:
     """Check that every chart coordinate of an array is finite."""
     if not np.isfinite(coord).all():
@@ -76,8 +83,7 @@ class QubitPoint:
     chart: Chart = Chart.NORTH
 
     def __post_init__(self):
-        if not (0.0 < self.k <= 0.5):
-            raise DomainError(f"k={self.k!r} outside (0, 1/2]")
+        require_mixing_weight(self.k)
         c = complex(self.coord)
         require_finite_coords(np.array([c]))
         object.__setattr__(self, "coord", c)

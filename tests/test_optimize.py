@@ -11,7 +11,7 @@ from qfg.errors import (
     DomainError,
     ZeroVelocityCurve,
 )
-from qfg.fisher import assemble_drho, classical_fisher, quantum_fisher
+from qfg.fisher import assemble_drho, classical_fisher, povm_diagnose, quantum_fisher
 from qfg.linalg import DensityOp, PAULI_X, PAULI_Y, PAULI_Z
 from qfg.optimize import (
     attainability_check,
@@ -19,7 +19,6 @@ from qfg.optimize import (
     fibonacci_sphere,
     maximize_cfi,
     mixed_conditions_check,
-    povm_validate,
     projector_pair,
     reach_check_pure,
     sld_eigenbasis_povm,
@@ -30,10 +29,10 @@ from qfg.states import qubit_point, rho_of_kz
 
 class TestPovmValidate:
     def test_projective_pair(self):
-        assert povm_validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert povm_diagnose([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]) is None
 
     def test_incomplete(self):
-        assert not povm_validate([np.diag([1.0, 0.0])])
+        assert povm_diagnose([np.diag([1.0, 0.0])]) is not None
 
     def test_trine(self):
         elements = []
@@ -41,10 +40,10 @@ class TestPovmValidate:
             ang = 2 * math.pi * j / 3
             n = math.cos(ang) * PAULI_X + math.sin(ang) * PAULI_Z
             elements.append((2 / 3) * (np.eye(2) + n) / 2)
-        assert povm_validate(elements)
+        assert povm_diagnose(elements) is None
 
     def test_negative_element(self):
-        assert not povm_validate([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+        assert povm_diagnose([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])]) is not None
 
 
 class TestAttainabilityCheck:
