@@ -15,6 +15,7 @@ from .errors import (
     InputError,
     InvalidPovm,
     InvariantViolation,
+    NonFiniteResult,
     NonHermitianInput,
     NotAPovm,
     NotNormalized,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 import numpy as np
@@ -27,19 +28,17 @@ from .scan import COLUMNS, scan
 from .scenario import Options, Scenario, load_scenario
 from .serialize import dumps_canonical, format_rows, matrix_to_json
 from .sld import SphereCurve, TransverseCurve, differentiate_curve, sld_solve
-from .optimize import maximize_cfi
+from .optimize import GRID_N_RANGE, maximize_cfi
 
 
 def _parse_complex_flag(text: str, flag: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(x) for x in text.split(",")]
     except ValueError:
-        pass
-    raise InvariantViolation(f"{flag}: expected 're' or 're,im', got {text!r}")
+        parts = []
+    if len(parts) in (1, 2) and all(math.isfinite(x) for x in parts):
+        return complex(*parts)
+    raise InvariantViolation(f"{flag}: expected finite 're' or 're,im', got {text!r}")
 
 
 def _effective_options(scenario: Scenario, args) -> Options:
@@ -48,8 +47,8 @@ def _effective_options(scenario: Scenario, args) -> Options:
     if getattr(args, "mode", None):
         mode = args.mode
     if getattr(args, "fd_step", None) is not None:
-        if args.fd_step <= 0:
-            raise InvariantViolation(f"--fd-step must be positive, got {args.fd_step!r}")
+        if not 0 < args.fd_step < math.inf:
+            raise InvariantViolation(f"--fd-step must be positive and finite, got {args.fd_step!r}")
         fd_step = args.fd_step
     return Options(mode=mode, fd_step=fd_step)
 
@@ -112,6 +111,8 @@ def _cmd_scan(args) -> int:
         raise InvariantViolation(f"--range expects 'a:b:n', got {args.range!r}") from None
     if count < 1:
         raise InvariantViolation("--range needs n >= 1")
+    if not math.isfinite(hi - lo):
+        raise InvariantViolation(f"--range needs finite a, b and b - a, got {args.range!r}")
     opts = _effective_options(scenario, args)
 
     # rows are written chunk by chunk; a failing chunk leaves the earlier ones written
@@ -149,6 +150,9 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    lo, hi = GRID_N_RANGE
+    if not lo <= args.grid_n <= hi:
+        raise InvariantViolation(f"--grid-n must be in [{lo}, {hi}], got {args.grid_n}")
     scenario = load_scenario(args.scenario)
     rho, drho = _state_and_direction(scenario, args)
     result = maximize_cfi(rho, drho, grid_n=args.grid_n, refine_iters=args.refine_iters)
@@ -222,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="search the bound-attaining projective pair")
     p_opt.add_argument("--scenario", required=True)
-    p_opt.add_argument("--grid-n", dest="grid_n", type=int, default=1024)
+    p_opt.add_argument(
+        "--grid-n", dest="grid_n", type=int, default=1024, help="Fibonacci grid size, 8 to 65536"
+    )
     p_opt.add_argument("--refine-iters", dest="refine_iters", type=int, default=40)
     add_numeric_flags(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)

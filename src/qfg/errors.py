@@ -91,3 +91,9 @@ class DegenerateSld(QfgError):
 
 class DimensionUnsupported(QfgError):
     kind = "dimension-unsupported"
+
+
+class NonFiniteResult(QfgError, ValueError):
+    """A computed value overflowed to Inf or NaN and cannot be written out."""
+
+    kind = "non-finite-result"

@@ -29,6 +29,7 @@ from .linalg import (
     DensityOp,
     DensityStack,
     _square,
+    eigh,
     hermitian_part,
     require_hermitian,
     traces,
@@ -58,7 +59,7 @@ def _povm_stack(elements: Sequence) -> tuple[np.ndarray | None, str | None]:
         stack = hermitian_part(np.array(mats))
     except QfgError as exc:
         return None, f"element is not Hermitian: {exc}"
-    low = np.linalg.eigvalsh(stack)[:, 0]
+    low = eigh(stack)[0][:, 0]
     bad = low < PSD_EIGENVALUE_FLOOR
     if bad.any():
         i = int(np.argmax(bad))
@@ -244,7 +245,9 @@ def fisher_tensor(k: float, z: complex, v: complex, v2: complex) -> FisherTensor
     require_mixing_weight(k)
     z = complex(z)
     kdiff = 2.0 * k - 1.0
-    pref = 4.0 * kdiff * kdiff / (1.0 + abs(z) ** 2) ** 2
+    # products, not ** 2: a float power raises OverflowError where a product gives inf
+    scale = 1.0 + abs(z) * abs(z)
+    pref = 4.0 * kdiff * kdiff / (scale * scale)
     ip = complex(v).conjugate() * complex(v2)
     return FisherTensorValue(pref * (ip.real + 1j * kdiff * ip.imag))
 
@@ -334,5 +337,6 @@ def wavefunction_fisher(grid: WavefunctionGrid) -> tuple[float, float]:
     mask = grid.p > EPS_P
     classical = float(np.sum(grid.dp[mask] ** 2 / grid.p[mask]) * dx)
     mean_dalpha = float(np.sum(grid.p * grid.dalpha) * dx)
-    quantum = classical + float(np.sum(grid.p * grid.dalpha**2) * dx) - mean_dalpha**2
+    # mean_dalpha * mean_dalpha: a float power raises OverflowError where a product gives inf
+    quantum = classical + float(np.sum(grid.p * grid.dalpha**2) * dx) - mean_dalpha * mean_dalpha
     return classical, quantum

@@ -100,12 +100,24 @@ def require_hermitian(m, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     return hermitian_part(_square(m)[None], rtol=rtol)[0]
 
 
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of an exactly Hermitian matrix or stack: w ascending, V unitary.
+
+    LAPACK does not converge on entries that overflow; that raises
+    NonHermitianInput, as non-finite entries do, instead of numpy's LinAlgError.
+    """
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        raise NonHermitianInput("matrix entries overflow; eigendecomposition did not converge") from None
+
+
 def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition M = V diag(w) V^dag with w ascending and V unitary.
 
     Raises NonHermitianInput if M is not Hermitian within tolerance.
     """
-    return np.linalg.eigh(require_hermitian(m))
+    return eigh(require_hermitian(m))
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -154,7 +166,7 @@ class DensityStack:
         if bad.any():
             tr = float(np.trace(m[int(np.argmax(bad))]).real)
             raise NotNormalized(f"trace {tr!r} differs from 1 by more than 1e-9")
-        w, v = np.linalg.eigh(m)
+        w, v = eigh(m)
         low = w[:, 0] < PSD_EIGENVALUE_FLOOR
         if low.any():
             raise NotPositiveSemidefinite(

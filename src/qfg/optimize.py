@@ -26,12 +26,13 @@ from .errors import (
     DomainError,
     ZeroVelocityCurve,
 )
-from .fisher import EPS_P, Povm, classical_fisher
+from .fisher import Povm, classical_fisher
 from .linalg import (
     IDENTITY2,
     PAULIS,
     DensityOp,
     dagger,
+    eigh,
     hermitian_part,
     psd_sqrt,
     require_hermitian,
@@ -39,6 +40,12 @@ from .linalg import (
 from .sld import sld_solve
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Outcomes at or below this probability are left out of the search objective:
+#: there the roundoff in p dominates t^2 / p, and the search would chase it to
+#: a CFI above the QFI. The reported CFI still uses EPS_P.
+SEARCH_P_CUTOFF = 1e-6
+#: Smallest and largest Fibonacci grid of maximize_cfi; the largest holds a few MB.
+GRID_N_RANGE = (8, 65536)
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,7 @@ def sld_eigenbasis(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Returns the ascending spectra (n, d), the eigenvectors (n, d, d) as
     columns, and a mask of the rows whose spectrum has a gap below SLD_GAP.
     """
-    w, v = np.linalg.eigh(hermitian_part(ell))
+    w, v = eigh(hermitian_part(ell))
     return w, v, np.diff(w, axis=1).min(axis=1, initial=np.inf) < SLD_GAP
 
 
@@ -224,13 +231,14 @@ class OptimizeResult:
 
 
 def _pair_cfi(n, s, w) -> float:
-    # classical_fisher of {P(n), P(-n)} written in Bloch components
+    # the search objective: classical_fisher of {P(n), P(-n)} in Bloch components,
+    # over the outcomes above SEARCH_P_CUTOFF
     t = (n[0] * w[0] + n[1] * w[1] + n[2] * w[2]) / 2.0
     ns = n[0] * s[0] + n[1] * s[1] + n[2] * s[2]
     total = 0.0
     for sign in (1.0, -1.0):
         p = (1.0 + sign * ns) / 2.0
-        if p > EPS_P:
+        if p > SEARCH_P_CUTOFF:
             total += t * t / p
     return total
 
@@ -282,8 +290,8 @@ def maximize_cfi(
     """
     if rho.dim != 2:
         raise DimensionUnsupported("the projective optimizer supports qubits only")
-    if grid_n < 8:
-        raise DomainError(f"grid_n={grid_n!r} must be at least 8")
+    if not GRID_N_RANGE[0] <= grid_n <= GRID_N_RANGE[1]:
+        raise DomainError(f"grid_n={grid_n!r} outside [{GRID_N_RANGE[0]}, {GRID_N_RANGE[1]}]")
     drho = require_hermitian(drho)
     w = bloch_vector(drho)
     if float(np.linalg.norm(w)) <= 1e-12:
@@ -297,7 +305,7 @@ def maximize_cfi(
     values = np.zeros(grid_n)
     for sign in (1.0, -1.0):
         p = (1.0 + sign * (grid @ s)) / 2.0
-        mask = p > EPS_P
+        mask = p > SEARCH_P_CUTOFF
         values[mask] += t[mask] ** 2 / p[mask]
     candidates = [tuple(grid[i]) for i in np.argsort(values)[-3:]]
 

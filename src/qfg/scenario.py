@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParseError, QfgError
 from .fisher import Povm, WavefunctionGrid
-from .serialize import complex_from_json, matrix_from_json
+from .serialize import complex_from_json, float_from_json, matrix_from_json
 from .sld import (
     ANALYTIC,
     DEFAULT_FD_STEP,
@@ -55,12 +55,6 @@ def _check_keys(data: dict, path: str, allowed: set[str], required: set[str]):
         raise InvariantViolation(f"{path}: missing required field(s) {sorted(missing)}")
 
 
-def _number(data, path: str) -> float:
-    if not isinstance(data, (int, float)) or isinstance(data, bool):
-        raise ParseError(f"{path}: expected a number, got {data!r}")
-    return float(data)
-
-
 def _complex_or_inf(data, path: str):
     if data == "inf":
         return "inf"
@@ -88,7 +82,7 @@ def curve_from_json(data, path: str = "curve"):
     family = data.get("family")
     if family == "great_circle_pure":
         _check_keys(data, path, {"family", "phase"}, {"family"})
-        return GreatCirclePure(phase=_number(data.get("phase", 0.0), f"{path}.phase"))
+        return GreatCirclePure(phase=float_from_json(data.get("phase", 0.0), f"{path}.phase"))
     if family == "sphere_curve":
         _check_keys(data, path, {"family", "k", "path"}, {"family", "k", "path"})
         rec = _path_record(
@@ -96,13 +90,13 @@ def curve_from_json(data, path: str = "curve"):
             f"{path}.path",
             {"z0": (complex_from_json, 0j), "velocity": (complex_from_json, 0j)},
         )
-        return SphereCurve(k=_number(data["k"], f"{path}.k"), **rec)
+        return SphereCurve(k=float_from_json(data["k"], f"{path}.k"), **rec)
     if family == "transverse_curve":
         _check_keys(data, path, {"family", "z", "chart", "path"}, {"family", "path"})
         rec = _path_record(
             data["path"],
             f"{path}.path",
-            {"k0": (_number, None), "rate": (_number, 1.0)},
+            {"k0": (float_from_json, None), "rate": (float_from_json, 1.0)},
         )
         chart = data.get("chart", "north")
         if chart not in ("north", "south"):
@@ -129,7 +123,7 @@ def curve_from_json(data, path: str = "curve"):
             spath = f"{path}.samples[{i}]"
             sample = _require_dict(sample, spath)
             _check_keys(sample, spath, {"theta", "rho"}, {"theta", "rho"})
-            thetas.append(_number(sample["theta"], f"{spath}.theta"))
+            thetas.append(float_from_json(sample["theta"], f"{spath}.theta"))
             rhos.append(matrix_from_json(sample["rho"], f"{spath}.rho"))
         return TableCurve(thetas=tuple(thetas), rhos=tuple(rhos))
     raise InvariantViolation(
@@ -157,7 +151,7 @@ def grid_from_json(data, path: str = "grid") -> WavefunctionGrid:
     for name in names:
         if not isinstance(data[name], list):
             raise ParseError(f"{path}.{name}: expected a list of numbers")
-        arrays[name] = [_number(v, f"{path}.{name}[{i}]") for i, v in enumerate(data[name])]
+        arrays[name] = [float_from_json(v, f"{path}.{name}[{i}]") for i, v in enumerate(data[name])]
     return WavefunctionGrid(**arrays)
 
 
@@ -167,7 +161,7 @@ def options_from_json(data, path: str = "options") -> Options:
     mode = data.get("mode", ANALYTIC)
     if mode not in (ANALYTIC, FD):
         raise InvariantViolation(f"{path}.mode: expected '{ANALYTIC}' or '{FD}', got {mode!r}")
-    fd_step = _number(data.get("fd_step", DEFAULT_FD_STEP), f"{path}.fd_step")
+    fd_step = float_from_json(data.get("fd_step", DEFAULT_FD_STEP), f"{path}.fd_step")
     if fd_step <= 0:
         raise InvariantViolation(f"{path}.fd_step: must be positive, got {fd_step!r}")
     return Options(mode=mode, fd_step=fd_step)
@@ -190,7 +184,7 @@ def parse_scenario(data) -> Scenario:
     curve = guarded(curve_from_json, data["curve"], "curve") if "curve" in data else None
     theta0 = 0.0
     if "theta0" in data:
-        theta0 = _number(data["theta0"], "theta0")
+        theta0 = float_from_json(data["theta0"], "theta0")
     elif curve is not None:
         raise InvariantViolation("scenario: missing required field(s) ['theta0']")
     povm = guarded(povm_from_json, data["povm"], "povm") if "povm" in data else None
@@ -205,6 +199,6 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or an over-long integer literal
         raise ParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return parse_scenario(data)

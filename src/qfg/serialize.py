@@ -11,24 +11,33 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteResult, ParseError
 
 
 def complex_to_json(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
+def float_from_json(data, path: str = "value") -> float:
+    """A JSON number as a finite float; NaN, +-Infinity and overflowing integers are rejected."""
+    if isinstance(data, (int, float)) and not isinstance(data, bool):
+        try:
+            x = float(data)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ParseError(f"{path}: expected a finite number, got {data!r}")
+
+
 def complex_from_json(data, path: str = "value") -> complex:
-    if (
-        not isinstance(data, (list, tuple))
-        or len(data) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data)
-    ):
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ParseError(f"{path}: expected a [re, im] pair, got {data!r}")
-    return complex(float(data[0]), float(data[1]))
+    return complex(float_from_json(data[0], f"{path}[0]"), float_from_json(data[1], f"{path}[1]"))
 
 
 def matrix_to_json(matrix) -> list:
@@ -55,7 +64,7 @@ _FLOAT_FORMAT = "%.12g"
 def format_float(x: float) -> str:
     x = float(x)
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+        raise NonFiniteResult(f"non-finite value {x!r} cannot be serialized")
     return _FLOAT_FORMAT % (x + 0.0)  # + 0.0 prints -0.0 as 0
 
 

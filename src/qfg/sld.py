@@ -29,8 +29,10 @@ from .errors import (
 )
 from .linalg import (
     DensityOp,
+    MAX_DIM,
     DensityStack,
     as_matrix,
+    as_stack,
     dagger,
     frobenius_norms,
     herm_eigen,
@@ -197,6 +199,8 @@ class PureQditCoeffs(_StackedCurve):
         a = tuple(complex(x) for x in self.a)
         if len(a) < 2:
             raise DomainError("coefficient vector needs dimension >= 2")
+        if len(a) > MAX_DIM:
+            raise DimensionMismatch(f"dimension {len(a)} exceeds supported maximum {MAX_DIM}")
         if abs(a[0].real) > 1e-12:
             raise DomainError(f"a[0] = {a[0]!r} must be pure imaginary")
         object.__setattr__(self, "a", a)
@@ -246,6 +250,8 @@ class TableCurve(_StackedCurve):
             b > a for a, b in zip(self.thetas, self.thetas[1:])
         ):
             raise DomainError("table thetas must be strictly increasing")
+        if self.rhos:
+            self._samples  # checks the samples' shape and dimension on construction
 
     def covers(self, thetas: np.ndarray) -> np.ndarray:
         """Which thetas lie in the tabulated range."""
@@ -257,7 +263,7 @@ class TableCurve(_StackedCurve):
     @cached_property
     def _samples(self) -> np.ndarray:
         try:
-            return np.array(self.rhos, dtype=complex)
+            return as_stack(self.rhos)
         except ValueError:
             raise DimensionMismatch("table samples differ in dimension") from None
 

@@ -254,6 +254,51 @@ class TestScanErrors:
         assert "a\nb\x01.json" in json.loads(err)["error"]["detail"]
 
 
+NINE = [[[1 / 9 if i == j else 0, 0] for j in range(9)] for i in range(9)]
+
+
+class TestBoundaryInput:
+    """Non-finite and out-of-range input fails at load or flag parsing with exit 2."""
+
+    @pytest.mark.parametrize("payload", [
+        {"curve": {"family": "great_circle_pure"}, "theta0": float("nan")},
+        {"curve": {"family": "great_circle_pure"}, "theta0": float("inf")},
+        {"curve": {"family": "great_circle_pure", "phase": float("nan")}, "theta0": 0.3},
+        {"curve": {"family": "great_circle_pure"}, "theta0": 10**400},
+        {"curve": {"family": "sphere_curve", "k": 0.25,
+                   "path": {"z0": [float("-inf"), 0], "velocity": [1, 0]}}, "theta0": 0.0},
+        {"curve": {"family": "pure_qdit_coeffs", "a": [[0, 0.1]] + [[0.1, 0]] * 8}, "theta0": 0.0},
+        {"curve": {"family": "table", "samples": [{"theta": 0, "rho": NINE}, {"theta": 1, "rho": NINE}]},
+         "theta0": 0.5, "options": {"mode": "fd"}},
+    ], ids=["theta0-nan", "theta0-inf", "phase-nan", "theta0-overflow", "z0-inf", "qdit-d9", "table-d9"])
+    def test_scenario_rejected_at_load(self, tmp_path, payload):
+        code, out, err = run_cli("eval", "--scenario", write_scenario(tmp_path, payload), "--quantity", "qfi")
+        assert (code, out) == (2, "")
+        assert error_kind(err) in ("parse", "invariant")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--scenario", fixture("sphere_k025.json"), "--quantity", "qfi", "--fd-step", "nan"],
+        ["eval", "--scenario", fixture("sphere_k025.json"), "--quantity", "qfi", "--fd-step", "inf"],
+        ["scan", "--scenario", fixture("sphere_k025.json"), "--range", "nan:1:3"],
+        ["scan", "--scenario", fixture("sphere_k025.json"), "--range=-1e308:1e308:3"],
+        ["tensor", "--scenario", fixture("sphere_k025.json"), "--v", "nan,0", "--v2", "0,1"],
+        ["optimize", "--scenario", fixture("great_circle.json"), "--grid-n", "100000000000000000000"],
+        ["optimize", "--scenario", fixture("great_circle.json"), "--grid-n", "4"],
+    ], ids=["fd-step-nan", "fd-step-inf", "range-nan", "range-overflow", "v-nan", "grid-n-huge", "grid-n-small"])
+    def test_flag_rejected(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out, error_kind(err)) == (2, "", "invariant")
+
+    def test_non_finite_result_is_an_error_line(self):
+        code, out, err = run_cli(
+            "tensor", "--scenario", fixture("sphere_k025.json"), "--v", "1e200,0", "--v2", "1e200,0"
+        )
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": {"kind": "non-finite-result", "detail": "non-finite value inf cannot be serialized"}
+        }
+
+
 class TestVerifySubcommand:
     def test_single_suite_passes(self):
         code, out, _ = run_cli("verify", "--suite", "finite-difference")
@@ -301,6 +346,7 @@ class TestErrorCatalog:
             "ZeroVelocityCurve",
             "DegenerateSld",
             "DimensionUnsupported",
+            "NonFiniteResult",
         }
 
     def test_input_errors_exit_2_module_errors_exit_3(self):
