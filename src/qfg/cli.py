@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="search the bound-attaining projective pair")
     p_opt.add_argument("--scenario", required=True)
     p_opt.add_argument(
-        "--grid-n", dest="grid_n", type=int, default=1024, help="Fibonacci grid size, 8 to 65536"
+        "--grid-n", dest="grid_n", type=int, default=1024,
+        help="Fibonacci grid size, %d to %d" % GRID_N_RANGE,
     )
     p_opt.add_argument("--refine-iters", dest="refine_iters", type=int, default=40)
     add_numeric_flags(p_opt)

@@ -199,6 +199,7 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, or an over-long integer literal
+    # bad JSON, bytes that are not UTF-8, an over-long integer literal, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return parse_scenario(data)

@@ -276,6 +276,14 @@ class TestBoundaryInput:
         assert (code, out) == (2, "")
         assert error_kind(err) in ("parse", "invariant")
 
+    @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"theta0": 1' + "0" * 5000 + "}"],
+                             ids=["deep-nesting", "integer-digit-limit"])
+    def test_unreadable_json_rejected(self, tmp_path, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, out, err = run_cli("eval", "--scenario", str(path), "--quantity", "qfi")
+        assert (code, out, error_kind(err)) == (2, "", "parse")
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--scenario", fixture("sphere_k025.json"), "--quantity", "qfi", "--fd-step", "nan"],
         ["eval", "--scenario", fixture("sphere_k025.json"), "--quantity", "qfi", "--fd-step", "inf"],
