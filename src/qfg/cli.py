@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import InvariantViolation, QfgError
+from .errors import InvariantViolation, NonFiniteResult, QfgError
 from .fisher import (
     classical_fisher,
     fisher_tensor,
@@ -28,7 +28,7 @@ from .scan import COLUMNS, scan
 from .scenario import Options, Scenario, load_scenario
 from .serialize import dumps_canonical, format_rows, matrix_to_json
 from .sld import SphereCurve, TransverseCurve, differentiate_curve, sld_solve
-from .optimize import GRID_N_RANGE, maximize_cfi
+from .optimize import GRID_N_RANGE, REFINE_ITERS_RANGE, maximize_cfi
 
 
 def _parse_complex_flag(text: str, flag: str) -> complex:
@@ -153,6 +153,9 @@ def _cmd_optimize(args) -> int:
     lo, hi = GRID_N_RANGE
     if not lo <= args.grid_n <= hi:
         raise InvariantViolation(f"--grid-n must be in [{lo}, {hi}], got {args.grid_n}")
+    lo, hi = REFINE_ITERS_RANGE
+    if not lo <= args.refine_iters <= hi:
+        raise InvariantViolation(f"--refine-iters must be in [{lo}, {hi}], got {args.refine_iters}")
     scenario = load_scenario(args.scenario)
     rho, drho = _state_and_direction(scenario, args)
     result = maximize_cfi(rho, drho, grid_n=args.grid_n, refine_iters=args.refine_iters)
@@ -230,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-n", dest="grid_n", type=int, default=1024,
         help="Fibonacci grid size, %d to %d" % GRID_N_RANGE,
     )
-    p_opt.add_argument("--refine-iters", dest="refine_iters", type=int, default=40)
+    p_opt.add_argument(
+        "--refine-iters", dest="refine_iters", type=int, default=40,
+        help="refinement rounds, %d to %d" % REFINE_ITERS_RANGE,
+    )
     add_numeric_flags(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)
 
@@ -248,10 +254,12 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except QfgError as exc:
-        sys.stderr.write(
-            dumps_canonical({"error": {"kind": exc.kind, "detail": str(exc)}}) + "\n"
-        )
-        return exc.exit_code
+        error = exc
+    except OverflowError:
+        # a Python float power overflows by raising where numpy would give inf
+        error = NonFiniteResult("a computed value overflows the float range")
+    sys.stderr.write(dumps_canonical({"error": {"kind": error.kind, "detail": str(error)}}) + "\n")
+    return error.exit_code
 
 
 if __name__ == "__main__":

@@ -245,9 +245,7 @@ def fisher_tensor(k: float, z: complex, v: complex, v2: complex) -> FisherTensor
     require_mixing_weight(k)
     z = complex(z)
     kdiff = 2.0 * k - 1.0
-    # products, not ** 2: a float power raises OverflowError where a product gives inf
-    scale = 1.0 + abs(z) * abs(z)
-    pref = 4.0 * kdiff * kdiff / (scale * scale)
+    pref = 4.0 * kdiff * kdiff / (1.0 + abs(z) ** 2) ** 2
     ip = complex(v).conjugate() * complex(v2)
     return FisherTensorValue(pref * (ip.real + 1j * kdiff * ip.imag))
 
@@ -337,6 +335,5 @@ def wavefunction_fisher(grid: WavefunctionGrid) -> tuple[float, float]:
     mask = grid.p > EPS_P
     classical = float(np.sum(grid.dp[mask] ** 2 / grid.p[mask]) * dx)
     mean_dalpha = float(np.sum(grid.p * grid.dalpha) * dx)
-    # mean_dalpha * mean_dalpha: a float power raises OverflowError where a product gives inf
-    quantum = classical + float(np.sum(grid.p * grid.dalpha**2) * dx) - mean_dalpha * mean_dalpha
+    quantum = classical + float(np.sum(grid.p * grid.dalpha**2) * dx) - mean_dalpha**2
     return classical, quantum

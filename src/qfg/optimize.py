@@ -26,10 +26,11 @@ from .errors import (
     DomainError,
     ZeroVelocityCurve,
 )
-from .fisher import Povm, classical_fisher
+from .fisher import EPS_P, Povm, classical_fisher
 from .linalg import (
     IDENTITY2,
     PAULIS,
+    SQRT_RANK_CUTOFF,
     DensityOp,
     dagger,
     eigh,
@@ -40,12 +41,17 @@ from .linalg import (
 from .sld import sld_solve
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: Outcomes at or below this probability are left out of the search objective:
-#: there the roundoff in p dominates t^2 / p, and the search would chase it to
-#: a CFI above the QFI. The reported CFI still uses EPS_P.
+#: For a numerically pure state, outcomes at or below this probability are left
+#: out of the search objective: there the roundoff in p dominates t^2 / p, and
+#: the search would chase it to a CFI above the QFI. A state of full numerical
+#: rank gives every outcome p >= lam_min, so its search keeps EPS_P, as does the
+#: reported CFI.
 SEARCH_P_CUTOFF = 1e-6
 #: Smallest and largest Fibonacci grid of maximize_cfi; the largest holds a few MB.
 GRID_N_RANGE = (8, 65536)
+#: Fewest and most refinement rounds of maximize_cfi; each round halves the step,
+#: and the step falls below 1e-12 within 42 rounds, so more would never run.
+REFINE_ITERS_RANGE = (0, 64)
 
 
 @dataclass(frozen=True)
@@ -230,15 +236,22 @@ class OptimizeResult:
     degenerate: bool
 
 
-def _pair_cfi(n, s, w) -> float:
+def _search_cutoff(rho: DensityOp) -> float:
+    """The outcome-probability cutoff of the search objective at rho."""
+    lam = rho.eigenvalues
+    pure = lam[0] <= SQRT_RANK_CUTOFF * max(1.0, float(lam[-1]))
+    return SEARCH_P_CUTOFF if pure else EPS_P
+
+
+def _pair_cfi(n, s, w, cutoff=EPS_P) -> float:
     # the search objective: classical_fisher of {P(n), P(-n)} in Bloch components,
-    # over the outcomes above SEARCH_P_CUTOFF
+    # over the outcomes above cutoff
     t = (n[0] * w[0] + n[1] * w[1] + n[2] * w[2]) / 2.0
     ns = n[0] * s[0] + n[1] * s[1] + n[2] * s[2]
     total = 0.0
     for sign in (1.0, -1.0):
         p = (1.0 + sign * ns) / 2.0
-        if p > SEARCH_P_CUTOFF:
+        if p > cutoff:
             total += t * t / p
     return total
 
@@ -292,6 +305,9 @@ def maximize_cfi(
         raise DimensionUnsupported("the projective optimizer supports qubits only")
     if not GRID_N_RANGE[0] <= grid_n <= GRID_N_RANGE[1]:
         raise DomainError(f"grid_n={grid_n!r} outside [{GRID_N_RANGE[0]}, {GRID_N_RANGE[1]}]")
+    if not REFINE_ITERS_RANGE[0] <= refine_iters <= REFINE_ITERS_RANGE[1]:
+        lo, hi = REFINE_ITERS_RANGE
+        raise DomainError(f"refine_iters={refine_iters!r} outside [{lo}, {hi}]")
     drho = require_hermitian(drho)
     w = bloch_vector(drho)
     if float(np.linalg.norm(w)) <= 1e-12:
@@ -299,13 +315,14 @@ def maximize_cfi(
         povm = projector_pair(axis)
         return OptimizeResult(povm, classical_fisher(rho, drho, povm), axis, degenerate=True)
     s = bloch_vector(rho.matrix)
+    cutoff = _search_cutoff(rho)
 
     grid = fibonacci_sphere(grid_n)
     t = grid @ w / 2.0
     values = np.zeros(grid_n)
     for sign in (1.0, -1.0):
         p = (1.0 + sign * (grid @ s)) / 2.0
-        mask = p > SEARCH_P_CUTOFF
+        mask = p > cutoff
         values[mask] += t[mask] ** 2 / p[mask]
     candidates = [tuple(grid[i]) for i in np.argsort(values)[-3:]]
 
@@ -314,7 +331,7 @@ def maximize_cfi(
     w = tuple(w)
 
     def refine(n, rounds):
-        val = _pair_cfi(n, s, w)
+        val = _pair_cfi(n, s, w, cutoff)
         h = spacing
         for _ in range(rounds):
             for e in _tangent_frame(n):
@@ -324,6 +341,7 @@ def maximize_cfi(
                         (ct * n[0] + st * e[0], ct * n[1] + st * e[1], ct * n[2] + st * e[2]),
                         s,
                         w,
+                        cutoff,
                     )
 
                 t_star = _golden_max(along, -h, h)
@@ -331,7 +349,7 @@ def maximize_cfi(
                 cand = _normalized(
                     (ct * n[0] + st * e[0], ct * n[1] + st * e[1], ct * n[2] + st * e[2])
                 )
-                cand_val = _pair_cfi(cand, s, w)
+                cand_val = _pair_cfi(cand, s, w, cutoff)
                 if cand_val >= val:
                     n, val = cand, cand_val
             h *= 0.5

@@ -292,10 +292,24 @@ class TestBoundaryInput:
         ["tensor", "--scenario", fixture("sphere_k025.json"), "--v", "nan,0", "--v2", "0,1"],
         ["optimize", "--scenario", fixture("great_circle.json"), "--grid-n", "100000000000000000000"],
         ["optimize", "--scenario", fixture("great_circle.json"), "--grid-n", "4"],
-    ], ids=["fd-step-nan", "fd-step-inf", "range-nan", "range-overflow", "v-nan", "grid-n-huge", "grid-n-small"])
+        ["optimize", "--scenario", fixture("great_circle.json"), "--refine-iters", "100000000000000000000"],
+        ["optimize", "--scenario", fixture("great_circle.json"), "--refine-iters=-1"],
+    ], ids=["fd-step-nan", "fd-step-inf", "range-nan", "range-overflow", "v-nan", "grid-n-huge", "grid-n-small",
+            "refine-iters-huge", "refine-iters-negative"])
     def test_flag_rejected(self, argv):
         code, out, err = run_cli(*argv)
         assert (code, out, error_kind(err)) == (2, "", "invariant")
+
+    @pytest.mark.parametrize("payload, argv", [
+        ({"curve": {"family": "sphere_curve", "k": 0.25,
+                    "path": {"type": "linear", "z0": [1e308, 0], "velocity": [1, 0]}}, "theta0": 0.0},
+         ["tensor", "--v", "1,0", "--v2", "0,1"]),
+        ({"grid": {"x": [0, 1], "p": [0.5, 0.5], "alpha": [0, 0], "dp": [-0.5, 0.5], "dalpha": [0, 1e308]}},
+         ["eval", "--quantity", "qfi"]),
+    ], ids=["tensor-z0-overflow", "wavefunction-dalpha-overflow"])
+    def test_float_overflow_is_an_error_line(self, tmp_path, payload, argv):
+        code, out, err = run_cli(argv[0], "--scenario", write_scenario(tmp_path, payload), *argv[1:])
+        assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
 
     def test_non_finite_result_is_an_error_line(self):
         code, out, err = run_cli(

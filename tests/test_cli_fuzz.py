@@ -111,12 +111,13 @@ NUMBERS = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-1", "1e-300", "0.5"]
     st.sampled_from(NUMBERS),
     st.sampled_from(NUMBERS + ["1,2,3", "nan,1", "1e200,1e200"]),
     st.sampled_from(["-5", "0", "7", "8", "64", "65537", "100000000000000000000"]),
+    st.sampled_from(["-1", "0", "4", "64", "65", "100000000000000000000"]),
 )
-def test_odd_flag_values_exit_cleanly(name, fd_step, bound, v, grid_n):
+def test_odd_flag_values_exit_cleanly(name, fd_step, bound, v, grid_n, refine_iters):
     for command in (
         ["eval", "--quantity", "qfi", "--mode", "fd", f"--fd-step={fd_step}"],
         ["scan", f"--range=0:{bound}:3", f"--fd-step={fd_step}"],
         ["tensor", f"--v={v}", "--v2=1,1"],
-        ["optimize", f"--grid-n={grid_n}", "--refine-iters", "4"],
+        ["optimize", f"--grid-n={grid_n}", f"--refine-iters={refine_iters}"],
     ):
         run_with_scenario(FIXTURES[name], command)

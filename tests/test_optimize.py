@@ -23,7 +23,7 @@ from qfg.optimize import (
     reach_check_pure,
     sld_eigenbasis_povm,
 )
-from qfg.sld import GreatCirclePure, differentiate_curve
+from qfg.sld import RANK_GUARD, GreatCirclePure, TransverseCurve, differentiate_curve
 from qfg.states import qubit_point, rho_of_kz
 
 
@@ -244,6 +244,27 @@ class TestMaximizeCfi:
         rho, drho = curve.rho_at(theta), differentiate_curve(curve, theta)
         assert maximize_cfi(rho, drho).value <= quantum_fisher(rho, drho) + 1e-9
 
+    @pytest.mark.parametrize("z", [None, 2.0, 0.3 + 0.2j])
+    @pytest.mark.parametrize("k0", [RANK_GUARD, 1e-7, 3e-6])
+    def test_nearly_pure_mixed_state_reaches_quantum_bound(self, k0, z):
+        # the outcome of the small eigenvalue k0 carries nearly all of the QFI ~ 1/k0; qfi
+        # and cfi each resolve k0 to about 1e-16, so they agree to about 1e-16 / k0
+        curve = TransverseCurve(k0=k0, z=z)
+        rho, drho = curve.rho_at(0.0), differentiate_curve(curve, 0.0)
+        qfi = quantum_fisher(rho, drho)
+        assert qfi * (1 - 1e-6) <= maximize_cfi(rho, drho).value <= qfi * (1 + 1e-14 / k0)
+
+    def test_nearly_pure_states_stay_at_quantum_bound(self):
+        rng = np.random.default_rng(55)
+        for _ in range(25):
+            k = float(10 ** rng.uniform(-9, -3))
+            z = complex(rng.normal(), rng.normal())
+            rho = rho_of_kz(qubit_point(k, z))
+            drho = assemble_drho(k, z, float(rng.normal()) * 0.3, complex(rng.normal(), rng.normal()))
+            qfi = quantum_fisher(rho, drho)
+            result = maximize_cfi(rho, drho, grid_n=256, refine_iters=25)
+            assert qfi * (1 - 1e-6) <= result.value <= qfi * (1 + 1e-14 / k)
+
     def test_dimension_guard(self):
         rho = DensityOp(np.eye(3) / 3)
         with pytest.raises(DimensionUnsupported):
@@ -253,6 +274,11 @@ class TestMaximizeCfi:
         rho = DensityOp(np.eye(2) / 2)
         with pytest.raises(DomainError):
             maximize_cfi(rho, PAULI_X, grid_n=4)
+
+    def test_refine_guard(self):
+        rho = DensityOp(np.eye(2) / 2)
+        with pytest.raises(DomainError):
+            maximize_cfi(rho, PAULI_X, refine_iters=65)
 
     def test_value_matches_returned_povm(self):
         rho = rho_of_kz(qubit_point(0.3, 1 + 0.5j))

@@ -236,15 +236,38 @@ class TestTangentDir:
         assert np.allclose(t.drho, np.diag([1, -1]))
 
     def test_xtilde0_matches_geometry_constructor(self):
+        # TangentDir.xtilde0 is geometry's constructor; both are checked against
+        # U(z)^dag (d/dtheta) rho(k, z + theta v) U(z) by central differences of rho_of_kz
         from qfg.geometry import sphere_tangent_matrix
+        from qfg.states import unitary_of_z
 
         rng = np.random.default_rng(26)
+        h = 1e-6
         for _ in range(50):
             k = rng.uniform(0.02, 0.49)
             z = complex(rng.normal(), rng.normal())
             v = complex(rng.normal(), rng.normal())
             t = TangentDir(qubit_point(k, z), v=v)
-            assert np.allclose(t.xtilde0, sphere_tangent_matrix(k, z, v), atol=1e-14)
+            u = unitary_of_z(z)
+            fd = (rho_of_kz(qubit_point(k, z + h * v)).matrix - rho_of_kz(qubit_point(k, z - h * v)).matrix) / (2 * h)
+            assert np.allclose(t.xtilde0, u.conj().T @ fd @ u, atol=1e-8)
+            assert np.array_equal(t.xtilde0, sphere_tangent_matrix(k, z, v))
+
+    def test_drho_is_derivative_of_rho(self):
+        # the combined (dk, v) tangent against central differences of rho_of_kz
+        from qfg.fisher import assemble_drho
+
+        rng = np.random.default_rng(28)
+        h = 1e-6
+        for _ in range(50):
+            k = rng.uniform(0.02, 0.45)
+            z = complex(rng.normal(), rng.normal())
+            dk, v = float(rng.normal()) * 0.05, complex(rng.normal(), rng.normal())
+            plus = rho_of_kz(qubit_point(k + h * dk, z + h * v)).matrix
+            minus = rho_of_kz(qubit_point(k - h * dk, z - h * v)).matrix
+            drho = TangentDir(qubit_point(k, z), dk=dk, v=v).drho
+            assert np.allclose(drho, (plus - minus) / (2 * h), atol=1e-8)
+            assert np.array_equal(drho, assemble_drho(k, z, dk, v))
 
     def test_sphere_drho_is_rotated_reference_tangent(self):
         # the reference matrix tangent IS drho at the reference point
