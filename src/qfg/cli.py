@@ -196,8 +196,13 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors are error lines too, here and in every subparser
+        raise InvariantViolation(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfg",
         description="Quantum Fisher information and state-space geometry toolkit",
     )
@@ -247,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # non-finite intermediates are caught by the checks and reported as errors
         with np.errstate(all="ignore"):
             return args.func(args)

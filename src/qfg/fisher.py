@@ -31,16 +31,13 @@ from .linalg import (
     _square,
     eigh,
     hermitian_part,
-    require_hermitian,
     traces,
 )
-from .sld import TableCurve, TransverseCurve, assemble_drho, sld_solve  # noqa: F401  (assemble_drho re-exported)
+from .sld import TableCurve, TransverseCurve, assemble_drho, require_direction, sld_solve  # noqa: F401  (re-export)
 from .states import require_mixing_weight
 
 #: Outcomes with probability at or below this are excluded from classical sums.
 EPS_P = 1e-12
-#: Step of the eigenvalue-drift derivative that splits a tabulated curve's QFI.
-TABLE_SPLIT_STEP = 1e-5
 
 
 def _povm_stack(elements: Sequence) -> tuple[np.ndarray | None, str | None]:
@@ -117,14 +114,14 @@ class Povm:
 def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.ndarray:
     """Classical Fisher information of each row of (rho, drho) stacks.
 
-    ``drho`` must be exactly Hermitian (as ``require_hermitian`` returns it).
+    Trusts ``drho`` to be valid row by row (see ``require_direction``).
     ``outcomes`` yields one POVM element per outcome: an (n, d, d) stack with
     the element of each row, or a (1, d, d) one that measures every row alike.
     """
     total = np.zeros(len(drho))
     for m in outcomes:
-        if m.shape[-1] != rho.dim or drho.shape[-1] != rho.dim:
-            raise DomainError("rho, drho and POVM dimensions must agree")
+        if m.shape[-1] != rho.dim:
+            raise DomainError(f"POVM dimension {m.shape[-1]} does not match rho dimension {rho.dim}")
         p = traces(rho.matrices @ m).real
         dp = traces(drho @ m).real
         total = total + np.divide(dp * dp, p, out=np.zeros_like(p), where=p > EPS_P)
@@ -133,7 +130,7 @@ def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.
 
 def classical_fisher(rho: DensityOp, drho, povm: Povm) -> float:
     """Classical Fisher information of the POVM at (rho, drho)."""
-    drho = require_hermitian(drho)
+    drho = require_direction(drho, rho.dim)
     return float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
 
 
@@ -147,39 +144,22 @@ def quantum_fisher(rho: DensityOp, drho) -> float:
     return float(quantum_fisher_of_sld(rho.stack, sld_solve(rho, drho)[None])[0])
 
 
-def _smallest_eigenvalues(curve: TableCurve, thetas: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of rho(theta) per theta; NaN where rho(theta) cannot be formed."""
-    out = np.full(len(thetas), np.nan)
-    inside = np.flatnonzero(curve.covers(thetas))
-    try:
-        out[inside] = curve.rho_stack(thetas[inside]).eigenvalues[:, 0]
-    except QfgError:
-        for i in inside:
-            try:
-                out[i] = curve.rho_stack(thetas[i : i + 1]).eigenvalues[0, 0]
-            except QfgError:
-                pass
-    return out
-
-
-def qfi_split(curve, thetas: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split each QFI value along a curve into (sphere, transverse) parts.
+def qfi_split(curve, rho: DensityStack, thetas: np.ndarray, h: float, total: np.ndarray):
+    """Split each QFI value along a curve into (sphere, transverse) parts, given rho(theta).
 
     Transverse curves are all transverse (the closed form dk^2 / (k (1-k))),
     tabulated curves take the transverse share from the drift of the smallest
-    eigenvalue k over +-TABLE_SPLIT_STEP (none where that cannot be formed or
-    k is not in (0, 1/2]), and every other family is all sphere.
+    eigenvalue k over theta +- h, the step their finite-difference drho used
+    (none where k is not in (0, 1/2]), and every other family is all sphere.
     """
     if isinstance(curve, TransverseCurve):
         return np.zeros_like(total), _transverse_qfi(curve.k_at(thetas), curve.rate)
     if not isinstance(curve, TableCurve):
         return total, np.zeros_like(total)
-    h = TABLE_SPLIT_STEP
-    lo = _smallest_eigenvalues(curve, thetas - h)
-    hi = _smallest_eigenvalues(curve, thetas + h)
-    k = _smallest_eigenvalues(curve, thetas)
+    k = rho.eigenvalues[:, 0]
+    hi, lo = (curve.rho_stack(thetas + step).eigenvalues[:, 0] for step in (h, -h))
     dk = (hi - lo) / (2 * h)
-    ok = ~np.isnan(dk) & (0.0 < k) & (k <= 0.5)
+    ok = (0.0 < k) & (k <= 0.5)
     with np.errstate(invalid="ignore", divide="ignore"):
         transverse = np.where(ok, _transverse_qfi(k, dk), 0.0)
     return np.where(ok, np.maximum(total - transverse, 0.0), total), np.minimum(transverse, total)

@@ -85,14 +85,15 @@ def hermitian_part(m, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     The first non-Hermitian row raises NonHermitianInput with its defect.
     """
     a = as_stack(m)
-    ah = dagger(a)
-    bad = frobenius_norms(a - ah) > rtol * np.maximum(1.0, frobenius_norms(a))
+    s = np.abs(a).max(axis=(1, 2), initial=1.0)  # norms of a / s cannot overflow
+    b = a / s[:, None, None]
+    defect, norm = frobenius_norms(b - dagger(b)), frobenius_norms(b)
+    bad = defect > rtol * np.maximum(1.0 / s, norm)
     if bad.any():
-        row = a[int(np.argmax(bad))]
-        scale = max(1.0, float(np.linalg.norm(row)))
-        defect = float(np.linalg.norm(row - row.conj().T))
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}")
-    return (a + ah) / 2
+        i = int(np.argmax(bad))
+        scale = max(1.0, norm[i] * s[i])
+        raise NonHermitianInput(f"Hermiticity defect {defect[i] * s[i]:.3e} exceeds {rtol:.1e} * {scale:.3e}")
+    return (a + dagger(a)) / 2
 
 
 def require_hermitian(m, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:

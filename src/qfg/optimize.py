@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     ZeroVelocityCurve,
 )
-from .fisher import EPS_P, Povm, classical_fisher
+from .fisher import EPS_P, Povm, classical_fisher_stack
 from .linalg import (
     IDENTITY2,
     PAULIS,
@@ -34,11 +34,10 @@ from .linalg import (
     DensityOp,
     dagger,
     eigh,
-    hermitian_part,
     psd_sqrt,
     require_hermitian,
 )
-from .sld import sld_solve
+from .sld import require_direction, sld_solve
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: For a numerically pure state, outcomes at or below this probability are left
@@ -185,10 +184,11 @@ SLD_GAP = 1e-10
 def sld_eigenbasis(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of each SLD in an (n, d, d) stack, and where it fails to be unique.
 
+    ``ell`` must be exactly Hermitian, as ``sld_solve_stack`` returns it.
     Returns the ascending spectra (n, d), the eigenvectors (n, d, d) as
     columns, and a mask of the rows whose spectrum has a gap below SLD_GAP.
     """
-    w, v = eigh(hermitian_part(ell))
+    w, v = eigh(ell)
     return w, v, np.diff(w, axis=1).min(axis=1, initial=np.inf) < SLD_GAP
 
 
@@ -206,17 +206,24 @@ def sld_eigenbasis_povm(rho: DensityOp, drho) -> Povm:
     return Povm.of_projectors(np.array([eigenprojector(v, i)[0] for i in range(rho.dim)]))
 
 
+def _bloch(m: np.ndarray) -> np.ndarray:
+    return np.array([float(np.trace(m @ s).real) for s in PAULIS])
+
+
 def bloch_vector(matrix) -> np.ndarray:
     """Pauli components (Tr[M sx], Tr[M sy], Tr[M sz]) of a Hermitian 2x2 matrix."""
-    m = require_hermitian(matrix)
-    return np.array([float(np.trace(m @ s).real) for s in PAULIS])
+    return _bloch(require_hermitian(matrix))
+
+
+def _pair_elements(axis) -> np.ndarray:
+    n = np.asarray(axis, dtype=float)
+    ns = sum(float(c) * s for c, s in zip(n, PAULIS))
+    return np.array([(IDENTITY2 + ns) / 2, (IDENTITY2 - ns) / 2])
 
 
 def projector_pair(axis) -> Povm:
     """Projective pair {P(n), P(-n)} for a unit Bloch axis n."""
-    n = np.asarray(axis, dtype=float)
-    ns = sum(float(c) * s for c, s in zip(n, PAULIS))
-    return Povm([(IDENTITY2 + ns) / 2, (IDENTITY2 - ns) / 2])
+    return Povm(_pair_elements(axis))
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -308,13 +315,17 @@ def maximize_cfi(
     if not REFINE_ITERS_RANGE[0] <= refine_iters <= REFINE_ITERS_RANGE[1]:
         lo, hi = REFINE_ITERS_RANGE
         raise DomainError(f"refine_iters={refine_iters!r} outside [{lo}, {hi}]")
-    drho = require_hermitian(drho)
-    w = bloch_vector(drho)
+    drho = require_direction(drho, 2)
+
+    def result(axis, degenerate):
+        povm = Povm.of_projectors(_pair_elements(axis))
+        value = float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
+        return OptimizeResult(povm, value, axis, degenerate)
+
+    w = _bloch(drho)
     if float(np.linalg.norm(w)) <= 1e-12:
-        axis = np.array([0.0, 0.0, 1.0])
-        povm = projector_pair(axis)
-        return OptimizeResult(povm, classical_fisher(rho, drho, povm), axis, degenerate=True)
-    s = bloch_vector(rho.matrix)
+        return result(np.array([0.0, 0.0, 1.0]), degenerate=True)
+    s = _bloch(rho.matrix)
     cutoff = _search_cutoff(rho)
 
     grid = fibonacci_sphere(grid_n)
@@ -362,6 +373,4 @@ def maximize_cfi(
     best_n, _ = max(pre, key=lambda item: item[1])
     best_n, _ = refine(best_n, refine_iters)
 
-    axis = np.array(best_n)
-    povm = projector_pair(axis)
-    return OptimizeResult(povm, classical_fisher(rho, drho, povm), axis, degenerate=False)
+    return result(np.array(best_n), degenerate=False)

@@ -40,7 +40,7 @@ def scan_rows(scenario: Scenario, thetas: np.ndarray, mode: str, h: float) -> np
     drho = differentiate_stack(curve, thetas, mode, h)
     ell = sld_solve_stack(rho, drho)
     total = quantum_fisher_of_sld(rho, ell)
-    sphere, transverse = qfi_split(curve, thetas, total)
+    sphere, transverse = qfi_split(curve, rho, thetas, h, total)
     if scenario.povm is not None:
         cfi = classical_fisher_stack(rho, drho, scenario.povm.stack[:, None])
     else:

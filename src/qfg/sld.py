@@ -31,12 +31,11 @@ from .linalg import (
     DensityOp,
     MAX_DIM,
     DensityStack,
-    as_matrix,
     as_stack,
     dagger,
     frobenius_norms,
     herm_eigen,
-    hermitian_part,
+    require_hermitian,
     traces,
 )
 from .states import (
@@ -61,6 +60,8 @@ RANK_GUARD = 1e-9
 SUPPORT_CUTOFF = 1e-12
 #: Largest |drho_ij| tolerated on an eigenvalue pair outside the support.
 SUPPORT_LEAK_TOL = 1e-10
+#: Largest |Tr drho| / max(1, ||drho||_F) of a valid direction.
+DRHO_TRACE_TOL = 1e-10
 
 
 def _thetas(theta) -> np.ndarray:
@@ -253,13 +254,6 @@ class TableCurve(_StackedCurve):
         if self.rhos:
             self._samples  # checks the samples' shape and dimension on construction
 
-    def covers(self, thetas: np.ndarray) -> np.ndarray:
-        """Which thetas lie in the tabulated range."""
-        ts = self.thetas
-        if len(ts) < 2:
-            return np.zeros(len(thetas), dtype=bool)
-        return (ts[0] <= thetas) & (thetas <= ts[-1])
-
     @cached_property
     def _samples(self) -> np.ndarray:
         try:
@@ -271,7 +265,7 @@ class TableCurve(_StackedCurve):
         ts = self.thetas
         if len(ts) < 2:
             raise TableResolutionError("tabulated curve needs at least 2 samples")
-        outside = ~self.covers(thetas)
+        outside = ~((ts[0] <= thetas) & (thetas <= ts[-1]))
         if outside.any():
             theta = float(thetas[int(np.argmax(outside))])
             raise TableResolutionError(
@@ -322,19 +316,29 @@ def differentiate_curve(curve, theta: float, mode: str = ANALYTIC, h: float = DE
     return differentiate_stack(curve, _thetas(theta), mode, h)[0]
 
 
-def sld_solve_stack(rho: DensityStack, drho) -> np.ndarray:
+def require_direction(drho, dim: int) -> np.ndarray:
+    """The one check of a caller's drho at a dim-dimensional rho; returns it exactly symmetrized.
+
+    A valid drho is a finite square matrix, Hermitian within HERMITIAN_RTOL,
+    of dimension ``dim`` and traceless within DRHO_TRACE_TOL * max(1, ||drho||_F).
+    """
+    drho = require_hermitian(drho)
+    if drho.shape[0] != dim:
+        raise DomainError(f"drho dimension {drho.shape[0]} does not match rho dimension {dim}")
+    if abs(np.trace(drho)) > DRHO_TRACE_TOL * max(1.0, float(np.linalg.norm(drho))):
+        raise DomainError("drho must be traceless")
+    return drho
+
+
+def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     """Solve drho = (rho L + L rho)/2 for Hermitian L, row by row over a stack.
 
-    In each rho's eigenbasis L_ij = 2 drho_ij / (lam_i + lam_j) on the
-    support. Entries over eigenvalue pairs outside the support are set to 0
-    when drho vanishes there too; otherwise the direction leaves the support
-    and SupportMismatch is raised.
+    Trusts ``drho`` to be valid row by row (see ``require_direction``), as
+    ``differentiate_stack`` returns it. In each rho's eigenbasis L_ij = 2 drho_ij /
+    (lam_i + lam_j) on the support. Entries over eigenvalue pairs outside the
+    support are set to 0 when drho vanishes there too; otherwise the direction
+    leaves the support and SupportMismatch is raised.
     """
-    drho = hermitian_part(drho)
-    if drho.shape[1] != rho.dim:
-        raise DomainError(f"drho dimension {drho.shape[1]} does not match rho dimension {rho.dim}")
-    if (np.abs(traces(drho)) > 1e-10 * np.maximum(1.0, frobenius_norms(drho))).any():
-        raise DomainError("drho must be traceless")
     w, v = rho.eigenvalues, rho.eigenvectors
     vh = dagger(v)
     dr = vh @ drho @ v
@@ -351,7 +355,7 @@ def sld_solve_stack(rho: DensityStack, drho) -> np.ndarray:
 
 def sld_solve(rho: DensityOp, drho) -> np.ndarray:
     """Solve drho = (rho L + L rho)/2 for Hermitian L in rho's eigenbasis (see ``sld_solve_stack``)."""
-    return sld_solve_stack(rho.stack, as_matrix(drho)[None])[0]
+    return sld_solve_stack(rho.stack, require_direction(drho, rho.dim)[None])[0]
 
 
 def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:

@@ -117,7 +117,7 @@ def test_rows_equal_single_theta_calls(case, n, data):
     drho = differentiate_stack(curve, thetas, mode, h)
     ell = sld_solve_stack(rho, drho)
     qfi = quantum_fisher_of_sld(rho, ell)
-    sphere, transverse = qfi_split(curve, thetas, qfi)
+    sphere, transverse = qfi_split(curve, rho, thetas, h, qfi)
     _, v, degenerate = sld_eigenbasis(ell)
     outcomes = [eigenprojector(v, j) for j in range(rho.dim)]
     cfi_sld = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
@@ -134,7 +134,7 @@ def test_rows_equal_single_theta_calls(case, n, data):
         assert (d1 == drho[i]).all()
         assert (sld_solve(single, d1) == ell[i]).all()
         assert quantum_fisher(single, d1) == qfi[i]
-        split = qfi_split(curve, np.array([theta]), np.array([qfi[i]]))
+        split = qfi_split(curve, single.stack, np.array([theta]), h, np.array([qfi[i]]))
         assert (split[0][0], split[1][0]) == (sphere[i], transverse[i])
         try:
             cfi = classical_fisher(single, d1, sld_eigenbasis_povm(single, d1))

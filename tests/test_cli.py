@@ -5,6 +5,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qfg.errors as errors
@@ -254,6 +255,23 @@ class TestScanErrors:
         assert "a\nb\x01.json" in json.loads(err)["error"]["detail"]
 
 
+def test_table_split_uses_fd_step(tmp_path):
+    h = 1e-3
+    code, out, err = run_cli("scan", "--scenario", write_scenario(tmp_path, TABLE), "--range", "0.2:0.8:4",
+                             "--fd-step", str(h))
+    assert code == 0, err
+    samples = [np.array([[complex(*x) for x in row] for row in s["rho"]]) for s in TABLE["curve"]["samples"]]
+
+    def k_min(theta):  # smallest eigenvalue of the linearly interpolated table
+        return np.linalg.eigvalsh((1 - theta) * samples[0] + theta * samples[1])[0]
+
+    for line in out.splitlines()[1:]:
+        theta, _, _, transverse, total = map(float, line.split(","))
+        k = k_min(theta)
+        dk = (k_min(theta + h) - k_min(theta - h)) / (2 * h)
+        assert transverse == pytest.approx(min(dk * dk / (k * (1 - k)), total), rel=1e-9)
+
+
 NINE = [[[1 / 9 if i == j else 0, 0] for j in range(9)] for i in range(9)]
 
 
@@ -294,8 +312,10 @@ class TestBoundaryInput:
         ["optimize", "--scenario", fixture("great_circle.json"), "--grid-n", "4"],
         ["optimize", "--scenario", fixture("great_circle.json"), "--refine-iters", "100000000000000000000"],
         ["optimize", "--scenario", fixture("great_circle.json"), "--refine-iters=-1"],
+        ["scan", "--scenario", fixture("sphere_k025.json"), "--range", "-1:1:3"],
+        ["optimize", "--scenario", fixture("great_circle.json"), "--grid-n", "abc"],
     ], ids=["fd-step-nan", "fd-step-inf", "range-nan", "range-overflow", "v-nan", "grid-n-huge", "grid-n-small",
-            "refine-iters-huge", "refine-iters-negative"])
+            "refine-iters-huge", "refine-iters-negative", "range-read-as-flag", "grid-n-not-int"])
     def test_flag_rejected(self, argv):
         code, out, err = run_cli(*argv)
         assert (code, out, error_kind(err)) == (2, "", "invariant")

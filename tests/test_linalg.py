@@ -14,6 +14,7 @@ from qfg.linalg import (
     PAULI_Z,
     comm_anticomm,
     herm_eigen,
+    hermitian_part,
     psd_sqrt,
     require_hermitian,
 )
@@ -169,3 +170,11 @@ def test_require_hermitian_symmetrizes():
     m = np.array([[1.0, 1 + 1e-14j], [1 - 1e-14j, 2.0]])
     out = require_hermitian(m)
     assert np.allclose(out, out.conj().T)
+
+
+def test_hermitian_check_survives_huge_entries():
+    # the Frobenius norms of these rows overflow to inf unless they are scaled first
+    with pytest.raises(NonHermitianInput):
+        hermitian_part(np.array([[[0.5, 1e200], [0, 0.5]]]))
+    m = np.array([[[0.5, 1e200], [1e200, 0.5]]])
+    assert (hermitian_part(m) == m).all()
