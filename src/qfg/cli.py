@@ -28,7 +28,7 @@ from .scan import COLUMNS, scan
 from .scenario import Options, Scenario, load_scenario
 from .serialize import dumps_canonical, format_rows, matrix_to_json
 from .sld import SphereCurve, TransverseCurve, differentiate_curve, sld_solve
-from .optimize import GRID_N_RANGE, REFINE_ITERS_RANGE, maximize_cfi
+from .optimize import maximize_cfi
 
 
 def _parse_complex_flag(text: str, flag: str) -> complex:
@@ -150,15 +150,9 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    lo, hi = GRID_N_RANGE
-    if not lo <= args.grid_n <= hi:
-        raise InvariantViolation(f"--grid-n must be in [{lo}, {hi}], got {args.grid_n}")
-    lo, hi = REFINE_ITERS_RANGE
-    if not lo <= args.refine_iters <= hi:
-        raise InvariantViolation(f"--refine-iters must be in [{lo}, {hi}], got {args.refine_iters}")
     scenario = load_scenario(args.scenario)
     rho, drho = _state_and_direction(scenario, args)
-    result = maximize_cfi(rho, drho, grid_n=args.grid_n, refine_iters=args.refine_iters)
+    result = maximize_cfi(rho, drho)
     qfi = quantum_fisher(rho, drho)
     _emit(
         {
@@ -232,16 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tensor.add_argument("--v2", required=True, help="second tangent as 're,im'")
     p_tensor.set_defaults(func=_cmd_tensor)
 
-    p_opt = sub.add_parser("optimize", help="search the bound-attaining projective pair")
+    p_opt = sub.add_parser("optimize", help="the bound-attaining projective qubit pair")
     p_opt.add_argument("--scenario", required=True)
-    p_opt.add_argument(
-        "--grid-n", dest="grid_n", type=int, default=1024,
-        help="Fibonacci grid size, %d to %d" % GRID_N_RANGE,
-    )
-    p_opt.add_argument(
-        "--refine-iters", dest="refine_iters", type=int, default=40,
-        help="refinement rounds, %d to %d" % REFINE_ITERS_RANGE,
-    )
     add_numeric_flags(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)
 

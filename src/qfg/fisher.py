@@ -117,6 +117,8 @@ def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.
     Trusts ``drho`` to be valid row by row (see ``require_direction``).
     ``outcomes`` yields one POVM element per outcome: an (n, d, d) stack with
     the element of each row, or a (1, d, d) one that measures every row alike.
+    A (k, 1, d, d) element measures every row with each of k POVMs and gives
+    a (k, n) result.
     """
     total = np.zeros(len(drho))
     for m in outcomes:

@@ -7,9 +7,9 @@ A measurement outcome m attains the bound at (rho, drho) exactly when
 with L the SLD. Numerically the proportionality is decided by a least-squares
 fit of complex c with an explicit residual and a reality check on c.
 
-The projective-measurement optimizer scans Bloch axes on a deterministic
-Fibonacci sphere grid and refines the best cells with golden-section line
-searches along local tangent directions; it is seedless and reproducible.
+For a qubit the projective pair of largest classical Fisher information is
+the eigenbasis of the SLD (Braunstein & Caves, PRL 72, 3439, 1994), so
+``maximize_cfi`` takes its axis in closed form from the SLD's Bloch vector.
 """
 
 from __future__ import annotations
@@ -26,31 +26,17 @@ from .errors import (
     DomainError,
     ZeroVelocityCurve,
 )
-from .fisher import EPS_P, Povm, classical_fisher_stack
+from .fisher import Povm, classical_fisher_stack
 from .linalg import (
     IDENTITY2,
     PAULIS,
-    SQRT_RANK_CUTOFF,
     DensityOp,
     dagger,
     eigh,
     psd_sqrt,
     require_hermitian,
 )
-from .sld import require_direction, sld_solve
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: For a numerically pure state, outcomes at or below this probability are left
-#: out of the search objective: there the roundoff in p dominates t^2 / p, and
-#: the search would chase it to a CFI above the QFI. A state of full numerical
-#: rank gives every outcome p >= lam_min, so its search keeps EPS_P, as does the
-#: reported CFI.
-SEARCH_P_CUTOFF = 1e-6
-#: Smallest and largest Fibonacci grid of maximize_cfi; the largest holds a few MB.
-GRID_N_RANGE = (8, 65536)
-#: Fewest and most refinement rounds of maximize_cfi; each round halves the step,
-#: and the step falls below 1e-12 within 42 rounds, so more would never run.
-REFINE_ITERS_RANGE = (0, 64)
+from .sld import require_direction, sld_solve, sld_solve_stack
 
 
 @dataclass(frozen=True)
@@ -215,15 +201,18 @@ def bloch_vector(matrix) -> np.ndarray:
     return _bloch(require_hermitian(matrix))
 
 
-def _pair_elements(axis) -> np.ndarray:
-    n = np.asarray(axis, dtype=float)
-    ns = sum(float(c) * s for c, s in zip(n, PAULIS))
+def pair_outcomes(axes) -> np.ndarray:
+    """Projectors P(n), P(-n) of each unit Bloch axis n of an (..., 3) array, as (2, ..., 2, 2).
+
+    An (n, 3) array of axes gives the per-row outcomes of ``classical_fisher_stack``.
+    """
+    ns = np.tensordot(np.asarray(axes, dtype=float), np.array(PAULIS), axes=1)
     return np.array([(IDENTITY2 + ns) / 2, (IDENTITY2 - ns) / 2])
 
 
 def projector_pair(axis) -> Povm:
     """Projective pair {P(n), P(-n)} for a unit Bloch axis n."""
-    return Povm(_pair_elements(axis))
+    return Povm(pair_outcomes(axis))
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -243,134 +232,26 @@ class OptimizeResult:
     degenerate: bool
 
 
-def _search_cutoff(rho: DensityOp) -> float:
-    """The outcome-probability cutoff of the search objective at rho."""
-    lam = rho.eigenvalues
-    pure = lam[0] <= SQRT_RANK_CUTOFF * max(1.0, float(lam[-1]))
-    return SEARCH_P_CUTOFF if pure else EPS_P
+def maximize_cfi(rho: DensityOp, drho) -> OptimizeResult:
+    """The projective qubit pair of largest classical Fisher information.
 
-
-def _pair_cfi(n, s, w, cutoff=EPS_P) -> float:
-    # the search objective: classical_fisher of {P(n), P(-n)} in Bloch components,
-    # over the outcomes above cutoff
-    t = (n[0] * w[0] + n[1] * w[1] + n[2] * w[2]) / 2.0
-    ns = n[0] * s[0] + n[1] * s[1] + n[2] * s[2]
-    total = 0.0
-    for sign in (1.0, -1.0):
-        p = (1.0 + sign * ns) / 2.0
-        if p > cutoff:
-            total += t * t / p
-    return total
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _normalized(a):
-    norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-    return (a[0] / norm, a[1] / norm, a[2] / norm)
-
-
-def _tangent_frame(n):
-    axis = [0.0, 0.0, 0.0]
-    axis[min(range(3), key=lambda i: abs(n[i]))] = 1.0
-    e1 = _normalized(_cross(n, axis))
-    return e1, _cross(n, e1)
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 28) -> float:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-    return (lo + hi) / 2.0
-
-
-def maximize_cfi(
-    rho: DensityOp, drho, grid_n: int = 1024, refine_iters: int = 40
-) -> OptimizeResult:
-    """Maximize classical Fisher information over projective qubit pairs.
-
-    Fibonacci-sphere scan followed by golden-section refinement of the best
-    cells; fully deterministic. A vanishing drho (including the degenerate
-    mixing point) yields value 0 with the degeneracy flag set.
+    For rho = (I + s.sigma)/2 and drho = w.sigma/2 the pair along a unit axis n
+    has CFI (n.w)^2 / (1 - (n.s)^2), largest at the Bloch axis of the SLD,
+    l = w + s (s.w) / (1 - |s|^2), where it equals the QFI. Since
+    l.w >= |w|^2, l vanishes only with w. A vanishing drho (including the
+    degenerate mixing point) yields value 0 with the degeneracy flag set; a
+    drho leaving the support of rho raises SupportMismatch, as in
+    ``quantum_fisher``.
     """
     if rho.dim != 2:
         raise DimensionUnsupported("the projective optimizer supports qubits only")
-    if not GRID_N_RANGE[0] <= grid_n <= GRID_N_RANGE[1]:
-        raise DomainError(f"grid_n={grid_n!r} outside [{GRID_N_RANGE[0]}, {GRID_N_RANGE[1]}]")
-    if not REFINE_ITERS_RANGE[0] <= refine_iters <= REFINE_ITERS_RANGE[1]:
-        lo, hi = REFINE_ITERS_RANGE
-        raise DomainError(f"refine_iters={refine_iters!r} outside [{lo}, {hi}]")
     drho = require_direction(drho, 2)
-
-    def result(axis, degenerate):
-        povm = Povm.of_projectors(_pair_elements(axis))
-        value = float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
-        return OptimizeResult(povm, value, axis, degenerate)
-
-    w = _bloch(drho)
-    if float(np.linalg.norm(w)) <= 1e-12:
-        return result(np.array([0.0, 0.0, 1.0]), degenerate=True)
-    s = _bloch(rho.matrix)
-    cutoff = _search_cutoff(rho)
-
-    grid = fibonacci_sphere(grid_n)
-    t = grid @ w / 2.0
-    values = np.zeros(grid_n)
-    for sign in (1.0, -1.0):
-        p = (1.0 + sign * (grid @ s)) / 2.0
-        mask = p > cutoff
-        values[mask] += t[mask] ** 2 / p[mask]
-    candidates = [tuple(grid[i]) for i in np.argsort(values)[-3:]]
-
-    spacing = 2.0 * math.sqrt(4.0 * math.pi / grid_n)
-    s = tuple(s)
-    w = tuple(w)
-
-    def refine(n, rounds):
-        val = _pair_cfi(n, s, w, cutoff)
-        h = spacing
-        for _ in range(rounds):
-            for e in _tangent_frame(n):
-                def along(tt, n=n, e=e):
-                    ct, st = math.cos(tt), math.sin(tt)
-                    return _pair_cfi(
-                        (ct * n[0] + st * e[0], ct * n[1] + st * e[1], ct * n[2] + st * e[2]),
-                        s,
-                        w,
-                        cutoff,
-                    )
-
-                t_star = _golden_max(along, -h, h)
-                ct, st = math.cos(t_star), math.sin(t_star)
-                cand = _normalized(
-                    (ct * n[0] + st * e[0], ct * n[1] + st * e[1], ct * n[2] + st * e[2])
-                )
-                cand_val = _pair_cfi(cand, s, w, cutoff)
-                if cand_val >= val:
-                    n, val = cand, cand_val
-            h *= 0.5
-            if h < 1e-12:
-                break
-        return n, val
-
-    # Pre-refine each candidate cell briefly, then run the best one to depth.
-    pre = [refine(n, min(8, refine_iters)) for n in candidates]
-    best_n, _ = max(pre, key=lambda item: item[1])
-    best_n, _ = refine(best_n, refine_iters)
-
-    return result(np.array(best_n), degenerate=False)
+    degenerate = float(np.linalg.norm(_bloch(drho))) <= 1e-12
+    if degenerate:
+        axis = np.array([0.0, 0.0, 1.0])
+    else:
+        ell = _bloch(sld_solve_stack(rho.stack, drho[None])[0])
+        axis = ell / np.linalg.norm(ell)
+    povm = Povm.of_projectors(pair_outcomes(axis))
+    value = float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
+    return OptimizeResult(povm, value, axis, degenerate)

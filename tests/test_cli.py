@@ -38,7 +38,7 @@ GOLDEN_COMMANDS = [
     ("scan_sphere.csv", ["scan", "--scenario", fixture("sphere_k025.json"), "--param", "theta", "--range", "0:1:5"]),
     ("scan_transverse.csv", ["scan", "--scenario", fixture("transverse_k025.json"), "--param", "theta", "--range", "0.1:0.4:4"]),
     ("optimize_transverse.json", ["optimize", "--scenario", fixture("transverse_k025.json")]),
-    ("optimize_great_circle.json", ["optimize", "--scenario", fixture("great_circle.json"), "--grid-n", "512"]),
+    ("optimize_great_circle.json", ["optimize", "--scenario", fixture("great_circle.json")]),
 ]
 
 

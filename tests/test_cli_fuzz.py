@@ -8,10 +8,12 @@ Every run must end in a result (exit 0, nothing on stderr) or in exactly one
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,12 +36,24 @@ COMMANDS = [
     ["scan", "--range", "0:1:3"],
     ["scan", "--range", "0:1:3", "--mode", "fd"],
     ["tensor", "--v", "1,0", "--v2", "0,1"],
-    ["optimize", "--grid-n", "64", "--refine-iters", "4"],
+    ["optimize"],
 ]
 
 #: Fixed examples (derandomize) keep the suite reproducible; raise max_examples
 #: and drop derandomize for a wider campaign.
 FUZZ = settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
+#: Budget for the whole module: about three times the 3.6-4.4 s it takes on a
+#: 2-CPU VM. Each example has its own 5 s deadline; this catches a slow path
+#: that many examples reach.
+MODULE_SECONDS = 15.0
+
+
+@pytest.fixture(scope="module", autouse=True)
+def module_budget():
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed <= MODULE_SECONDS, f"fuzz module took {elapsed:.1f}s > {MODULE_SECONDS}s"
 
 
 def node_paths(obj, path=()):
@@ -110,15 +124,13 @@ NUMBERS = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-1", "1e-300", "0.5"]
     st.sampled_from(NUMBERS),
     st.sampled_from(NUMBERS),
     st.sampled_from(NUMBERS + ["1,2,3", "nan,1", "1e200,1e200"]),
-    st.sampled_from(["-5", "0", "7", "8", "64", "65537", "100000000000000000000", "abc"]),
-    st.sampled_from(["-1", "0", "4", "64", "65", "100000000000000000000"]),
 )
-def test_odd_flag_values_exit_cleanly(name, fd_step, bound, v, grid_n, refine_iters):
+def test_odd_flag_values_exit_cleanly(name, fd_step, bound, v):
     for command in (
         ["eval", "--quantity", "qfi", "--mode", "fd", f"--fd-step={fd_step}"],
         ["scan", f"--range=0:{bound}:3", f"--fd-step={fd_step}"],
         ["scan", "--range", f"{bound}:1:3"],
         ["tensor", f"--v={v}", "--v2=1,1"],
-        ["optimize", f"--grid-n={grid_n}", f"--refine-iters={refine_iters}"],
+        ["optimize", "--mode", "fd", f"--fd-step={fd_step}"],
     ):
         run_with_scenario(FIXTURES[name], command)

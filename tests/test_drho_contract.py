@@ -28,7 +28,7 @@ ENTRY_POINTS = {
     "sld_eigenbasis_povm": lambda rho, d: sld_eigenbasis_povm(rho, d),
     "attainability_check": lambda rho, d: attainability_check(rho, d, np.diag([1.0, 0.0])),
     "classical_fisher": lambda rho, d: classical_fisher(rho, d, projector_pair([0, 0, 1])),
-    "maximize_cfi": lambda rho, d: maximize_cfi(rho, d, grid_n=64, refine_iters=4),
+    "maximize_cfi": lambda rho, d: maximize_cfi(rho, d),
 }
 
 BAD_DIRECTIONS = {
@@ -83,5 +83,5 @@ def test_quantum_fisher_checks_once(monkeypatch):
 def test_maximize_cfi_checks_once(monkeypatch):
     checks = _count_calls(monkeypatch, "hermitian_part")
     eighs = _count_calls(monkeypatch, "eigh")
-    maximize_cfi(RHO, DRHO, grid_n=64, refine_iters=4)
+    maximize_cfi(RHO, DRHO)
     assert (len(checks), len(eighs)) == (1, 0)

@@ -9,16 +9,24 @@ from qfg.errors import (
     DegenerateSld,
     DimensionUnsupported,
     DomainError,
+    SupportMismatch,
     ZeroVelocityCurve,
 )
-from qfg.fisher import assemble_drho, classical_fisher, povm_diagnose, quantum_fisher
-from qfg.linalg import DensityOp, PAULI_X, PAULI_Y, PAULI_Z
+from qfg.fisher import (
+    assemble_drho,
+    classical_fisher,
+    classical_fisher_stack,
+    povm_diagnose,
+    quantum_fisher,
+)
+from qfg.linalg import DensityOp, DensityStack, PAULI_X, PAULI_Y, PAULI_Z
 from qfg.optimize import (
     attainability_check,
     bloch_vector,
     fibonacci_sphere,
     maximize_cfi,
     mixed_conditions_check,
+    pair_outcomes,
     projector_pair,
     reach_check_pure,
     sld_eigenbasis_povm,
@@ -210,19 +218,19 @@ class TestMaximizeCfi:
         curve = GreatCirclePure()
         rho = curve.rho_at(math.pi / 3)
         drho = differentiate_curve(curve, math.pi / 3)
-        result = maximize_cfi(rho, drho, grid_n=1024, refine_iters=40)
+        result = maximize_cfi(rho, drho)
         assert result.value == pytest.approx(1.0, abs=1e-6)
         assert not result.degenerate
 
     def test_transverse(self):
         rho = DensityOp(np.diag([0.25, 0.75]))
-        result = maximize_cfi(rho, np.diag([1.0, -1.0]), grid_n=1024, refine_iters=40)
+        result = maximize_cfi(rho, np.diag([1.0, -1.0]))
         assert result.value == pytest.approx(16 / 3, abs=1e-6)
         assert abs(result.axis[2]) > 0.999999
 
     def test_degenerate_direction(self):
         rho = rho_of_kz(qubit_point(0.5, 0.3))
-        result = maximize_cfi(rho, np.zeros((2, 2)), grid_n=64, refine_iters=10)
+        result = maximize_cfi(rho, np.zeros((2, 2)))
         assert result.degenerate and result.value == 0.0
 
     def test_never_exceeds_quantum_bound(self):
@@ -232,7 +240,7 @@ class TestMaximizeCfi:
             z = complex(rng.normal(), rng.normal())
             rho = rho_of_kz(qubit_point(k, z))
             drho = assemble_drho(k, z, float(rng.normal()) * 0.3, complex(rng.normal(), rng.normal()))
-            result = maximize_cfi(rho, drho, grid_n=256, refine_iters=25)
+            result = maximize_cfi(rho, drho)
             qfi = quantum_fisher(rho, drho)
             assert result.value <= qfi + 1e-9
             assert result.value >= qfi - 1e-6
@@ -262,7 +270,7 @@ class TestMaximizeCfi:
             rho = rho_of_kz(qubit_point(k, z))
             drho = assemble_drho(k, z, float(rng.normal()) * 0.3, complex(rng.normal(), rng.normal()))
             qfi = quantum_fisher(rho, drho)
-            result = maximize_cfi(rho, drho, grid_n=256, refine_iters=25)
+            result = maximize_cfi(rho, drho)
             assert qfi * (1 - 1e-6) <= result.value <= qfi * (1 + 1e-14 / k)
 
     def test_dimension_guard(self):
@@ -270,20 +278,45 @@ class TestMaximizeCfi:
         with pytest.raises(DimensionUnsupported):
             maximize_cfi(rho, np.zeros((3, 3)))
 
-    def test_grid_guard(self):
-        rho = DensityOp(np.eye(2) / 2)
-        with pytest.raises(DomainError):
-            maximize_cfi(rho, PAULI_X, grid_n=4)
+    @pytest.mark.parametrize("k, z, dk, v", [
+        (1e-11, -0.8485654735001487 - 1.0246504587232312j, -0.00011450421386595999,
+         -0.030833039232757084 - 0.9186582761141786j),
+        (1e-10, 0.3048764317242852 - 0.6758157850990335j, 9.47481900778189e-05,
+         -0.578059870186302 - 2.8459316619205914j),
+    ], ids=["k-1e-11", "k-1e-10"])
+    def test_reaches_quantum_bound_below_rank_guard(self, k, z, dk, v):
+        # k between SQRT_RANK_CUTOFF and RANK_GUARD, where a projector pair off the SLD axis
+        # can lose nearly all of the QFI (0.443 of 1311.57, 14.05 of 103.82)
+        rho = rho_of_kz(qubit_point(k, z))
+        drho = assemble_drho(k, z, dk, v)
+        qfi = quantum_fisher(rho, drho)
+        assert qfi * (1 - 1e-14 / k) <= maximize_cfi(rho, drho).value <= qfi * (1 + 1e-14 / k)
 
-    def test_refine_guard(self):
-        rho = DensityOp(np.eye(2) / 2)
-        with pytest.raises(DomainError):
-            maximize_cfi(rho, PAULI_X, refine_iters=65)
+    def test_reaches_quantum_bound_for_k_down_to_1e_11(self):
+        # dk ~ 1e-4 keeps the sphere term a visible share of the QFI next to dk^2 / k
+        rng = np.random.default_rng(56)
+        for _ in range(25):
+            k = float(10 ** rng.uniform(-11, -9))
+            z = complex(rng.normal(), rng.normal())
+            rho = rho_of_kz(qubit_point(k, z))
+            drho = assemble_drho(k, z, float(rng.normal()) * 1e-4, complex(rng.normal(), rng.normal()))
+            qfi = quantum_fisher(rho, drho)
+            assert qfi * (1 - 1e-14 / k) <= maximize_cfi(rho, drho).value <= qfi * (1 + 1e-14 / k)
+
+    def test_direction_off_the_support_rejected(self):
+        # below SUPPORT_CUTOFF rho is pure, and a mixing-weight direction leaves its support
+        k = 1e-13
+        rho = rho_of_kz(qubit_point(k, 0.3))
+        drho = assemble_drho(k, 0.3, 0.3, 0j)
+        with pytest.raises(SupportMismatch):
+            quantum_fisher(rho, drho)
+        with pytest.raises(SupportMismatch):
+            maximize_cfi(rho, drho)
 
     def test_value_matches_returned_povm(self):
         rho = rho_of_kz(qubit_point(0.3, 1 + 0.5j))
         drho = assemble_drho(0.3, 1 + 0.5j, 0.2, 0.7 - 0.3j)
-        result = maximize_cfi(rho, drho, grid_n=256, refine_iters=25)
+        result = maximize_cfi(rho, drho)
         assert result.value == classical_fisher(rho, drho, result.povm)
 
 
@@ -296,19 +329,38 @@ class TestBlochHelpers:
         povm = projector_pair([0, 0, 1])
         assert np.allclose(sum(np.asarray(m) for m in povm), np.eye(2))
 
-    def test_pair_cfi_matches_classical_fisher(self):
+    def test_pair_cfi_closed_form(self):
+        # the identity maximize_cfi rests on: the pair along n has CFI (n.w)^2 / (1 - (n.s)^2),
+        # and the SLD's Bloch axis attains the QFI
         rng = np.random.default_rng(54)
         for _ in range(50):
             k = rng.uniform(0.05, 0.45)
             z = complex(rng.normal(), rng.normal())
             rho = rho_of_kz(qubit_point(k, z))
             drho = assemble_drho(k, z, float(rng.normal()) * 0.3, complex(rng.normal(), rng.normal()))
+            s, w = bloch_vector(rho.matrix), bloch_vector(drho)
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
-            from qfg.optimize import _pair_cfi
+            closed = (n @ w) ** 2 / (1 - (n @ s) ** 2)
+            assert classical_fisher(rho, drho, projector_pair(n)) == pytest.approx(closed, rel=1e-12)
+            axis = maximize_cfi(rho, drho).axis
+            assert classical_fisher(rho, drho, projector_pair(axis)) == pytest.approx(
+                quantum_fisher(rho, drho), rel=1e-12
+            )
 
-            fast = _pair_cfi(tuple(n), tuple(bloch_vector(rho.matrix)), tuple(bloch_vector(drho)))
-            assert fast == pytest.approx(classical_fisher(rho, drho, projector_pair(n)), abs=1e-12)
+    def test_pair_outcome_stack_measures_every_row_with_every_axis(self):
+        rng = np.random.default_rng(57)
+        points = [(rng.uniform(0.05, 0.45), complex(rng.normal(), rng.normal())) for _ in range(4)]
+        rhos = [rho_of_kz(qubit_point(k, z)) for k, z in points]
+        drhos = [assemble_drho(k, z, 0.2, 0.5 - 0.3j) for k, z in points]
+        axes = fibonacci_sphere(6)
+        table = classical_fisher_stack(
+            DensityStack([rho.matrix for rho in rhos]), np.array(drhos), pair_outcomes(axes)[:, :, None]
+        )
+        assert table.shape == (6, 4)
+        for j, n in enumerate(axes):
+            for i, (rho, drho) in enumerate(zip(rhos, drhos)):
+                assert table[j, i] == pytest.approx(classical_fisher(rho, drho, projector_pair(n)), rel=1e-12)
 
     def test_fibonacci_sphere_is_unit(self):
         grid = fibonacci_sphere(128)
