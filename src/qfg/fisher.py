@@ -8,10 +8,13 @@ with eps = 1e-12 realizing the restriction to outcomes of positive
 probability. Quantum Fisher information is Tr[rho L^2] for the SLD L, an
 upper bound on i for every POVM.
 
-The Fisher tensor evaluated on a pair of tangent directions is the complex
-number Tr[rho L1 L2]; its real part is the metric (Fubini-Study type) and its
-imaginary part the antisymmetric (KKS type) form. On a qubit sphere tangent
-pair (v, v') it reduces to
+The Fisher tensor on tangent directions a, b is the complex number
+F_ab = Tr[rho L_a L_b] = conj(F_ba); its real part is the metric (Fubini-Study
+type) and its imaginary part the antisymmetric (KKS type) form.
+``fisher_tensor_stack`` is the one kernel that forms it, over a stack of p
+SLDs per rho: the QFI is its real diagonal and ``fisher_tensor_general`` its
+one-row, two-direction case. On a qubit sphere tangent pair (v, v') it
+reduces to
 
     4 (k1-k2)^2 / (1+|z|^2)^2 * [ (k1+k2) Re(v* v') + i (k1-k2) Im(v* v') ].
 """
@@ -33,7 +36,8 @@ from .linalg import (
     hermitian_part,
     traces,
 )
-from .sld import TableCurve, TransverseCurve, assemble_drho, require_direction, sld_solve  # noqa: F401  (re-export)
+from .sld import TableCurve, TransverseCurve, require_direction, sld_solve, sld_solve_stack
+from .sld import assemble_drho  # noqa: F401  (re-export)
 from .states import require_mixing_weight
 
 #: Outcomes with probability at or below this are excluded from classical sums.
@@ -136,9 +140,14 @@ def classical_fisher(rho: DensityOp, drho, povm: Povm) -> float:
     return float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
 
 
+def fisher_tensor_stack(rho: DensityStack, ell: np.ndarray) -> np.ndarray:
+    """Fisher tensor F_ab = Tr[rho L_a L_b] = conj(F_ba), (n, p, p), of an (n, p, d, d) stack of p SLDs per row."""
+    return traces(rho.matrices[:, None, None] @ ell[:, :, None] @ ell[:, None, :])
+
+
 def quantum_fisher_of_sld(rho: DensityStack, ell: np.ndarray) -> np.ndarray:
-    """Quantum Fisher information Tr[rho L^2] of each row, from the SLD stack ``ell``."""
-    return np.maximum(traces(rho.matrices @ ell @ ell).real, 0.0)
+    """Quantum Fisher information Tr[rho L^2] of each row, from the SLD stack ``ell``: the tensor's real diagonal."""
+    return np.maximum(fisher_tensor_stack(rho, ell[:, None])[:, 0, 0].real, 0.0)
 
 
 def quantum_fisher(rho: DensityOp, drho) -> float:
@@ -234,9 +243,9 @@ def fisher_tensor(k: float, z: complex, v: complex, v2: complex) -> FisherTensor
 
 def fisher_tensor_general(rho: DensityOp, drho1, drho2) -> FisherTensorValue:
     """Fisher tensor Tr[rho L1 L2] on two matrix directions at rho."""
-    ell1 = sld_solve(rho, drho1)
-    ell2 = sld_solve(rho, drho2)
-    return FisherTensorValue(complex(np.trace(rho.matrix @ ell1 @ ell2)))
+    drho = np.array([require_direction(d, rho.dim) for d in (drho1, drho2)])
+    ell = sld_solve_stack(rho.stack, drho[None])
+    return FisherTensorValue(complex(fisher_tensor_stack(rho.stack, ell)[0, 0, 1]))
 
 
 def pure_qdit_fisher(a: Sequence[complex], xi_outcomes: Sequence) -> tuple[float, float]:

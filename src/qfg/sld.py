@@ -142,7 +142,7 @@ class SphereCurve(_StackedCurve):
         return rho_of_kz_stack(self.k, self._coords(thetas), Chart.NORTH)
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        return _drho_sphere(2.0 * self.k - 1.0, self._coords(thetas), self.velocity)
+        return assemble_drho_stack(self.k, self._coords(thetas), 0.0, self.velocity)
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,8 @@ class TransverseCurve(_StackedCurve):
         return rho_of_kz_stack(*self._chart_points(thetas))
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        self._weights(thetas)
-        drho = self.rate * _transverse_direction(self.z)
-        return np.broadcast_to(drho, (len(thetas), 2, 2)).copy()
+        z = np.inf if self.z is None else complex(self.z)
+        return assemble_drho_stack(self._weights(thetas), np.full(len(thetas), z), self.rate, 0.0)
 
 
 @dataclass(frozen=True)
@@ -333,6 +332,7 @@ def require_direction(drho, dim: int) -> np.ndarray:
 def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     """Solve drho = (rho L + L rho)/2 for Hermitian L, row by row over a stack.
 
+    ``drho`` is (n, d, d), or (n, p, d, d) for p directions at each rho.
     Trusts ``drho`` to be valid row by row (see ``require_direction``), as
     ``differentiate_stack`` returns it. In each rho's eigenbasis L_ij = 2 drho_ij /
     (lam_i + lam_j) on the support. Entries over eigenvalue pairs outside the
@@ -340,9 +340,11 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     leaves the support and SupportMismatch is raised.
     """
     w, v = rho.eigenvalues, rho.eigenvectors
+    if drho.ndim == 4:
+        w, v = w[:, None], v[:, None]
     vh = dagger(v)
     dr = vh @ drho @ v
-    denom = w[:, :, None] + w[:, None, :]
+    denom = w[..., :, None] + w[..., None, :]
     support = denom > SUPPORT_CUTOFF
     leak = ~support & (np.abs(dr) > SUPPORT_LEAK_TOL)
     if leak.any():
@@ -370,42 +372,42 @@ def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     )
 
 
-def _drho_sphere(kdiff: float, z: np.ndarray, v: complex) -> np.ndarray:
-    """Sphere-direction drho at each point of the coordinate array z, for one velocity v."""
-    v = complex(v)
-    zc, vc = z.conj(), v.conjugate()
-    out = np.empty((len(z), 2, 2), dtype=complex)
-    out[:, 0, 0] = zc * v + z * vc
-    out[:, 0, 1] = z * z * vc - v
-    out[:, 1, 0] = zc * zc * v - vc
-    out[:, 1, 1] = -(zc * v + z * vc)
-    return (kdiff / (1.0 + np.abs(z) ** 2) ** 2)[:, None, None] * out
+def assemble_drho_stack(k, z: np.ndarray, dk, v) -> np.ndarray:
+    """Qubit drho of the tangents (dk, v) at the points (k, z): an (n, 2, 2) stack for n coordinates z.
+
+    ``k``, ``dk`` and ``v`` are arrays of n values or one for all. Points are
+    trusted as QubitPoint checks them; k = 0 is the pure family, and an
+    infinite z the infinity pole, where v must be 0. The transverse unit
+    d rho / dk = U(z) diag(1, -1) U(z)^dag is [[|z|^2 - 1, -2z], [-2z*, 1 - |z|^2]] / (1 + |z|^2).
+    """
+    z = np.asarray(z, dtype=complex)
+    pole = np.isinf(z)
+    z = np.where(pole, 0j, z)
+    zc, v = z.conj(), np.asarray(v, dtype=complex)
+    vc = v.conj()
+    az2 = np.abs(z) ** 2
+    sphere = np.stack([zc * v + z * vc, z * z * vc - v, zc * zc * v - vc, -(zc * v + z * vc)], axis=-1)
+    unit = np.stack([az2 - 1.0, -2.0 * z, -2.0 * zc, 1.0 - az2], axis=-1) / (1.0 + az2)[:, None]
+    unit[pole] = (1.0, 0.0, 0.0, -1.0)
+    drho = ((2.0 * np.asarray(k) - 1.0) / (1.0 + az2) ** 2)[:, None] * sphere + np.reshape(dk, (-1, 1)) * unit
+    return drho.reshape(-1, 2, 2)
 
 
 def drho_sphere(k: float, z: complex, v: complex) -> np.ndarray:
     """Sphere-direction drho at mixing k, point z, stereographic velocity v."""
     require_mixing_weight(k)
-    return _drho_sphere(2.0 * k - 1.0, np.array([complex(z)]), v)[0]
+    return assemble_drho_stack(k, require_finite_coords(np.array([complex(z)])), 0.0, v)[0]
 
 
 def drho_sphere_pure(z: complex, v: complex) -> np.ndarray:
     """Sphere-direction drho of the pure projector family (the k -> 0 limit)."""
-    return _drho_sphere(-1.0, np.array([complex(z)]), v)[0]
-
-
-def _transverse_direction(z: complex | None) -> np.ndarray:
-    """Unit transverse drho U(z) diag(1, -1) U(z)^dag; diag(1, -1) at the infinity pole z = None."""
-    diag = np.diag([1.0, -1.0]).astype(complex)
-    if z is None:
-        return diag
-    u = unitary_of_z(z)
-    return u @ diag @ u.conj().T
+    return assemble_drho_stack(0.0, require_finite_coords(np.array([complex(z)])), 0.0, v)[0]
 
 
 def drho_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     """Transverse drho: dk * U(z) diag(1, -1) U(z)^dag."""
     require_mixing_weight(k)
-    return dk * _transverse_direction(complex(z))
+    return assemble_drho_stack(k, require_finite_coords(np.array([complex(z)])), dk, 0.0)[0]
 
 
 def connection_coefficient(z: complex) -> complex:
@@ -456,12 +458,9 @@ class TangentDir:
         return drho_sphere(self.point.k, self._z, self.v)
 
     @cached_property
-    def drho_transverse_part(self) -> np.ndarray:
-        return self.dk * _transverse_direction(None if self.point.at_infinity else self.point.z)
-
-    @cached_property
     def drho(self) -> np.ndarray:
-        return self.drho_sphere_part + self.drho_transverse_part
+        z = np.inf if self.point.at_infinity else self.point.z
+        return assemble_drho_stack(self.point.k, np.array([z]), self.dk, self.v)[0]
 
     @cached_property
     def lam(self) -> complex:

@@ -2,7 +2,11 @@
 
 Each suite returns a list of Check records; the CLI ``verify`` subcommand
 prints one line per check and exits nonzero if any fails. All randomness is
-seeded, so suite output is deterministic.
+seeded, so suite output is deterministic. The qubit suites draw their
+scenarios one at a time, in a fixed order, and evaluate all of them at once
+on the stacked kernels (``rho_of_kz_stack``, ``assemble_drho_stack``,
+``sld_solve_stack``, ``fisher_tensor_stack``, ``classical_fisher_stack``);
+``tests/test_batch.py`` pins those kernels to the one-row public calls.
 """
 
 from __future__ import annotations
@@ -15,26 +19,25 @@ import numpy as np
 
 from .fisher import (
     Povm,
-    assemble_drho,
     classical_fisher,
     classical_fisher_stack,
     fisher_tensor,
-    fisher_tensor_general,
+    fisher_tensor_stack,
     pure_qdit_fisher,
     qfi_qubit_closed_form,
     quantum_fisher,
+    quantum_fisher_of_sld,
     total_fisher_metric,
     wavefunction_fisher,
     WavefunctionGrid,
 )
 from .geometry import g_kks, reference_density, round_s3_metric, sphere_tangent_matrix
-from .linalg import DensityOp, DensityStack, PAULI_Y, herm_eigen
+from .linalg import PAULI_Y, DensityStack, dagger, frobenius_norms, herm_eigen, traces
 from .optimize import (
     attainability_check,
     fibonacci_sphere,
     maximize_cfi,
     pair_outcomes,
-    projector_pair,
     sld_eigenbasis_povm,
 )
 from .sld import (
@@ -43,11 +46,14 @@ from .sld import (
     GreatCirclePure,
     PureQditCoeffs,
     SphereCurve,
+    assemble_drho,
+    assemble_drho_stack,
     differentiate_curve,
-    drho_sphere_pure,
+    differentiate_stack,
     sld_solve,
+    sld_solve_stack,
 )
-from .states import PureState, pure_projector, qubit_point, rho_of_kz, s3_tangent, unitary_of_z
+from .states import Chart, pure_projector_stack, qubit_point, rho_of_kz, rho_of_kz_stack, s3_tangent, unitary_of_z
 
 
 @dataclass(frozen=True)
@@ -78,34 +84,42 @@ def _random_unitary(rng, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _columns(draws) -> list[np.ndarray]:
+    """Draws of one tuple each, made in order, as one array per drawn quantity."""
+    return [np.array(column) for column in zip(*draws)]
+
+
+def _qubit_stacks(k, z, dk, v) -> tuple[DensityStack, np.ndarray]:
+    """rho and drho of the tangents (dk, v) at the north-chart points (k, z)."""
+    return rho_of_kz_stack(k, z, Chart.NORTH), assemble_drho_stack(k, z, dk, v)
+
+
+def _qfi(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
+    return quantum_fisher_of_sld(rho, sld_solve_stack(rho, drho))
+
+
 def suite_sld_residual() -> list[Check]:
     rng = np.random.default_rng(20240901)
-    worst = 0.0
-    for _ in range(500):
-        k, z = _random_point(rng)
-        v = complex(rng.normal(), rng.normal())
-        dk = float(rng.normal())
-        rho = rho_of_kz(qubit_point(k, z))
-        drho = assemble_drho(k, z, dk, v)
-        ell = sld_solve(rho, drho)
-        resid = np.linalg.norm((rho.matrix @ ell + ell @ rho.matrix) / 2 - drho)
-        worst = max(worst, float(resid))
+    k, z, v, dk = _columns((*_random_point(rng), complex(rng.normal(), rng.normal()), rng.normal())
+                           for _ in range(500))
+    rho, drho = _qubit_stacks(k, z, dk, v)
+    ell = sld_solve_stack(rho, drho)
+    m = rho.matrices
+    worst = float(frobenius_norms((m @ ell + ell @ m) / 2 - drho).max())
     return [_bound("sld-residual over 500 scenarios", worst, 1e-10)]
 
 
 def suite_bound_chain() -> list[Check]:
     rng = np.random.default_rng(20240902)
-    worst = -math.inf
-    for _ in range(500):
+
+    def draw():
         k, z = _random_point(rng, k_lo=0.02)
-        v = complex(rng.normal(), rng.normal())
-        dk = float(rng.normal()) * 0.4
-        rho = rho_of_kz(qubit_point(k, z))
-        drho = assemble_drho(k, z, dk, v)
-        axis = rng.normal(size=3)
-        povm = projector_pair(axis / np.linalg.norm(axis))
-        gap = classical_fisher(rho, drho, povm) - quantum_fisher(rho, drho)
-        worst = max(worst, gap)
+        v, dk, axis = complex(rng.normal(), rng.normal()), rng.normal() * 0.4, rng.normal(size=3)
+        return k, z, v, dk, axis / np.linalg.norm(axis)
+
+    k, z, v, dk, axes = _columns(draw() for _ in range(500))
+    rho, drho = _qubit_stacks(k, z, dk, v)
+    worst = float((classical_fisher_stack(rho, drho, pair_outcomes(axes)) - _qfi(rho, drho)).max())
     checks = [_bound("classical <= quantum over 500 POVM draws", worst, 1e-9, "signed gap")]
 
     worst = -math.inf
@@ -123,14 +137,10 @@ def suite_bound_chain() -> list[Check]:
 
 def suite_closed_forms() -> list[Check]:
     rng = np.random.default_rng(20240903)
-    worst = 0.0
-    for _ in range(200):
-        k, z = _random_point(rng, k_lo=0.02)
-        v = complex(rng.normal(), rng.normal())
-        dk = float(rng.normal()) * 0.4
-        closed = qfi_qubit_closed_form(k, dk, z, v).total
-        general = quantum_fisher(rho_of_kz(qubit_point(k, z)), assemble_drho(k, z, dk, v))
-        worst = max(worst, abs(closed - general))
+    k, z, v, dk = _columns((*_random_point(rng, k_lo=0.02), complex(rng.normal(), rng.normal()), rng.normal() * 0.4)
+                           for _ in range(200))
+    closed = np.array([qfi_qubit_closed_form(*point).total for point in zip(k, dk, z, v)])
+    worst = float(np.abs(closed - _qfi(*_qubit_stacks(k, z, dk, v))).max())
     ref = abs(qfi_qubit_closed_form(0.25, 1.0, 0j, 0j).transverse - 16.0 / 3.0)
     return [
         _bound("closed form vs general solver over 200 points", worst, 1e-9),
@@ -140,14 +150,11 @@ def suite_closed_forms() -> list[Check]:
 
 def suite_mixing_suppression() -> list[Check]:
     rng = np.random.default_rng(20240904)
-    worst = 0.0
-    for _ in range(100):
-        k, z = _random_point(rng, k_lo=0.02)
-        v = complex(rng.normal(), rng.normal())
-        mixed = quantum_fisher(rho_of_kz(qubit_point(k, z)), assemble_drho(k, z, 0.0, v))
-        psi = PureState(unitary_of_z(z)[:, 1])
-        pure = quantum_fisher(pure_projector(psi), drho_sphere_pure(z, v))
-        worst = max(worst, abs(mixed - (1 - 2 * k) ** 2 * pure))
+    k, z, v = _columns((*_random_point(rng, k_lo=0.02), complex(rng.normal(), rng.normal())) for _ in range(100))
+    mixed = _qfi(*_qubit_stacks(k, z, 0.0, v))
+    psi = pure_projector_stack(np.array([unitary_of_z(c)[:, 1] for c in z]))
+    pure = _qfi(psi, assemble_drho_stack(0.0, z, 0.0, v))  # the pure family is the k -> 0 limit
+    worst = float(np.abs(mixed - (1 - 2 * k) ** 2 * pure).max())
     return [_bound("sphere QFI = (1-2k)^2 x pure QFI over 100 draws", worst, 1e-9)]
 
 
@@ -178,37 +185,31 @@ def suite_s3_identity() -> list[Check]:
 
 def suite_tensor_identities() -> list[Check]:
     rng = np.random.default_rng(20240906)
-    worst_oracle = worst_im = worst_re = worst_equi = 0.0
-    for _ in range(200):
+
+    def draw():
         k, z = _random_point(rng, k_lo=0.02, k_hi=0.49)
-        v1 = complex(rng.normal(), rng.normal())
-        v2 = complex(rng.normal(), rng.normal())
-        value = fisher_tensor(k, z, v1, v2).value
-        rho0 = reference_density(k)
-        x1 = sphere_tangent_matrix(k, z, v1)
-        x2 = sphere_tangent_matrix(k, z, v2)
-        oracle = 4.0 * complex(np.trace(rho0.matrix @ x1 @ x2))
-        worst_oracle = max(worst_oracle, abs(value - oracle))
-        comm = x1 @ x2 - x2 @ x1
-        anti = x1 @ x2 + x2 @ x1
-        worst_im = max(
-            worst_im, abs(value.imag / 4 - (-0.5j * np.trace(rho0.matrix @ comm)).real)
-        )
-        worst_re = max(
-            worst_re, abs(value.real / 4 - (0.5 * np.trace(rho0.matrix @ anti)).real)
-        )
-        rho = rho_of_kz(qubit_point(k, z))
-        u = unitary_of_z(z)
-        d1 = u @ x1 @ u.conj().T  # sphere drho at the rotated point equals U xtilde0 U^dag
-        d2 = u @ x2 @ u.conj().T
-        w = _random_unitary(rng, 2)
-        plain = fisher_tensor_general(rho, d1, d2).value
-        rotated = fisher_tensor_general(
-            DensityOp(w @ rho.matrix @ w.conj().T),
-            w @ d1 @ w.conj().T,
-            w @ d2 @ w.conj().T,
-        ).value
-        worst_equi = max(worst_equi, abs(plain - rotated))
+        v1, v2 = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+        return k, z, v1, v2, _random_unitary(rng, 2)
+
+    k, z, v1, v2, w = _columns(draw() for _ in range(200))
+    value = np.array([fisher_tensor(*point).value for point in zip(k, z, v1, v2)])
+    x1 = np.array([sphere_tangent_matrix(*point) for point in zip(k, z, v1)])
+    x2 = np.array([sphere_tangent_matrix(*point) for point in zip(k, z, v2)])
+    rho0 = np.stack([k, 1.0 - k], axis=1)[:, None] * np.eye(2)  # reference_density(k) = diag(k, 1-k)
+    worst_oracle = float(np.abs(value - 4.0 * traces(rho0 @ x1 @ x2)).max())
+    worst_im = float(np.abs(value.imag / 4 - (-0.5j * traces(rho0 @ (x1 @ x2 - x2 @ x1))).real).max())
+    worst_re = float(np.abs(value.real / 4 - (0.5 * traces(rho0 @ (x1 @ x2 + x2 @ x1))).real).max())
+
+    def tensor(rho, drho):
+        drho = (drho + dagger(drho)) / 2
+        return fisher_tensor_stack(rho, sld_solve_stack(rho, drho))[:, 0, 1]
+
+    rho = rho_of_kz_stack(k, z, Chart.NORTH)
+    u = np.array([unitary_of_z(c) for c in z])[:, None]
+    d = u @ np.stack([x1, x2], axis=1) @ dagger(u)  # sphere drho at the rotated point equals U xtilde0 U^dag
+    rotated = DensityStack(w @ rho.matrices @ dagger(w))
+    w = w[:, None]
+    worst_equi = float(np.abs(tensor(rho, d) - tensor(rotated, w @ d @ dagger(w))).max())
     ref = abs(fisher_tensor(0.25, 0j, 1.0, 1j).value - (-0.5j))
     return [
         _bound("closed form vs matrix oracle over 200 draws", worst_oracle, 1e-10),
@@ -238,69 +239,47 @@ def suite_gkks_relation() -> list[Check]:
     ]
 
 
-def _optimizer_scenarios():
+def _optimizer_scenarios() -> tuple[DensityStack, np.ndarray]:
+    """Great-circle points, then qubit draws on the sphere, transverse, and both at once."""
     rng = np.random.default_rng(20240908)
-    scenarios = []
+
+    def draw(dk_drawn: bool, v_drawn: bool):
+        k, z = _random_point(rng, k_lo=0.05, k_hi=0.45, z_max=3.0)
+        dk = rng.uniform(0.2, 1.0) if dk_drawn else 0.0
+        return k, z, dk, complex(rng.normal(), rng.normal()) if v_drawn else 0j
+
+    # sphere and mixing directions together (the last 6): only there does the optimal axis leave w
+    draws = [draw(False, True) for _ in range(7)] + [draw(True, False) for _ in range(6)]
+    rho, drho = _qubit_stacks(*_columns(draws + [draw(True, True) for _ in range(6)]))
     gc = GreatCirclePure()
-    for theta in np.linspace(0.3, math.pi - 0.3, 7):
-        scenarios.append((gc.rho_at(float(theta)), differentiate_curve(gc, float(theta))))
-    for _ in range(7):
-        k, z = _random_point(rng, k_lo=0.05, k_hi=0.45, z_max=3.0)
-        v = complex(rng.normal(), rng.normal())
-        scenarios.append((rho_of_kz(qubit_point(k, z)), assemble_drho(k, z, 0.0, v)))
-    for _ in range(6):
-        k, z = _random_point(rng, k_lo=0.05, k_hi=0.45, z_max=3.0)
-        scenarios.append(
-            (rho_of_kz(qubit_point(k, z)), assemble_drho(k, z, float(rng.uniform(0.2, 1.0)), 0j))
-        )
-    # sphere and mixing directions together: only here does the optimal axis leave w
-    for _ in range(6):
-        k, z = _random_point(rng, k_lo=0.05, k_hi=0.45, z_max=3.0)
-        dk, v = float(rng.uniform(0.2, 1.0)), complex(rng.normal(), rng.normal())
-        scenarios.append((rho_of_kz(qubit_point(k, z)), assemble_drho(k, z, dk, v)))
-    return scenarios
+    thetas = np.linspace(0.3, math.pi - 0.3, 7)
+    rho = DensityStack(np.concatenate([gc.rho_stack(thetas).matrices, rho.matrices]))
+    return rho, np.concatenate([differentiate_stack(gc, thetas), drho])
 
 
 def suite_optimizer_attainment() -> list[Check]:
-    scenarios = _optimizer_scenarios()
-    worst_gap = worst_basis = 0.0
-    closed = []
-    for rho, drho in scenarios:
-        qfi = quantum_fisher(rho, drho)
-        result = maximize_cfi(rho, drho)
-        closed.append(result.value)
-        worst_gap = max(worst_gap, abs(result.value - qfi))
-        povm = sld_eigenbasis_povm(rho, drho)
-        worst_basis = max(worst_basis, abs(classical_fisher(rho, drho, povm) - qfi))
-    checks = [
-        _bound(f"optimizer reaches QFI over {len(scenarios)} scenarios", worst_gap, 1e-6),
-        _bound(f"SLD eigenbasis attains QFI over {len(scenarios)} scenarios", worst_basis, 1e-8),
-    ]
+    rho, drho = _optimizer_scenarios()
+    n = len(rho)
+    qfi = _qfi(rho, drho)
+    basis = [classical_fisher(rho[i], drho[i], sld_eigenbasis_povm(rho[i], drho[i])) for i in range(n)]
     gc = GreatCirclePure()
-    worst_dev = 0.0
-    for theta in np.linspace(0.05, math.pi - 0.05, 50):
-        rho = gc.rho_at(float(theta))
-        drho = differentiate_curve(gc, float(theta))
-        scenarios.append((rho, drho))
-        result = maximize_cfi(rho, drho)
-        closed.append(result.value)
-        worst_dev = max(worst_dev, math.asin(min(1.0, abs(float(result.axis[1])))))
-    checks.append(
-        _bound("great-circle optimal axis stays in the fixed plane (rad)", worst_dev, 1e-4)
-    )
-
+    thetas = np.linspace(0.05, math.pi - 0.05, 50)
+    rhos = DensityStack(np.concatenate([rho.matrices, gc.rho_stack(thetas).matrices]))
+    drhos = np.concatenate([drho, differentiate_stack(gc, thetas)])
+    results = [maximize_cfi(rhos[i], drhos[i]) for i in range(len(rhos))]
+    closed = np.array([result.value for result in results])
+    worst_dev = max(math.asin(min(1.0, abs(float(result.axis[1])))) for result in results[n:])
     # independent of the SLD: every axis of a Fibonacci grid, in one stacked pass
-    rhos = DensityStack([rho.matrix for rho, _ in scenarios])
-    drhos = np.array([drho for _, drho in scenarios])
     outcomes = pair_outcomes(fibonacci_sphere(1024))[:, :, None]
     best = classical_fisher_stack(rhos, drhos, outcomes).max(axis=0)
-    closed = np.array(closed)
     excess = float(np.max((best - closed) / closed))
-    checks.append(
-        _bound(f"no Fibonacci-grid axis beats the optimizer over {len(scenarios)} scenarios",
-               excess, 1e-9, "relative excess")
-    )
-    return checks
+    return [
+        _bound(f"optimizer reaches QFI over {n} scenarios", float(np.abs(closed[:n] - qfi).max()), 1e-6),
+        _bound(f"SLD eigenbasis attains QFI over {n} scenarios", float(np.abs(basis - qfi).max()), 1e-8),
+        _bound("great-circle optimal axis stays in the fixed plane (rad)", worst_dev, 1e-4),
+        _bound(f"no Fibonacci-grid axis beats the optimizer over {len(rhos)} scenarios",
+               excess, 1e-9, "relative excess"),
+    ]
 
 
 def suite_attainability_soundness() -> list[Check]:

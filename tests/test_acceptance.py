@@ -12,10 +12,28 @@ import pytest
 from qfg import verify
 
 
+#: Checks each suite reports, so that a rewrite cannot silently drop one.
+CHECK_COUNTS = {
+    "sld-residual": 1,
+    "bound-chain": 2,
+    "closed-forms": 2,
+    "mixing-suppression": 1,
+    "s3-identity": 1,
+    "tensor-identities": 5,
+    "gkks-relation": 2,
+    "optimizer-attainment": 4,
+    "attainability-soundness": 3,
+    "finite-difference": 3,
+    "wavefunction": 2,
+    "cli-determinism": 6,
+}
+
+
 def run_suite(number, name, max_seconds=None):
     start = time.perf_counter()
     checks = verify.SUITES[name]()
     elapsed = time.perf_counter() - start
+    assert len(checks) == CHECK_COUNTS[name], [c.name for c in checks]
     ok = all(c.passed for c in checks)
     if max_seconds is not None:
         ok = ok and elapsed <= max_seconds
@@ -29,19 +47,19 @@ def run_suite(number, name, max_seconds=None):
 
 
 def test_criterion_01_sld_residual():
-    run_suite(1, "sld-residual", max_seconds=1.0)
+    run_suite(1, "sld-residual", max_seconds=0.25)
 
 
 def test_criterion_02_bound_chain():
-    run_suite(2, "bound-chain", max_seconds=1.0)
+    run_suite(2, "bound-chain", max_seconds=0.25)
 
 
 def test_criterion_03_closed_forms():
-    run_suite(3, "closed-forms")
+    run_suite(3, "closed-forms", max_seconds=0.25)
 
 
 def test_criterion_04_mixing_suppression():
-    run_suite(4, "mixing-suppression")
+    run_suite(4, "mixing-suppression", max_seconds=0.25)
 
 
 def test_criterion_05_s3_identity():
@@ -49,7 +67,7 @@ def test_criterion_05_s3_identity():
 
 
 def test_criterion_06_fisher_tensor():
-    run_suite(6, "tensor-identities")
+    run_suite(6, "tensor-identities", max_seconds=0.25)
 
 
 def test_criterion_07_gkks_relation():
@@ -78,6 +96,8 @@ def test_criterion_12_cli_determinism():
 
 def test_all_suites_registered():
     assert len(verify.SUITES) == 12
+    assert list(verify.SUITES) == list(CHECK_COUNTS)
+    assert sum(CHECK_COUNTS.values()) == 32
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))

@@ -2,9 +2,10 @@
 
 ``qfg scan`` evaluates thetas in stacked chunks, while the single-theta
 functions are the one-row case of the same kernels. These tests compare the
-two with ``==``, for every curve family and mode at d = 2..8, and compare the
-CSV of ``qfg scan`` with the rows the benchmark's traced replay
-(``bench/tracing.py``) builds from the single-theta public calls.
+two with ``==``, for every curve family and mode at d = 2..8, the Fisher tensor
+of two directions included, and compare the CSV of ``qfg scan`` with the rows
+the benchmark's traced replay (``bench/tracing.py``) builds from the
+single-theta public calls.
 """
 
 import importlib.util
@@ -27,10 +28,13 @@ from qfg.errors import DegenerateSld
 from qfg.fisher import (
     classical_fisher,
     classical_fisher_stack,
+    fisher_tensor_general,
+    fisher_tensor_stack,
     qfi_split,
     quantum_fisher,
     quantum_fisher_of_sld,
 )
+from qfg.linalg import dagger
 from qfg.optimize import eigenprojector, sld_eigenbasis, sld_eigenbasis_povm
 from qfg.scenario import parse_scenario
 from qfg.sld import FD, differentiate_curve, differentiate_stack, sld_solve, sld_solve_stack
@@ -123,6 +127,13 @@ def test_rows_equal_single_theta_calls(case, n, data):
     cfi_sld = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
     povm = scenario.povm
     cfi_povm = None if povm is None else classical_fisher_stack(rho, drho, povm.stack[:, None])
+    # a second direction at every row: i[G, rho] for a Hermitian G stays in the support of rho
+    gen = np.diag(np.arange(rho.dim, dtype=float)) + 0.5
+    d2 = 1j * (gen @ rho.matrices - rho.matrices @ gen)
+    d2 = (d2 + dagger(d2)) / 2
+    tensor = fisher_tensor_stack(rho, sld_solve_stack(rho, np.stack([drho, d2], axis=1)))
+    scale = max(1.0, float(np.abs(tensor).max()))
+    assert np.allclose(tensor, tensor.swapaxes(1, 2).conj(), rtol=0.0, atol=1e-12 * scale)
 
     rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
     for i in rows:
@@ -133,7 +144,8 @@ def test_rows_equal_single_theta_calls(case, n, data):
         d1 = differentiate_curve(curve, theta, mode, h)
         assert (d1 == drho[i]).all()
         assert (sld_solve(single, d1) == ell[i]).all()
-        assert quantum_fisher(single, d1) == qfi[i]
+        assert quantum_fisher(single, d1) == qfi[i] == max(tensor[i, 0, 0].real, 0.0)
+        assert fisher_tensor_general(single, d1, d2[i]).value == tensor[i, 0, 1]
         split = qfi_split(curve, single.stack, np.array([theta]), h, np.array([qfi[i]]))
         assert (split[0][0], split[1][0]) == (sphere[i], transverse[i])
         try:

@@ -9,16 +9,21 @@ from qfg.errors import (
     SupportMismatch,
     TableResolutionError,
 )
+from qfg.fisher import quantum_fisher
 from qfg.linalg import DensityOp, PAULI_X
 from qfg.sld import (
     ANALYTIC,
     FD,
+    RANK_GUARD,
+    SUPPORT_CUTOFF,
+    SUPPORT_LEAK_TOL,
     GreatCirclePure,
     PureQditCoeffs,
     SphereCurve,
     TableCurve,
     TangentDir,
     TransverseCurve,
+    assemble_drho_stack,
     differentiate_curve,
     drho_sphere,
     drho_sphere_pure,
@@ -233,7 +238,8 @@ class TestTangentDir:
 
     def test_transverse_allowed_at_infinity(self):
         t = TangentDir(qubit_point(0.25, "inf"), dk=1.0)
-        assert np.allclose(t.drho, np.diag([1, -1]))
+        assert np.array_equal(t.drho, np.diag([1, -1]))
+        assert np.array_equal(assemble_drho_stack(0.25, np.array([np.inf]), 1.0, 0j), t.drho[None])
 
     def test_xtilde0_matches_geometry_constructor(self):
         # TangentDir.xtilde0 is geometry's constructor; both are checked against
@@ -259,6 +265,7 @@ class TestTangentDir:
 
         rng = np.random.default_rng(28)
         h = 1e-6
+        points, drhos = [], []
         for _ in range(50):
             k = rng.uniform(0.02, 0.45)
             z = complex(rng.normal(), rng.normal())
@@ -268,6 +275,11 @@ class TestTangentDir:
             drho = TangentDir(qubit_point(k, z), dk=dk, v=v).drho
             assert np.allclose(drho, (plus - minus) / (2 * h), atol=1e-8)
             assert np.array_equal(drho, assemble_drho(k, z, dk, v))
+            points.append((k, z, dk, v))
+            drhos.append(drho)
+        # every row of the stacked builder is the one-row call
+        k, z, dk, v = (np.array(column) for column in zip(*points))
+        assert np.array_equal(assemble_drho_stack(k, z, dk, v), np.array(drhos))
 
     def test_sphere_drho_is_rotated_reference_tangent(self):
         # the reference matrix tangent IS drho at the reference point
@@ -281,6 +293,38 @@ class TestTangentDir:
             t = TangentDir(qubit_point(k, z), v=v)
             u = unitary_of_z(z)
             assert np.allclose(drho_sphere(k, z, v), u @ t.xtilde0 @ u.conj().T, atol=1e-12)
+
+
+class TestGuardEdges:
+    def test_rank_guard_edge(self):
+        # k = RANK_GUARD keeps a rank-2 curve, with QFI dk^2 / (k (1-k)); the next float below is rejected
+        curve = TransverseCurve(k0=RANK_GUARD, rate=1.0)
+        rho, drho = curve.rho_at(0.0), differentiate_curve(curve, 0.0)
+        assert quantum_fisher(rho, drho) == pytest.approx(1.0 / (RANK_GUARD * (1.0 - RANK_GUARD)), rel=1e-12)
+        below = TransverseCurve(k0=float(np.nextafter(RANK_GUARD, 0.0)), rate=1.0)
+        with pytest.raises(DomainError):
+            below.rho_at(0.0)
+
+    @pytest.mark.parametrize("pair_sum", [1.01 * SUPPORT_CUTOFF, SUPPORT_CUTOFF, 0.99 * SUPPORT_CUTOFF],
+                             ids=["above", "at", "below"])
+    def test_support_cutoff_edge(self, pair_sum):
+        # the (0, 0) eigenvalue pair of diag(lam, 1 - lam) sums to 2 lam: above the cutoff it enters L
+        lam = pair_sum / 2
+        rho = DensityOp(np.diag([lam, 1.0 - lam]))
+        d = 1e-13
+        ell = sld_solve(rho, np.diag([d, -d]))
+        expected = d / lam if pair_sum > SUPPORT_CUTOFF else 0.0
+        assert ell[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert ell[1, 1] == pytest.approx(-d / (1.0 - lam), rel=1e-12)
+
+    def test_support_leak_edge(self):
+        # off the support, drho weight up to SUPPORT_LEAK_TOL is zeroed in L; more leaves the support
+        rho = DensityOp(np.diag([0.0, 1.0]))
+        d = SUPPORT_LEAK_TOL
+        assert np.array_equal(sld_solve(rho, np.diag([d, -d])), np.diag([0.0, -d]))
+        d = float(np.nextafter(SUPPORT_LEAK_TOL, 1.0))
+        with pytest.raises(SupportMismatch):
+            sld_solve(rho, np.diag([d, -d]))
 
 
 def test_pure_qdit_flow_preserves_norm():
