@@ -5,6 +5,8 @@ and an ``exit_code``: 2 for bad input, 3 for numerical failures raised while
 computing.
 """
 
+import functools
+
 
 class QfgError(Exception):
     """Base class for all qfg errors."""
@@ -97,3 +99,20 @@ class NonFiniteResult(QfgError, ValueError):
     """A computed value overflowed to Inf or NaN and cannot be written out."""
 
     kind = "non-finite-result"
+
+
+def overflow_is_non_finite(fn):
+    """Make a closed form on Python floats raise NonFiniteResult where its arithmetic overflows.
+
+    A Python float power raises OverflowError where numpy would give inf;
+    finite results are returned unchanged.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise NonFiniteResult(f"{fn.__name__}: a computed value overflows the float range") from None
+
+    return wrapper

@@ -26,7 +26,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidPovm, NotAPovm, NotNormalized, QfgError
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    InvalidPovm,
+    NotAPovm,
+    NotNormalized,
+    QfgError,
+    overflow_is_non_finite,
+)
 from .linalg import (
     PSD_EIGENVALUE_FLOOR,
     DensityOp,
@@ -182,6 +190,7 @@ class QubitQfi(NamedTuple):
     total: float
 
 
+@overflow_is_non_finite
 def qfi_qubit_closed_form(k: float, dk: float, z: complex, v: complex) -> QubitQfi:
     """Closed-form qubit QFI split into sphere and transverse contributions.
 
@@ -200,6 +209,7 @@ def _transverse_qfi(k, dk):
     return dk * dk / (k * (1.0 - k))
 
 
+@overflow_is_non_finite
 def total_fisher_metric(
     k: float, z: complex, t1: tuple[float, complex], t2: tuple[float, complex]
 ) -> float:
@@ -231,6 +241,7 @@ class FisherTensorValue:
         return self.value.imag
 
 
+@overflow_is_non_finite
 def fisher_tensor(k: float, z: complex, v: complex, v2: complex) -> FisherTensorValue:
     """Closed-form Fisher tensor on sphere tangents (v, v2) at (k, z)."""
     require_mixing_weight(k)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotOrthogonal, NotTangentForm
+from .errors import DimensionMismatch, DomainError, NotOrthogonal, NotTangentForm, overflow_is_non_finite
 from .linalg import DensityOp, as_matrix, comm_anticomm, require_hermitian
 from .sld import sphere_tangent_matrix  # noqa: F401  (re-exported)
 from .states import PureState, require_mixing_weight
@@ -75,6 +75,7 @@ def fs_kks_at(rho: DensityOp, k1, k2) -> KahlerPair:
     return KahlerPair(g.real, omega.real)
 
 
+@overflow_is_non_finite
 def coordinate_forms(z: complex, v: complex, v2: complex) -> KahlerPair:
     """Sphere metric and symplectic form in the stereographic chart.
 

@@ -62,6 +62,8 @@ def attainability_check(rho: DensityOp, drho, m, tol: float = 1e-8) -> Attainabi
     """
     ell = sld_solve(rho, drho)
     root_m = psd_sqrt(m)
+    if root_m.shape[0] != rho.dim:
+        raise DomainError(f"POVM dimension {root_m.shape[0]} does not match rho dimension {rho.dim}")
     b = root_m @ rho.sqrt
     norm_b = float(np.linalg.norm(b))
     if norm_b <= 1e-12:

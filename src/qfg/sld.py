@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     SupportMismatch,
     TableResolutionError,
+    overflow_is_non_finite,
 )
 from .linalg import (
     DensityOp,
@@ -360,6 +361,7 @@ def sld_solve(rho: DensityOp, drho) -> np.ndarray:
     return sld_solve_stack(rho.stack, require_direction(drho, rho.dim)[None])[0]
 
 
+@overflow_is_non_finite
 def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     """Closed-form SLD of the transverse (mixing-weight) direction at (k, z)."""
     require_mixing_weight(k)
@@ -410,6 +412,7 @@ def drho_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     return assemble_drho_stack(k, require_finite_coords(np.array([complex(z)])), dk, 0.0)[0]
 
 
+@overflow_is_non_finite
 def connection_coefficient(z: complex) -> complex:
     """Chart coefficient lambda = e^{-2i chi} / (1 + |z|^2), with chi := 0 at z = 0."""
     z = complex(z)

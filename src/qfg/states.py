@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ChartSingularity, DomainError, NotNormalized
+from .errors import ChartSingularity, DomainError, NotNormalized, overflow_is_non_finite
 from .linalg import DensityOp, DensityStack
 
 
@@ -269,6 +269,7 @@ def s3_embed(point: QubitPoint) -> S3Point:
     )
 
 
+@overflow_is_non_finite
 def spherical_tangent(z: complex, v: complex) -> tuple[float, float]:
     """Push a stereographic velocity v = dz/dt to (dtheta, dphi).
 

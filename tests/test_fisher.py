@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfg.errors import DomainError, InvalidPovm, NotAPovm, NotNormalized
+from qfg.errors import DomainError, InvalidPovm, NonFiniteResult, NotAPovm, NotNormalized
 from qfg.fisher import (
     EPS_P,
     FisherTensorValue,
@@ -23,8 +23,9 @@ from qfg.fisher import (
     wavefunction_fisher,
 )
 from qfg.linalg import DensityOp, PAULI_Y
-from qfg.sld import GreatCirclePure, differentiate_curve, drho_sphere
-from qfg.states import qubit_point, rho_of_kz
+from qfg.geometry import coordinate_forms
+from qfg.sld import GreatCirclePure, connection_coefficient, differentiate_curve, drho_sphere, sld_transverse
+from qfg.states import qubit_point, rho_of_kz, spherical_tangent
 
 SZ_PAIR = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 SY_PAIR = Povm([(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2])
@@ -305,3 +306,31 @@ def test_mixing_suppression_against_pure_family():
 
 def test_eps_p_constant():
     assert EPS_P == 1e-12
+
+
+@pytest.mark.parametrize("p0, counted", [
+    (np.nextafter(EPS_P, 1.0), True),
+    (EPS_P, False),
+    (np.nextafter(EPS_P, 0.0), False),
+], ids=["just-above", "at", "just-below"])
+def test_eps_p_edge(p0, counted):
+    # an outcome of probability p > EPS_P adds dp^2 / p; one at or below it adds nothing
+    dp = 1e-7
+    value = classical_fisher(DensityOp(np.diag([p0, 1.0 - p0])), np.diag([dp, -dp]), SZ_PAIR)
+    expected = dp * dp / (1.0 - p0) + (dp * dp / p0 if counted else 0.0)
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qfi_qubit_closed_form(0.25, 0.0, 1e200, 1),
+    lambda: coordinate_forms(1e200, 1, 1),
+    lambda: total_fisher_metric(0.25, 1e200, (0.1, 1), (0.1, 1)),
+    lambda: fisher_tensor(0.25, 1e200, 1, 1),
+    lambda: sld_transverse(0.25, 1, 1e200),
+    lambda: connection_coefficient(1e200),
+    lambda: spherical_tangent(1e200, 1),
+], ids=["qfi_qubit_closed_form", "coordinate_forms", "total_fisher_metric", "fisher_tensor", "sld_transverse",
+        "connection_coefficient", "spherical_tangent"])
+def test_closed_form_overflow_raises_non_finite_result(call):
+    with pytest.raises(NonFiniteResult):
+        call()

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from qfg.errors import DimensionMismatch, NonHermitianInput, NotNormalized, NotPositiveSemidefinite
 from qfg.linalg import (
+    SQRT_RANK_CUTOFF,
     DensityOp,
     PAULI_X,
     PAULI_Y,
@@ -94,6 +95,13 @@ class TestPsdSqrt:
     def test_clamps_tiny_negative(self):
         root = psd_sqrt(np.diag([-5e-11, 1.0]))
         assert np.allclose(root, np.diag([0.0, 1.0]), atol=1e-5)
+
+    def test_rank_cutoff_edge(self):
+        # an eigenvalue at SQRT_RANK_CUTOFF * max(1, lam_max) counts as zero; one at twice that is kept
+        assert np.array_equal(psd_sqrt(np.diag([SQRT_RANK_CUTOFF, 1.0])), np.diag([0.0, 1.0]))
+        kept = psd_sqrt(np.diag([2 * SQRT_RANK_CUTOFF, 1.0]))
+        assert kept[0, 0] == pytest.approx(np.sqrt(2 * SQRT_RANK_CUTOFF), rel=1e-12)
+        assert kept[1, 1] == 1.0
 
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveSemidefinite):

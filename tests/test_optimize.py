@@ -80,6 +80,11 @@ class TestAttainabilityCheck:
         report = attainability_check(rho, PAULI_X, np.diag([0.0, 1.0]))
         assert report.attains and report.vacuous and report.c == 0.0
 
+    def test_element_of_the_wrong_dimension_rejected(self):
+        rho = DensityOp(np.diag([0.3, 0.7]))
+        with pytest.raises(DomainError, match="POVM dimension 3 does not match rho dimension 2"):
+            attainability_check(rho, np.diag([0.1, -0.1]), np.eye(3) / 3)
+
     def test_gauge_phase_robustness(self):
         # phase-multiplied eigenvectors perturb the projector at 1e-16;
         # the check must not amplify that into a spurious failure
