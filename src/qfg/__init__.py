@@ -33,7 +33,6 @@ from .fisher import (
     Povm,
     QubitQfi,
     WavefunctionGrid,
-    assemble_drho,
     classical_fisher,
     fisher_tensor,
     fisher_tensor_general,
@@ -54,6 +53,7 @@ from .geometry import (
     k_generator,
     reference_density,
     round_s3_metric,
+    sphere_generator,
     sphere_tangent_matrix,
 )
 from .linalg import (
@@ -85,12 +85,9 @@ from .sld import (
     PureQditCoeffs,
     SphereCurve,
     TableCurve,
-    TangentDir,
     TransverseCurve,
+    assemble_drho,
     differentiate_curve,
-    drho_sphere,
-    drho_sphere_pure,
-    drho_transverse,
     sld_solve,
     sld_transverse,
 )

@@ -16,11 +16,17 @@ SLDs per rho: the QFI is its real diagonal and ``fisher_tensor_general`` its
 one-row, two-direction case. On a qubit sphere tangent pair (v, v') it
 reduces to
 
-    4 (k1-k2)^2 / (1+|z|^2)^2 * [ (k1+k2) Re(v* v') + i (k1-k2) Im(v* v') ].
+    4 (k1-k2)^2 / (1+|z|^2)^2 * [ (k1+k2) Re(v* v') + i (k1-k2) Im(v* v') ],
+
+the pure-state pair of ``geometry.coordinate_forms`` weighted by (k1-k2)^2
+and (k1-k2)^3. ``_sphere_tensor`` is the one closed form of it:
+``fisher_tensor``, ``total_fisher_metric``, ``qfi_qubit_closed_form`` and
+``coordinate_forms`` (its k = 0 row) call it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -30,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvalidPovm,
+    NonFiniteResult,
     NotAPovm,
     NotNormalized,
     QfgError,
@@ -45,7 +52,6 @@ from .linalg import (
     traces,
 )
 from .sld import TableCurve, TransverseCurve, require_direction, sld_solve, sld_solve_stack
-from .sld import assemble_drho  # noqa: F401  (re-export)
 from .states import require_mixing_weight
 
 #: Outcomes with probability at or below this are excluded from classical sums.
@@ -190,6 +196,15 @@ class QubitQfi(NamedTuple):
     total: float
 
 
+def _sphere_tensor(k: float, z: complex, v: complex, v2: complex) -> complex:
+    """The closed-form Fisher tensor on sphere tangents (v, v2) at (k, z); k is trusted, k = 0 is the pure family."""
+    z = complex(z)
+    kdiff = 2.0 * k - 1.0
+    pref = 4.0 * kdiff * kdiff / (1.0 + abs(z) ** 2) ** 2
+    ip = complex(v).conjugate() * complex(v2)
+    return pref * (ip.real + 1j * kdiff * ip.imag)
+
+
 @overflow_is_non_finite
 def qfi_qubit_closed_form(k: float, dk: float, z: complex, v: complex) -> QubitQfi:
     """Closed-form qubit QFI split into sphere and transverse contributions.
@@ -197,10 +212,9 @@ def qfi_qubit_closed_form(k: float, dk: float, z: complex, v: complex) -> QubitQ
     sphere = 4 (k1-k2)^2 |v|^2 / (1+|z|^2)^2, transverse = dk^2 / (k (1-k)).
     """
     require_mixing_weight(k)
-    z = complex(z)
-    v = complex(v)
-    kdiff = 2.0 * k - 1.0
-    sphere = 4.0 * kdiff * kdiff * abs(v) ** 2 / (1.0 + abs(z) ** 2) ** 2
+    sphere = _sphere_tensor(k, z, v, v).real
+    if not math.isfinite(sphere):
+        raise NonFiniteResult("qfi_qubit_closed_form: a computed value overflows the float range")
     transverse = _transverse_qfi(k, dk)
     return QubitQfi(sphere, transverse, sphere + transverse)
 
@@ -220,10 +234,7 @@ def total_fisher_metric(
     require_mixing_weight(k)
     dk1, v1 = t1
     dk2, v2 = t2
-    kdiff = 2.0 * k - 1.0
-    sphere = 4.0 * kdiff * kdiff * (complex(v1).conjugate() * complex(v2)).real
-    sphere /= (1.0 + abs(complex(z)) ** 2) ** 2
-    return dk1 * dk2 / (k * (1.0 - k)) + sphere
+    return dk1 * dk2 / (k * (1.0 - k)) + _sphere_tensor(k, z, v1, v2).real
 
 
 @dataclass(frozen=True)
@@ -245,11 +256,7 @@ class FisherTensorValue:
 def fisher_tensor(k: float, z: complex, v: complex, v2: complex) -> FisherTensorValue:
     """Closed-form Fisher tensor on sphere tangents (v, v2) at (k, z)."""
     require_mixing_weight(k)
-    z = complex(z)
-    kdiff = 2.0 * k - 1.0
-    pref = 4.0 * kdiff * kdiff / (1.0 + abs(z) ** 2) ** 2
-    ip = complex(v).conjugate() * complex(v2)
-    return FisherTensorValue(pref * (ip.real + 1j * kdiff * ip.imag))
+    return FisherTensorValue(_sphere_tensor(k, z, v, v2))
 
 
 def fisher_tensor_general(rho: DensityOp, drho1, drho2) -> FisherTensorValue:

@@ -22,15 +22,16 @@ point of the orbit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotOrthogonal, NotTangentForm, overflow_is_non_finite
+from .fisher import _sphere_tensor
 from .linalg import DensityOp, as_matrix, comm_anticomm, require_hermitian
-from .sld import sphere_tangent_matrix  # noqa: F401  (re-exported)
-from .states import PureState, require_mixing_weight
+from .states import PureState, require_mixing_weight, unitary_of_z
 
 
 class KahlerPair(NamedTuple):
@@ -77,14 +78,37 @@ def fs_kks_at(rho: DensityOp, k1, k2) -> KahlerPair:
 
 @overflow_is_non_finite
 def coordinate_forms(z: complex, v: complex, v2: complex) -> KahlerPair:
-    """Sphere metric and symplectic form in the stereographic chart.
+    """Sphere metric and symplectic form in the stereographic chart: the k = 0 row of the Fisher tensor.
 
     g = 4 Re(v* v2) / (1+|z|^2)^2, omega = -4 Im(v* v2) / (1+|z|^2)^2.
     """
+    value = _sphere_tensor(0.0, z, v, v2)
+    return KahlerPair(value.real, value.imag)
+
+
+@overflow_is_non_finite
+def connection_coefficient(z: complex) -> complex:
+    """Chart coefficient lambda = e^{-2i chi} / (1 + |z|^2), with chi := 0 at z = 0."""
     z = complex(z)
-    ip = complex(v).conjugate() * complex(v2)
-    pref = 4.0 / (1.0 + abs(z) ** 2) ** 2
-    return KahlerPair(pref * ip.real, -pref * ip.imag)
+    chi = cmath.phase(z) if z != 0 else 0.0
+    return cmath.exp(-2j * chi) / (1.0 + abs(z) ** 2)
+
+
+def sphere_tangent_matrix(k: float, z: complex, v: complex) -> np.ndarray:
+    """Reference-frame matrix tangent (k1-k2) [[0, v* lam*], [v lam, 0]]."""
+    require_mixing_weight(k)
+    lv = connection_coefficient(z) * complex(v)
+    return (2.0 * k - 1.0) * np.array([[0.0, lv.conjugate()], [lv, 0.0]], dtype=complex)
+
+
+def sphere_generator(z: complex, v: complex) -> np.ndarray:
+    """Hermitian K with -i[K, rho(k, z)] equal to the sphere drho of velocity v at z, for every k.
+
+    K = U(z) K0 U(z)^dag with K0 = i [[0, -(v lam)*], [v lam, 0]].
+    """
+    lv = connection_coefficient(z) * complex(v)
+    u = unitary_of_z(z)
+    return u @ (1j * np.array([[0.0, -lv.conjugate()], [lv, 0.0]], dtype=complex)) @ u.conj().T
 
 
 def complex_structure(xt) -> np.ndarray:

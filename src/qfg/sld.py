@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ChartSingularity,
     DimensionMismatch,
     DomainError,
     SupportMismatch,
@@ -48,7 +47,6 @@ from .states import (
     require_mixing_weight,
     require_normalized,
     rho_of_kz_stack,
-    unitary_of_z,
 )
 
 ANALYTIC = "analytic"
@@ -395,92 +393,7 @@ def assemble_drho_stack(k, z: np.ndarray, dk, v) -> np.ndarray:
     return drho.reshape(-1, 2, 2)
 
 
-def drho_sphere(k: float, z: complex, v: complex) -> np.ndarray:
-    """Sphere-direction drho at mixing k, point z, stereographic velocity v."""
-    require_mixing_weight(k)
-    return assemble_drho_stack(k, require_finite_coords(np.array([complex(z)])), 0.0, v)[0]
-
-
-def drho_sphere_pure(z: complex, v: complex) -> np.ndarray:
-    """Sphere-direction drho of the pure projector family (the k -> 0 limit)."""
-    return assemble_drho_stack(0.0, require_finite_coords(np.array([complex(z)])), 0.0, v)[0]
-
-
-def drho_transverse(k: float, dk: float, z: complex) -> np.ndarray:
-    """Transverse drho: dk * U(z) diag(1, -1) U(z)^dag."""
-    require_mixing_weight(k)
-    return assemble_drho_stack(k, require_finite_coords(np.array([complex(z)])), dk, 0.0)[0]
-
-
-@overflow_is_non_finite
-def connection_coefficient(z: complex) -> complex:
-    """Chart coefficient lambda = e^{-2i chi} / (1 + |z|^2), with chi := 0 at z = 0."""
-    z = complex(z)
-    chi = cmath.phase(z) if z != 0 else 0.0
-    return cmath.exp(-2j * chi) / (1.0 + abs(z) ** 2)
-
-
-def sphere_tangent_matrix(k: float, z: complex, v: complex) -> np.ndarray:
-    """Reference-frame matrix tangent (k1-k2) [[0, v* lam*], [v lam, 0]]."""
-    require_mixing_weight(k)
-    lv = connection_coefficient(z) * complex(v)
-    return (2.0 * k - 1.0) * np.array([[0.0, lv.conjugate()], [lv, 0.0]], dtype=complex)
-
-
 def assemble_drho(k: float, z: complex, dk: float, v: complex) -> np.ndarray:
-    """Full qubit drho for the combined tangent (dk, v) at (k, z)."""
-    return TangentDir(QubitPoint(k, z), dk, v).drho
-
-
-@dataclass(frozen=True)
-class TangentDir:
-    """Tangent (dk, v) at a chart point, with its matrix representations.
-
-    ``drho`` is the full direction (sphere + transverse); ``generator`` is the
-    Hermitian K with -i[K, rho] equal to the sphere part; ``xtilde0`` is the
-    reference-frame matrix tangent (k1-k2) [[0, v* lam*], [v lam, 0]].
-    """
-
-    point: QubitPoint
-    dk: float = 0.0
-    v: complex = 0j
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", complex(self.v))
-        if self.point.at_infinity and self.v != 0:
-            raise ChartSingularity(
-                "sphere velocity is chart-undefined at the infinity pole; use the north chart"
-            )
-
-    @property
-    def _z(self) -> complex:
-        return 0j if self.point.at_infinity else self.point.z
-
-    @cached_property
-    def drho_sphere_part(self) -> np.ndarray:
-        return drho_sphere(self.point.k, self._z, self.v)
-
-    @cached_property
-    def drho(self) -> np.ndarray:
-        z = np.inf if self.point.at_infinity else self.point.z
-        return assemble_drho_stack(self.point.k, np.array([z]), self.dk, self.v)[0]
-
-    @cached_property
-    def lam(self) -> complex:
-        return connection_coefficient(self._z)
-
-    @cached_property
-    def xtilde0(self) -> np.ndarray:
-        return sphere_tangent_matrix(self.point.k, self._z, self.v)
-
-    @cached_property
-    def xtilde(self) -> np.ndarray:
-        u = unitary_of_z(self._z)
-        return u @ self.xtilde0 @ u.conj().T
-
-    @cached_property
-    def generator(self) -> np.ndarray:
-        lv = self.lam * self.v
-        k0 = 1j * np.array([[0.0, -lv.conjugate()], [lv, 0.0]], dtype=complex)
-        u = unitary_of_z(self._z)
-        return u @ k0 @ u.conj().T
+    """Full qubit drho for the combined tangent (dk, v) at (k, z): one checked row of ``assemble_drho_stack``."""
+    require_mixing_weight(k)
+    return assemble_drho_stack(k, require_finite_coords(np.array([complex(z)])), dk, v)[0]

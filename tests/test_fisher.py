@@ -11,7 +11,6 @@ from qfg.fisher import (
     FisherTensorValue,
     Povm,
     WavefunctionGrid,
-    assemble_drho,
     classical_fisher,
     fisher_tensor,
     fisher_tensor_general,
@@ -23,8 +22,8 @@ from qfg.fisher import (
     wavefunction_fisher,
 )
 from qfg.linalg import DensityOp, PAULI_Y
-from qfg.geometry import coordinate_forms
-from qfg.sld import GreatCirclePure, connection_coefficient, differentiate_curve, drho_sphere, sld_transverse
+from qfg.geometry import connection_coefficient, coordinate_forms
+from qfg.sld import GreatCirclePure, assemble_drho, assemble_drho_stack, differentiate_curve, sld_transverse
 from qfg.states import qubit_point, rho_of_kz, spherical_tangent
 
 SZ_PAIR = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -178,7 +177,7 @@ class TestFisherTensor:
 
     def test_general_matches_closed_form(self):
         rho = rho_of_kz(qubit_point(0.25, 0))
-        value = fisher_tensor_general(rho, drho_sphere(0.25, 0, 1), drho_sphere(0.25, 0, 1j))
+        value = fisher_tensor_general(rho, assemble_drho(0.25, 0, 0.0, 1), assemble_drho(0.25, 0, 0.0, 1j))
         assert value.value == pytest.approx(-0.5j, abs=1e-12)
 
     def test_diagonal_equals_qfi(self):
@@ -290,7 +289,6 @@ class TestWavefunctionFisher:
 
 
 def test_mixing_suppression_against_pure_family():
-    from qfg.sld import drho_sphere_pure
     from qfg.states import PureState, pure_projector, unitary_of_z
 
     rng = np.random.default_rng(36)
@@ -298,9 +296,9 @@ def test_mixing_suppression_against_pure_family():
         k = rng.uniform(0.02, 0.5)
         z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 3)
         v = complex(rng.normal(), rng.normal())
-        mixed = quantum_fisher(rho_of_kz(qubit_point(k, z)), drho_sphere(k, z, v))
+        mixed = quantum_fisher(rho_of_kz(qubit_point(k, z)), assemble_drho(k, z, 0.0, v))
         psi = PureState(unitary_of_z(z)[:, 1])
-        pure = quantum_fisher(pure_projector(psi), drho_sphere_pure(z, v))
+        pure = quantum_fisher(pure_projector(psi), assemble_drho_stack(0.0, np.array([z]), 0.0, v)[0])
         assert mixed == pytest.approx((1 - 2 * k) ** 2 * pure, abs=1e-9)
 
 

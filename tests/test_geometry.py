@@ -9,6 +9,7 @@ from qfg.errors import DomainError, NotOrthogonal, NotTangentForm
 from qfg.fisher import fisher_tensor, quantum_fisher
 from qfg.geometry import (
     complex_structure,
+    connection_coefficient,
     coordinate_forms,
     fs_kks_at,
     g_kks,
@@ -19,7 +20,6 @@ from qfg.geometry import (
     sphere_tangent_matrix,
 )
 from qfg.linalg import DensityOp, PAULI_X, PAULI_Y
-from qfg.sld import connection_coefficient
 from qfg.states import (
     PureState,
     chart_convert,

@@ -13,7 +13,6 @@ from qfg.errors import (
     ZeroVelocityCurve,
 )
 from qfg.fisher import (
-    assemble_drho,
     classical_fisher,
     classical_fisher_stack,
     povm_diagnose,
@@ -31,7 +30,7 @@ from qfg.optimize import (
     reach_check_pure,
     sld_eigenbasis_povm,
 )
-from qfg.sld import RANK_GUARD, GreatCirclePure, TransverseCurve, differentiate_curve
+from qfg.sld import RANK_GUARD, GreatCirclePure, TransverseCurve, assemble_drho, differentiate_curve
 from qfg.states import qubit_point, rho_of_kz
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qfg.errors import (
-    ChartSingularity,
     DomainError,
     SupportMismatch,
     TableResolutionError,
 )
 from qfg.fisher import quantum_fisher
+from qfg.geometry import sphere_generator, sphere_tangent_matrix
 from qfg.linalg import DensityOp, PAULI_X
 from qfg.sld import (
     ANALYTIC,
@@ -21,17 +21,14 @@ from qfg.sld import (
     PureQditCoeffs,
     SphereCurve,
     TableCurve,
-    TangentDir,
     TransverseCurve,
+    assemble_drho,
     assemble_drho_stack,
     differentiate_curve,
-    drho_sphere,
-    drho_sphere_pure,
-    drho_transverse,
     sld_solve,
     sld_transverse,
 )
-from qfg.states import qubit_point, rho_of_kz
+from qfg.states import qubit_point, rho_of_kz, unitary_of_z
 
 
 class TestDifferentiateCurve:
@@ -105,7 +102,7 @@ class TestTableCurve:
     def test_fd_derivative(self):
         curve = self._table()
         drho = differentiate_curve(curve, 0.25, mode=FD, h=1e-3)
-        expected = drho_transverse(0.2 + 0.2 * 0.25, 0.2, 0.5)
+        expected = assemble_drho(0.2 + 0.2 * 0.25, 0.5, 0.2, 0.0)
         assert np.linalg.norm(drho - expected) <= 1e-6
 
     def test_analytic_unsupported(self):
@@ -143,7 +140,7 @@ class TestSldSolve:
             v = complex(rng.normal(), rng.normal())
             dk = rng.normal()
             rho = rho_of_kz(qubit_point(k, z))
-            drho = drho_sphere(k, z, v) + drho_transverse(k, dk, z)
+            drho = assemble_drho(k, z, dk, v)
             ell = sld_solve(rho, drho)
             assert np.linalg.norm((rho.matrix @ ell + ell @ rho.matrix) / 2 - drho) <= 1e-10
 
@@ -173,15 +170,15 @@ class TestClosedFormSlds:
             k = rng.uniform(0.02, 0.5)
             dk = rng.normal()
             z = complex(rng.normal(), rng.normal())
-            expected = sld_solve(rho_of_kz(qubit_point(k, z)), drho_transverse(k, dk, z))
+            expected = sld_solve(rho_of_kz(qubit_point(k, z)), assemble_drho(k, z, dk, 0.0))
             assert np.linalg.norm(sld_transverse(k, dk, z) - expected) <= 1e-10
 
     def test_sphere_example(self):
-        assert np.allclose(drho_sphere(0.25, 0, 1), PAULI_X / 2)
+        assert np.allclose(assemble_drho(0.25, 0, 0.0, 1), PAULI_X / 2)
 
     def test_sphere_zero_cases(self):
-        assert np.allclose(drho_sphere(0.25, 1.3, 0), 0)
-        assert np.allclose(drho_sphere(0.5, 1.3, 1), 0)
+        assert np.allclose(assemble_drho(0.25, 1.3, 0.0, 0), 0)
+        assert np.allclose(assemble_drho(0.5, 1.3, 0.0, 1), 0)
 
     def test_sphere_sld_is_twice_drho(self):
         rng = np.random.default_rng(23)
@@ -190,7 +187,7 @@ class TestClosedFormSlds:
             z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 3)
             v = complex(rng.normal(), rng.normal())
             rho = rho_of_kz(qubit_point(k, z))
-            drho = drho_sphere(k, z, v)
+            drho = assemble_drho(k, z, 0.0, v)
             assert np.linalg.norm(sld_solve(rho, drho) - 2 * drho) <= 1e-10
 
     def test_sphere_anticommutator_identity(self):
@@ -201,18 +198,20 @@ class TestClosedFormSlds:
             z = complex(rng.normal(), rng.normal())
             v = complex(rng.normal(), rng.normal())
             rho = rho_of_kz(qubit_point(k, z)).matrix
-            drho = drho_sphere(k, z, v)
+            drho = assemble_drho(k, z, 0.0, v)
             assert np.linalg.norm(rho @ drho + drho @ rho - drho) <= 1e-10
 
     def test_pure_family_prefactor(self):
         z, v = 0.4 - 0.7j, 1.2 + 0.3j
-        assert np.allclose(drho_sphere_pure(z, v), drho_sphere(0.25, z, v) / (2 * 0.25 - 1) * (-1))
+        pure = assemble_drho_stack(0.0, np.array([z]), 0.0, v)[0]
+        assert np.allclose(pure, assemble_drho(0.25, z, 0.0, v) / (2 * 0.25 - 1) * (-1))
 
 
 class TestTangentDir:
+    """Qubit tangents (dk, v): the drho rows of assemble_drho_stack and their reference-frame forms."""
+
     def test_drho_parts_are_traceless(self):
-        t = TangentDir(qubit_point(0.3, 0.5 + 0.5j), dk=0.2, v=1 - 1j)
-        assert abs(np.trace(t.drho)) <= 1e-12
+        assert abs(np.trace(assemble_drho(0.3, 0.5 + 0.5j, 0.2, 1 - 1j))) <= 1e-12
 
     def test_generator_reproduces_sphere_part(self):
         rng = np.random.default_rng(25)
@@ -220,49 +219,29 @@ class TestTangentDir:
             k = rng.uniform(0.02, 0.49)
             z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 3)
             v = complex(rng.normal(), rng.normal())
-            t = TangentDir(qubit_point(k, z), dk=rng.normal(), v=v)
+            rng.normal()  # a transverse rate, which the generator does not see
+            gen = sphere_generator(z, v)
             rho = rho_of_kz(qubit_point(k, z)).matrix
-            commutator = -1j * (t.generator @ rho - rho @ t.generator)
-            assert np.linalg.norm(commutator - t.drho_sphere_part) <= 1e-10
-
-    def test_xtilde_is_rotated_reference(self):
-        from qfg.states import unitary_of_z
-
-        t = TangentDir(qubit_point(0.25, 1 + 2j), v=0.5 - 0.5j)
-        u = unitary_of_z(1 + 2j)
-        assert np.allclose(t.xtilde, u @ t.xtilde0 @ u.conj().T)
-
-    def test_sphere_velocity_rejected_at_infinity(self):
-        with pytest.raises(ChartSingularity):
-            TangentDir(qubit_point(0.25, "inf"), v=1.0)
+            commutator = -1j * (gen @ rho - rho @ gen)
+            assert np.linalg.norm(commutator - assemble_drho(k, z, 0.0, v)) <= 1e-10
 
     def test_transverse_allowed_at_infinity(self):
-        t = TangentDir(qubit_point(0.25, "inf"), dk=1.0)
-        assert np.array_equal(t.drho, np.diag([1, -1]))
-        assert np.array_equal(assemble_drho_stack(0.25, np.array([np.inf]), 1.0, 0j), t.drho[None])
+        assert np.array_equal(assemble_drho_stack(0.25, np.array([np.inf]), 1.0, 0j), np.diag([1, -1])[None])
 
     def test_xtilde0_matches_geometry_constructor(self):
-        # TangentDir.xtilde0 is geometry's constructor; both are checked against
-        # U(z)^dag (d/dtheta) rho(k, z + theta v) U(z) by central differences of rho_of_kz
-        from qfg.geometry import sphere_tangent_matrix
-        from qfg.states import unitary_of_z
-
+        # the reference-frame tangent is U(z)^dag (d/dtheta) rho(k, z + theta v) U(z), by central differences
         rng = np.random.default_rng(26)
         h = 1e-6
         for _ in range(50):
             k = rng.uniform(0.02, 0.49)
             z = complex(rng.normal(), rng.normal())
             v = complex(rng.normal(), rng.normal())
-            t = TangentDir(qubit_point(k, z), v=v)
             u = unitary_of_z(z)
             fd = (rho_of_kz(qubit_point(k, z + h * v)).matrix - rho_of_kz(qubit_point(k, z - h * v)).matrix) / (2 * h)
-            assert np.allclose(t.xtilde0, u.conj().T @ fd @ u, atol=1e-8)
-            assert np.array_equal(t.xtilde0, sphere_tangent_matrix(k, z, v))
+            assert np.allclose(sphere_tangent_matrix(k, z, v), u.conj().T @ fd @ u, atol=1e-8)
 
     def test_drho_is_derivative_of_rho(self):
         # the combined (dk, v) tangent against central differences of rho_of_kz
-        from qfg.fisher import assemble_drho
-
         rng = np.random.default_rng(28)
         h = 1e-6
         points, drhos = [], []
@@ -272,9 +251,8 @@ class TestTangentDir:
             dk, v = float(rng.normal()) * 0.05, complex(rng.normal(), rng.normal())
             plus = rho_of_kz(qubit_point(k + h * dk, z + h * v)).matrix
             minus = rho_of_kz(qubit_point(k - h * dk, z - h * v)).matrix
-            drho = TangentDir(qubit_point(k, z), dk=dk, v=v).drho
+            drho = assemble_drho(k, z, dk, v)
             assert np.allclose(drho, (plus - minus) / (2 * h), atol=1e-8)
-            assert np.array_equal(drho, assemble_drho(k, z, dk, v))
             points.append((k, z, dk, v))
             drhos.append(drho)
         # every row of the stacked builder is the one-row call
@@ -283,16 +261,13 @@ class TestTangentDir:
 
     def test_sphere_drho_is_rotated_reference_tangent(self):
         # the reference matrix tangent IS drho at the reference point
-        from qfg.states import unitary_of_z
-
         rng = np.random.default_rng(27)
         for _ in range(50):
             k = rng.uniform(0.02, 0.49)
             z = complex(rng.normal(), rng.normal())
             v = complex(rng.normal(), rng.normal())
-            t = TangentDir(qubit_point(k, z), v=v)
             u = unitary_of_z(z)
-            assert np.allclose(drho_sphere(k, z, v), u @ t.xtilde0 @ u.conj().T, atol=1e-12)
+            assert np.allclose(assemble_drho(k, z, 0.0, v), u @ sphere_tangent_matrix(k, z, v) @ u.conj().T, atol=1e-12)
 
 
 class TestGuardEdges:
