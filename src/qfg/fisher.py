@@ -26,6 +26,7 @@ and (k1-k2)^3. ``_sphere_tensor`` is the one closed form of it:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -51,7 +52,7 @@ from .linalg import (
     hermitian_part,
     traces,
 )
-from .sld import TableCurve, TransverseCurve, require_direction, sld_solve, sld_solve_stack
+from .sld import TableCurve, TransverseCurve, require_coefficients, require_direction, sld_solve, sld_solve_stack
 from .states import require_mixing_weight
 
 #: Outcomes with probability at or below this are excluded from classical sums.
@@ -198,10 +199,12 @@ class QubitQfi(NamedTuple):
 
 def _sphere_tensor(k: float, z: complex, v: complex, v2: complex) -> complex:
     """The closed-form Fisher tensor on sphere tangents (v, v2) at (k, z); k is trusted, k = 0 is the pure family."""
-    z = complex(z)
+    z, v, v2 = complex(z), complex(v), complex(v2)
+    if not (cmath.isfinite(z) and cmath.isfinite(v) and cmath.isfinite(v2)):
+        raise DomainError("chart coordinate and sphere velocities must be finite")
     kdiff = 2.0 * k - 1.0
     pref = 4.0 * kdiff * kdiff / (1.0 + abs(z) ** 2) ** 2
-    ip = complex(v).conjugate() * complex(v2)
+    ip = v.conjugate() * v2
     return pref * (ip.real + 1j * kdiff * ip.imag)
 
 
@@ -273,9 +276,7 @@ def pure_qdit_fisher(a: Sequence[complex], xi_outcomes: Sequence) -> tuple[float
     imaginary); ``xi_outcomes`` the rank-one measurement vectors, which must
     satisfy the completeness relation sum_x xi_i(x)* xi_j(x) = delta_ij.
     """
-    a = np.asarray([complex(x) for x in a])
-    if abs(a[0].real) > 1e-12:
-        raise DomainError(f"a[0] = {a[0]!r} must be pure imaginary")
+    a = require_coefficients(a)
     d = a.shape[0]
     xis = [np.asarray(x, dtype=complex).reshape(-1) for x in xi_outcomes]
     for i, xi in enumerate(xis):
@@ -334,15 +335,20 @@ class WavefunctionGrid:
         return float(self.x[1] - self.x[0])
 
 
+@overflow_is_non_finite
 def wavefunction_fisher(grid: WavefunctionGrid) -> tuple[float, float]:
     """Classical and quantum Fisher information of a wavefunction grid.
 
     classical = sum p (d log p)^2 dx over p > eps;
     quantum = classical + sum p (d alpha)^2 dx - (sum p d alpha dx)^2.
+    Raises NonFiniteResult where a sum overflows the float range.
     """
     dx = grid.dx
     mask = grid.p > EPS_P
-    classical = float(np.sum(grid.dp[mask] ** 2 / grid.p[mask]) * dx)
-    mean_dalpha = float(np.sum(grid.p * grid.dalpha) * dx)
-    quantum = classical + float(np.sum(grid.p * grid.dalpha**2) * dx) - mean_dalpha**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        classical = float(np.sum(grid.dp[mask] ** 2 / grid.p[mask]) * dx)
+        mean_dalpha = float(np.sum(grid.p * grid.dalpha) * dx)
+        quantum = classical + float(np.sum(grid.p * grid.dalpha**2) * dx) - mean_dalpha**2
+    if not (math.isfinite(classical) and math.isfinite(quantum)):
+        raise NonFiniteResult("wavefunction_fisher: a computed value overflows the float range")
     return classical, quantum

@@ -28,7 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotOrthogonal, NotTangentForm, overflow_is_non_finite
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    NotNormalized,
+    NotOrthogonal,
+    NotTangentForm,
+    overflow_is_non_finite,
+)
 from .fisher import _sphere_tensor
 from .linalg import DensityOp, as_matrix, comm_anticomm, require_hermitian
 from .states import PureState, require_mixing_weight, unitary_of_z
@@ -90,6 +97,8 @@ def coordinate_forms(z: complex, v: complex, v2: complex) -> KahlerPair:
 def connection_coefficient(z: complex) -> complex:
     """Chart coefficient lambda = e^{-2i chi} / (1 + |z|^2), with chi := 0 at z = 0."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("chart coordinate must be finite")
     chi = cmath.phase(z) if z != 0 else 0.0
     return cmath.exp(-2j * chi) / (1.0 + abs(z) ** 2)
 
@@ -165,4 +174,6 @@ def hermitian_form_pullback(psi, dpsi1, dpsi2) -> complex:
     d1 = np.asarray(dpsi1, dtype=complex).reshape(-1)
     d2 = np.asarray(dpsi2, dtype=complex).reshape(-1)
     norm2 = float(np.vdot(psi, psi).real)
+    if not norm2 > 0.0:
+        raise NotNormalized("psi must be a nonzero vector")
     return complex(np.vdot(d1, d2)) / norm2 - complex(np.vdot(d1, psi) * np.vdot(psi, d2)) / norm2**2

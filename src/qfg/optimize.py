@@ -14,6 +14,7 @@ the eigenbasis of the SLD (Braunstein & Caves, PRL 72, 3439, 1994), so
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +25,9 @@ from .errors import (
     DegenerateSld,
     DimensionUnsupported,
     DomainError,
+    NonFiniteResult,
     ZeroVelocityCurve,
+    overflow_is_non_finite,
 )
 from .fisher import Povm, classical_fisher_stack
 from .linalg import (
@@ -36,7 +39,7 @@ from .linalg import (
     psd_sqrt,
     require_hermitian,
 )
-from .sld import require_direction, sld_solve, sld_solve_stack
+from .sld import require_coefficients, require_direction, sld_solve, sld_solve_stack
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,10 @@ def reach_check_pure(xi: Sequence[complex], a: Sequence[complex]) -> ReachResult
     cutoff): a vanishing S attains trivially with c = 0, and a vanishing xi_1
     attains vacuously with the boundary flag set when velocity weight is lost.
     """
+    a = require_coefficients(a)
     xi = np.asarray([complex(x) for x in xi])
-    a = np.asarray([complex(x) for x in a])
     if xi.shape != a.shape:
         raise DomainError(f"xi and a dimensions differ: {xi.shape} vs {a.shape}")
-    if abs(a[0].real) > 1e-12:
-        raise DomainError(f"a[0] = {a[0]!r} must be pure imaginary")
     if np.all(a[1:] == 0):
         raise ZeroVelocityCurve("all velocity coefficients a_i (i >= 2) vanish")
     xi1 = complex(xi[0])
@@ -124,6 +125,7 @@ class MixedConditionReport:
     lambda_product_real: bool
 
 
+@overflow_is_non_finite
 def mixed_conditions_check(
     xi1: complex, xi2: complex, k: float, lam: complex
 ) -> MixedConditionReport:
@@ -133,12 +135,15 @@ def mixed_conditions_check(
     sphere coefficient lam, the conditions are linear in R; satisfiability
     means all four residuals vanish within 1e-8. Also reports whether the
     derived necessary condition lam * xi1 * xi2* is real within 1e-10.
+    Raises NonFiniteResult where the fit overflows the float range.
     """
     if not (0.0 < k < 0.5):
         raise DomainError(f"k={k!r} outside (0, 1/2)")
     xi1 = complex(xi1)
     xi2 = complex(xi2)
     lam = complex(lam)
+    if not (cmath.isfinite(xi1) and cmath.isfinite(xi2) and cmath.isfinite(lam)):
+        raise DomainError("xi1, xi2 and lam must be finite")
     if xi1 == 0 and xi2 == 0:
         raise DomainError("outcome vector (xi1, xi2) must be nonzero")
     k1, k2 = k, 1.0 - k
@@ -153,9 +158,12 @@ def mixed_conditions_check(
             -cross / k2 + kd * lam.conjugate() * abs(xi1) ** 2,
         ]
     )
-    denom = float(np.sum(np.abs(rhs) ** 2))
-    best_r = float(np.sum((rhs.conj() * lhs).real)) / denom if denom > 0 else 0.0
-    residuals = tuple(float(v) for v in np.abs(lhs - best_r * rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.sum(np.abs(rhs) ** 2))
+        best_r = float(np.sum((rhs.conj() * lhs).real)) / denom if denom > 0 else 0.0
+        residuals = tuple(float(v) for v in np.abs(lhs - best_r * rhs))
+    if not all(map(math.isfinite, (denom, best_r, *residuals))):
+        raise NonFiniteResult("mixed_conditions_check: a computed value overflows the float range")
     prod = lam * cross
     return MixedConditionReport(
         satisfiable=max(residuals) <= 1e-8,
@@ -200,7 +208,10 @@ def _bloch(m: np.ndarray) -> np.ndarray:
 
 def bloch_vector(matrix) -> np.ndarray:
     """Pauli components (Tr[M sx], Tr[M sy], Tr[M sz]) of a Hermitian 2x2 matrix."""
-    return _bloch(require_hermitian(matrix))
+    matrix = require_hermitian(matrix)
+    if matrix.shape != (2, 2):
+        raise DimensionUnsupported(f"Bloch vectors are defined for 2x2 matrices, not {matrix.shape}")
+    return _bloch(matrix)
 
 
 def pair_outcomes(axes) -> np.ndarray:

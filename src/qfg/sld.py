@@ -183,6 +183,18 @@ class TransverseCurve(_StackedCurve):
         return assemble_drho_stack(self._weights(thetas), np.full(len(thetas), z), self.rate, 0.0)
 
 
+def require_coefficients(a) -> np.ndarray:
+    """Check pure d-level velocity coefficients: finite, d >= 2 and a[0] pure imaginary within 1e-12."""
+    a = np.array([complex(x) for x in a], dtype=complex)
+    if len(a) < 2:
+        raise DomainError("coefficient vector needs dimension >= 2")
+    if not np.isfinite(a).all():
+        raise DomainError("velocity coefficients must be finite")
+    if abs(a[0].real) > 1e-12:
+        raise DomainError(f"a[0] = {complex(a[0])!r} must be pure imaginary")
+    return a
+
+
 @dataclass(frozen=True)
 class PureQditCoeffs(_StackedCurve):
     """Pure d-level curve with prescribed velocity coefficients at theta = 0.
@@ -195,13 +207,9 @@ class PureQditCoeffs(_StackedCurve):
     a: tuple[complex, ...]
 
     def __post_init__(self):
-        a = tuple(complex(x) for x in self.a)
-        if len(a) < 2:
-            raise DomainError("coefficient vector needs dimension >= 2")
+        a = tuple(complex(x) for x in require_coefficients(self.a))
         if len(a) > MAX_DIM:
             raise DimensionMismatch(f"dimension {len(a)} exceeds supported maximum {MAX_DIM}")
-        if abs(a[0].real) > 1e-12:
-            raise DomainError(f"a[0] = {a[0]!r} must be pure imaginary")
         object.__setattr__(self, "a", a)
 
     @cached_property
@@ -364,6 +372,8 @@ def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     """Closed-form SLD of the transverse (mixing-weight) direction at (k, z)."""
     require_mixing_weight(k)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("chart coordinate must be finite")
     az2 = abs(z) ** 2
     pref = dk / ((1.0 + az2) * k * (1.0 - k))
     return pref * np.array(

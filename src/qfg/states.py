@@ -277,6 +277,8 @@ def spherical_tangent(z: complex, v: complex) -> tuple[float, float]:
     at the poles z = 0 and z = infinity.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("chart coordinate must be finite")
     if z == 0:
         raise ChartSingularity("spherical tangent undefined at z = 0")
     az2 = abs(z) ** 2

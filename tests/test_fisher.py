@@ -22,7 +22,8 @@ from qfg.fisher import (
     wavefunction_fisher,
 )
 from qfg.linalg import DensityOp, PAULI_Y
-from qfg.geometry import connection_coefficient, coordinate_forms
+from qfg.optimize import mixed_conditions_check
+from qfg.geometry import connection_coefficient, coordinate_forms, sphere_tangent_matrix
 from qfg.sld import GreatCirclePure, assemble_drho, assemble_drho_stack, differentiate_curve, sld_transverse
 from qfg.states import qubit_point, rho_of_kz, spherical_tangent
 
@@ -201,6 +202,17 @@ class TestFisherTensor:
         d2 = np.array([[-0.2, 0.5j], [-0.5j, 0.2]])
         assert fisher_tensor_general(rho, d1, d2).antisym == pytest.approx(0.0, abs=1e-12)
 
+    def test_weighting_of_the_pure_pair(self):
+        # the mixed-chart tensor is the pure Fubini-Study/KKS pair weighted by (k1-k2)^2 and (k1-k2)^3
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            k = rng.uniform(0.02, 0.5)
+            z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 3)
+            v1, v2 = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+            tensor, pure = fisher_tensor(k, z, v1, v2), coordinate_forms(z, v1, v2)
+            assert tensor.sym == pytest.approx((1 - 2 * k) ** 2 * pure.g, rel=1e-12)
+            assert tensor.antisym == pytest.approx((1 - 2 * k) ** 3 * pure.omega, rel=1e-12)
+
     def test_value_container(self):
         v = FisherTensorValue(3.0 - 2.0j)
         assert v.sym == 3.0 and v.antisym == -2.0
@@ -319,16 +331,48 @@ def test_eps_p_edge(p0, counted):
     assert value == pytest.approx(expected, rel=1e-12)
 
 
+def _grid(dp, dalpha):
+    return WavefunctionGrid(x=[0, 1], p=[0.5, 0.5], alpha=[0, 0], dp=dp, dalpha=dalpha)
+
+
 @pytest.mark.parametrize("call", [
     lambda: qfi_qubit_closed_form(0.25, 0.0, 1e200, 1),
+    lambda: qfi_qubit_closed_form(0.25, 0.0, 0, 1e200),
     lambda: coordinate_forms(1e200, 1, 1),
     lambda: total_fisher_metric(0.25, 1e200, (0.1, 1), (0.1, 1)),
     lambda: fisher_tensor(0.25, 1e200, 1, 1),
     lambda: sld_transverse(0.25, 1, 1e200),
     lambda: connection_coefficient(1e200),
     lambda: spherical_tangent(1e200, 1),
-], ids=["qfi_qubit_closed_form", "coordinate_forms", "total_fisher_metric", "fisher_tensor", "sld_transverse",
-        "connection_coefficient", "spherical_tangent"])
+    lambda: mixed_conditions_check(1e200, 1, 0.25, 1),
+    lambda: mixed_conditions_check(1, 1, 0.25, 1e300),
+    lambda: wavefunction_fisher(_grid([-0.5, 1e200], [0, 0])),
+    lambda: wavefunction_fisher(_grid([-0.5, 0.5], [0, 1e200])),
+], ids=["qfi_qubit_closed_form", "qfi_qubit_closed_form-v", "coordinate_forms", "total_fisher_metric",
+        "fisher_tensor", "sld_transverse", "connection_coefficient", "spherical_tangent",
+        "mixed_conditions_check-xi1", "mixed_conditions_check-lam", "wavefunction_fisher-dp",
+        "wavefunction_fisher-dalpha"])
 def test_closed_form_overflow_raises_non_finite_result(call):
     with pytest.raises(NonFiniteResult):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: total_fisher_metric(0.25, math.inf, (0.1, 1), (0.1, 1)),
+    lambda: sphere_tangent_matrix(0.25, math.inf, 1),
+    lambda: fisher_tensor(0.25, 0, math.nan, 1),
+    lambda: fisher_tensor(0.25, 0, 1, math.inf),
+    lambda: qfi_qubit_closed_form(0.25, 0.1, math.nan, 1),
+    lambda: qfi_qubit_closed_form(0.25, 0.1, 0, math.nan),
+    lambda: coordinate_forms(complex(0, math.inf), 1, 1),
+    lambda: connection_coefficient(math.nan),
+    lambda: sld_transverse(0.25, 1, math.nan),
+    lambda: spherical_tangent(math.inf, 1),
+    lambda: mixed_conditions_check(math.nan, 1, 0.25, 1),
+    lambda: mixed_conditions_check(1, 1, 0.25, math.inf),
+], ids=["total_fisher_metric-z", "sphere_tangent_matrix-z", "fisher_tensor-v", "fisher_tensor-v2",
+        "qfi_qubit_closed_form-z", "qfi_qubit_closed_form-v", "coordinate_forms-z", "connection_coefficient-z",
+        "sld_transverse-z", "spherical_tangent-z", "mixed_conditions_check-xi1", "mixed_conditions_check-lam"])
+def test_non_finite_chart_input_is_a_domain_error(call):
+    with pytest.raises(DomainError):
         call()

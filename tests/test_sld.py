@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from qfg.errors import (
+    DimensionUnsupported,
     DomainError,
+    NotNormalized,
     SupportMismatch,
     TableResolutionError,
 )
-from qfg.fisher import quantum_fisher
-from qfg.geometry import sphere_generator, sphere_tangent_matrix
+from qfg.fisher import pure_qdit_fisher, quantum_fisher
+from qfg.geometry import hermitian_form_pullback, sphere_generator, sphere_tangent_matrix
 from qfg.linalg import DensityOp, PAULI_X
+from qfg.optimize import bloch_vector, reach_check_pure
 from qfg.sld import (
     ANALYTIC,
     FD,
@@ -323,3 +326,22 @@ def test_pure_qdit_initial_velocity():
 def test_pure_qdit_rejects_real_a1():
     with pytest.raises(DomainError):
         PureQditCoeffs(a=(0.1, 0.5))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: pure_qdit_fisher([], []), DomainError),
+    (lambda: reach_check_pure([], []), DomainError),
+    (lambda: PureQditCoeffs(a=()), DomainError),
+    (lambda: pure_qdit_fisher([0.3, 0.5], [np.eye(2)[0], np.eye(2)[1]]), DomainError),
+    (lambda: reach_check_pure([1, 0], [0.3, 0.5]), DomainError),
+    (lambda: pure_qdit_fisher([0.1j, np.nan], [np.eye(2)[0], np.eye(2)[1]]), DomainError),
+    (lambda: reach_check_pure([1, 0], [0.1j, np.inf]), DomainError),
+    (lambda: PureQditCoeffs(a=(0.1j, complex(np.nan, 0))), DomainError),
+    (lambda: bloch_vector(np.eye(3)), DimensionUnsupported),
+    (lambda: hermitian_form_pullback([0, 0], [1, 0], [1, 0]), NotNormalized),
+], ids=["fisher-empty", "reach-empty", "curve-empty", "fisher-real-a1", "reach-real-a1", "fisher-nan",
+        "reach-inf", "curve-nan", "bloch-3x3", "pullback-zero-psi"])
+def test_wrong_input_raises_the_documented_kind(call, error):
+    # pure d-level coefficients share one contract, sld.require_coefficients
+    with pytest.raises(error):
+        call()
