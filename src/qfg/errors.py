@@ -5,7 +5,11 @@ and an ``exit_code``: 2 for bad input, 3 for numerical failures raised while
 computing.
 """
 
+import cmath
+import dataclasses
 import functools
+
+import numpy as np
 
 
 class QfgError(Exception):
@@ -101,18 +105,34 @@ class NonFiniteResult(QfgError, ValueError):
     kind = "non-finite-result"
 
 
-def overflow_is_non_finite(fn):
-    """Make a closed form on Python floats raise NonFiniteResult where its arithmetic overflows.
+def _finite(x) -> bool:
+    """Whether x holds no NaN, infinity or int beyond the float range, through arrays, tuples, lists and dataclasses."""
+    if isinstance(x, (float, complex, int, np.number)):  # the common case first
+        try:
+            return cmath.isfinite(x)
+        except OverflowError:
+            return False
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind not in "fc" or bool(np.isfinite(x).all())
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return not isinstance(x, (tuple, list)) or all(map(_finite, x))
 
-    A Python float power raises OverflowError where numpy would give inf;
-    finite results are returned unchanged.
-    """
+
+def finite_closed_form(fn):
+    """Raise DomainError on a non-finite argument; NonFiniteResult on an overflow, a 0 divisor or a non-finite result."""
+    quiet = np.errstate(over="ignore", invalid="ignore")(fn)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        if not (all(map(_finite, args)) and all(map(_finite, kwargs.values()))):
+            raise DomainError(f"{fn.__name__}: arguments must be finite")
         try:
-            return fn(*args, **kwargs)
-        except OverflowError:
-            raise NonFiniteResult(f"{fn.__name__}: a computed value overflows the float range") from None
+            result = quiet(*args, **kwargs)
+            if _finite(result):
+                return result
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise NonFiniteResult(f"{fn.__name__}: a computed value is not finite")
 
     return wrapper

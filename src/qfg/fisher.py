@@ -26,8 +26,6 @@ and (k1-k2)^3. ``_sphere_tensor`` is the one closed form of it:
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -37,11 +35,10 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvalidPovm,
-    NonFiniteResult,
     NotAPovm,
     NotNormalized,
     QfgError,
-    overflow_is_non_finite,
+    finite_closed_form,
 )
 from .linalg import (
     PSD_EIGENVALUE_FLOOR,
@@ -198,17 +195,15 @@ class QubitQfi(NamedTuple):
 
 
 def _sphere_tensor(k: float, z: complex, v: complex, v2: complex) -> complex:
-    """The closed-form Fisher tensor on sphere tangents (v, v2) at (k, z); k is trusted, k = 0 is the pure family."""
+    """The closed-form Fisher tensor on sphere tangents (v, v2) at (k, z), arguments trusted; k = 0 is the pure family."""
     z, v, v2 = complex(z), complex(v), complex(v2)
-    if not (cmath.isfinite(z) and cmath.isfinite(v) and cmath.isfinite(v2)):
-        raise DomainError("chart coordinate and sphere velocities must be finite")
     kdiff = 2.0 * k - 1.0
     pref = 4.0 * kdiff * kdiff / (1.0 + abs(z) ** 2) ** 2
     ip = v.conjugate() * v2
     return pref * (ip.real + 1j * kdiff * ip.imag)
 
 
-@overflow_is_non_finite
+@finite_closed_form
 def qfi_qubit_closed_form(k: float, dk: float, z: complex, v: complex) -> QubitQfi:
     """Closed-form qubit QFI split into sphere and transverse contributions.
 
@@ -216,8 +211,6 @@ def qfi_qubit_closed_form(k: float, dk: float, z: complex, v: complex) -> QubitQ
     """
     require_mixing_weight(k)
     sphere = _sphere_tensor(k, z, v, v).real
-    if not math.isfinite(sphere):
-        raise NonFiniteResult("qfi_qubit_closed_form: a computed value overflows the float range")
     transverse = _transverse_qfi(k, dk)
     return QubitQfi(sphere, transverse, sphere + transverse)
 
@@ -226,7 +219,7 @@ def _transverse_qfi(k, dk):
     return dk * dk / (k * (1.0 - k))
 
 
-@overflow_is_non_finite
+@finite_closed_form
 def total_fisher_metric(
     k: float, z: complex, t1: tuple[float, complex], t2: tuple[float, complex]
 ) -> float:
@@ -255,7 +248,7 @@ class FisherTensorValue:
         return self.value.imag
 
 
-@overflow_is_non_finite
+@finite_closed_form
 def fisher_tensor(k: float, z: complex, v: complex, v2: complex) -> FisherTensorValue:
     """Closed-form Fisher tensor on sphere tangents (v, v2) at (k, z)."""
     require_mixing_weight(k)
@@ -269,6 +262,7 @@ def fisher_tensor_general(rho: DensityOp, drho1, drho2) -> FisherTensorValue:
     return FisherTensorValue(complex(fisher_tensor_stack(rho.stack, ell)[0, 0, 1]))
 
 
+@finite_closed_form
 def pure_qdit_fisher(a: Sequence[complex], xi_outcomes: Sequence) -> tuple[float, float]:
     """Classical and quantum Fisher information for a pure d-level direction.
 
@@ -335,20 +329,16 @@ class WavefunctionGrid:
         return float(self.x[1] - self.x[0])
 
 
-@overflow_is_non_finite
+@finite_closed_form
 def wavefunction_fisher(grid: WavefunctionGrid) -> tuple[float, float]:
     """Classical and quantum Fisher information of a wavefunction grid.
 
     classical = sum p (d log p)^2 dx over p > eps;
     quantum = classical + sum p (d alpha)^2 dx - (sum p d alpha dx)^2.
-    Raises NonFiniteResult where a sum overflows the float range.
     """
     dx = grid.dx
     mask = grid.p > EPS_P
-    with np.errstate(over="ignore", invalid="ignore"):
-        classical = float(np.sum(grid.dp[mask] ** 2 / grid.p[mask]) * dx)
-        mean_dalpha = float(np.sum(grid.p * grid.dalpha) * dx)
-        quantum = classical + float(np.sum(grid.p * grid.dalpha**2) * dx) - mean_dalpha**2
-    if not (math.isfinite(classical) and math.isfinite(quantum)):
-        raise NonFiniteResult("wavefunction_fisher: a computed value overflows the float range")
+    classical = float(np.sum(grid.dp[mask] ** 2 / grid.p[mask]) * dx)
+    mean_dalpha = float(np.sum(grid.p * grid.dalpha) * dx)
+    quantum = classical + float(np.sum(grid.p * grid.dalpha**2) * dx) - mean_dalpha**2
     return classical, quantum

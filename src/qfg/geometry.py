@@ -34,7 +34,7 @@ from .errors import (
     NotNormalized,
     NotOrthogonal,
     NotTangentForm,
-    overflow_is_non_finite,
+    finite_closed_form,
 )
 from .fisher import _sphere_tensor
 from .linalg import DensityOp, as_matrix, comm_anticomm, require_hermitian
@@ -83,7 +83,7 @@ def fs_kks_at(rho: DensityOp, k1, k2) -> KahlerPair:
     return KahlerPair(g.real, omega.real)
 
 
-@overflow_is_non_finite
+@finite_closed_form
 def coordinate_forms(z: complex, v: complex, v2: complex) -> KahlerPair:
     """Sphere metric and symplectic form in the stereographic chart: the k = 0 row of the Fisher tensor.
 
@@ -93,16 +93,15 @@ def coordinate_forms(z: complex, v: complex, v2: complex) -> KahlerPair:
     return KahlerPair(value.real, value.imag)
 
 
-@overflow_is_non_finite
+@finite_closed_form
 def connection_coefficient(z: complex) -> complex:
     """Chart coefficient lambda = e^{-2i chi} / (1 + |z|^2), with chi := 0 at z = 0."""
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError("chart coordinate must be finite")
     chi = cmath.phase(z) if z != 0 else 0.0
     return cmath.exp(-2j * chi) / (1.0 + abs(z) ** 2)
 
 
+@finite_closed_form
 def sphere_tangent_matrix(k: float, z: complex, v: complex) -> np.ndarray:
     """Reference-frame matrix tangent (k1-k2) [[0, v* lam*], [v lam, 0]]."""
     require_mixing_weight(k)
@@ -110,6 +109,7 @@ def sphere_tangent_matrix(k: float, z: complex, v: complex) -> np.ndarray:
     return (2.0 * k - 1.0) * np.array([[0.0, lv.conjugate()], [lv, 0.0]], dtype=complex)
 
 
+@finite_closed_form
 def sphere_generator(z: complex, v: complex) -> np.ndarray:
     """Hermitian K with -i[K, rho(k, z)] equal to the sphere drho of velocity v at z, for every k.
 
@@ -145,6 +145,7 @@ def reference_density(k: float) -> DensityOp:
     return DensityOp(np.diag([k, 1.0 - k]).astype(complex))
 
 
+@finite_closed_form
 def round_s3_metric(psi: float, theta: float, phi: float, t1, t2) -> float:
     """Round metric on the unit 3-sphere in (Psi, theta, phi) coordinates.
 

@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     SupportMismatch,
     TableResolutionError,
-    overflow_is_non_finite,
+    finite_closed_form,
 )
 from .linalg import (
     DensityOp,
@@ -90,9 +90,6 @@ class _StackedCurve:
 
     def rho_at(self, theta: float) -> DensityOp:
         return self.rho_stack(_thetas(theta))[0]
-
-    def drho_analytic(self, theta: float) -> np.ndarray:
-        return self.drho_stack(_thetas(theta))[0]
 
 
 @dataclass(frozen=True)
@@ -367,13 +364,11 @@ def sld_solve(rho: DensityOp, drho) -> np.ndarray:
     return sld_solve_stack(rho.stack, require_direction(drho, rho.dim)[None])[0]
 
 
-@overflow_is_non_finite
+@finite_closed_form
 def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     """Closed-form SLD of the transverse (mixing-weight) direction at (k, z)."""
     require_mixing_weight(k)
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError("chart coordinate must be finite")
     az2 = abs(z) ** 2
     pref = dk / ((1.0 + az2) * k * (1.0 - k))
     return pref * np.array(
@@ -403,7 +398,8 @@ def assemble_drho_stack(k, z: np.ndarray, dk, v) -> np.ndarray:
     return drho.reshape(-1, 2, 2)
 
 
+@finite_closed_form
 def assemble_drho(k: float, z: complex, dk: float, v: complex) -> np.ndarray:
     """Full qubit drho for the combined tangent (dk, v) at (k, z): one checked row of ``assemble_drho_stack``."""
     require_mixing_weight(k)
-    return assemble_drho_stack(k, require_finite_coords(np.array([complex(z)])), dk, v)[0]
+    return assemble_drho_stack(k, np.array([complex(z)]), dk, v)[0]

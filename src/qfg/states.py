@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ChartSingularity, DomainError, NotNormalized, overflow_is_non_finite
+from .errors import ChartSingularity, DomainError, NotNormalized, finite_closed_form
 from .linalg import DensityOp, DensityStack
 
 
@@ -161,18 +161,17 @@ def pure_projector_stack(amps: np.ndarray) -> DensityStack:
     return DensityStack(amps[:, :, None] * amps.conj()[:, None, :])
 
 
+@finite_closed_form
 def unitary_of_z(z: complex) -> np.ndarray:
     """Gauge-fixed unitary lift U(z) of a sphere point, with chi := 0 at z = 0.
 
     U(z) = [[|z|, e^{i chi}], [-e^{-i chi}, |z|]] / sqrt(1 + |z|^2).
     """
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("z must be finite; the infinity pole lives in the south chart")
     chi = cmath.phase(z) if z != 0 else 0.0
     az = abs(z)
     phase = cmath.exp(1j * chi)
-    return np.array([[az, phase], [-1.0 / phase, az]], dtype=complex) / math.sqrt(1.0 + az * az)
+    return np.array([[az, phase], [-1.0 / phase, az]], dtype=complex) / math.hypot(1.0, az)
 
 
 def rho_of_kz(point: QubitPoint) -> DensityOp:
@@ -269,7 +268,7 @@ def s3_embed(point: QubitPoint) -> S3Point:
     )
 
 
-@overflow_is_non_finite
+@finite_closed_form
 def spherical_tangent(z: complex, v: complex) -> tuple[float, float]:
     """Push a stereographic velocity v = dz/dt to (dtheta, dphi).
 
@@ -277,8 +276,6 @@ def spherical_tangent(z: complex, v: complex) -> tuple[float, float]:
     at the poles z = 0 and z = infinity.
     """
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError("chart coordinate must be finite")
     if z == 0:
         raise ChartSingularity("spherical tangent undefined at z = 0")
     az2 = abs(z) ** 2
@@ -288,6 +285,7 @@ def spherical_tangent(z: complex, v: complex) -> tuple[float, float]:
     return dtheta, dphi
 
 
+@finite_closed_form
 def s3_tangent(point: QubitPoint, dk: float, v: complex) -> tuple[float, float, float]:
     """Push a manifold tangent (dk, v) to S^3 chart velocities (dPsi, dtheta, dphi)."""
     cos_psi = math.cos(point.psi_angle)

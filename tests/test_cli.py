@@ -337,7 +337,7 @@ class TestBoundaryInput:
         )
         assert (code, out) == (3, "")
         assert json.loads(err) == {
-            "error": {"kind": "non-finite-result", "detail": "non-finite value inf cannot be serialized"}
+            "error": {"kind": "non-finite-result", "detail": "fisher_tensor: a computed value is not finite"}
         }
 
 

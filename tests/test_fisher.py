@@ -1,6 +1,9 @@
 """Tests for classical/quantum Fisher information and the Fisher tensor."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,10 +25,16 @@ from qfg.fisher import (
     wavefunction_fisher,
 )
 from qfg.linalg import DensityOp, PAULI_Y
-from qfg.optimize import mixed_conditions_check
-from qfg.geometry import connection_coefficient, coordinate_forms, sphere_tangent_matrix
+from qfg.optimize import mixed_conditions_check, reach_check_pure
+from qfg.geometry import (
+    connection_coefficient,
+    coordinate_forms,
+    round_s3_metric,
+    sphere_generator,
+    sphere_tangent_matrix,
+)
 from qfg.sld import GreatCirclePure, assemble_drho, assemble_drho_stack, differentiate_curve, sld_transverse
-from qfg.states import qubit_point, rho_of_kz, spherical_tangent
+from qfg.states import QubitPoint, qubit_point, rho_of_kz, s3_tangent, spherical_tangent, unitary_of_z
 
 SZ_PAIR = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 SY_PAIR = Povm([(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2])
@@ -348,10 +357,17 @@ def _grid(dp, dalpha):
     lambda: mixed_conditions_check(1, 1, 0.25, 1e300),
     lambda: wavefunction_fisher(_grid([-0.5, 1e200], [0, 0])),
     lambda: wavefunction_fisher(_grid([-0.5, 0.5], [0, 1e200])),
+    lambda: qfi_qubit_closed_form(0.25, 1e200, 0, 0),
+    lambda: total_fisher_metric(0.25, 0, (1e200, 0), (1e200, 0)),
+    lambda: fisher_tensor(0.25, 0, 1e200, 1e200),
+    lambda: sld_transverse(0.25, 1e308, 1e-300),
+    lambda: pure_qdit_fisher([0, 1e200], np.eye(2)),
+    lambda: spherical_tangent(1e-200, 1),
 ], ids=["qfi_qubit_closed_form", "qfi_qubit_closed_form-v", "coordinate_forms", "total_fisher_metric",
         "fisher_tensor", "sld_transverse", "connection_coefficient", "spherical_tangent",
         "mixed_conditions_check-xi1", "mixed_conditions_check-lam", "wavefunction_fisher-dp",
-        "wavefunction_fisher-dalpha"])
+        "wavefunction_fisher-dalpha", "qfi_qubit_closed_form-dk", "total_fisher_metric-dk", "fisher_tensor-v-v2",
+        "sld_transverse-dk", "pure_qdit_fisher", "spherical_tangent-z-underflow"])
 def test_closed_form_overflow_raises_non_finite_result(call):
     with pytest.raises(NonFiniteResult):
         call()
@@ -376,3 +392,84 @@ def test_closed_form_overflow_raises_non_finite_result(call):
 def test_non_finite_chart_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def _guarded_calls(rng) -> dict:
+    """Finite, valid arguments for each function that carries ``errors.finite_closed_form``."""
+    k, dk, dk2 = rng.uniform(0.05, 0.45), rng.normal(), rng.normal()
+    z, v, v2, lam = (complex(rng.normal(), rng.normal()) for _ in range(4))
+    a = [1j * rng.normal(), complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())]
+    unitary = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    p = rng.uniform(0.1, 1.0, size=4)
+    grid = WavefunctionGrid(x=np.arange(4.0), p=p / p.sum(), alpha=rng.normal(size=4), dp=rng.normal(size=4),
+                            dalpha=rng.normal(size=4))
+    chart_velocities = [tuple(rng.normal(size=3).tolist()) for _ in range(2)]
+    return {
+        qfi_qubit_closed_form: (k, dk, z, v),
+        total_fisher_metric: (k, z, (dk, v), (dk2, v2)),
+        fisher_tensor: (k, z, v, v2),
+        pure_qdit_fisher: (a, list(unitary)),
+        wavefunction_fisher: (grid,),
+        coordinate_forms: (z, v, v2),
+        connection_coefficient: (z,),
+        sphere_tangent_matrix: (k, z, v),
+        sphere_generator: (z, v),
+        round_s3_metric: (rng.uniform(0, 1.5), rng.uniform(0, math.pi), rng.uniform(0, 6), *chart_velocities),
+        unitary_of_z: (z,),
+        spherical_tangent: (z, v),
+        s3_tangent: (QubitPoint(k, z), dk, v),
+        sld_transverse: (k, dk, z),
+        assemble_drho: (k, z, dk, v),
+        mixed_conditions_check: (v, v2, k, lam),
+        reach_check_pure: (list(unitary[0]), a),
+    }
+
+
+GUARDED = list(_guarded_calls(np.random.default_rng(0)))
+
+
+def _leaf_paths(x, path=()):
+    """Paths to the numbers inside an argument: through tuples, lists, arrays and dataclass fields."""
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _leaf_paths(getattr(x, f.name), path + (f.name,))
+    elif isinstance(x, (tuple, list, np.ndarray)):
+        for i, item in enumerate(x):
+            yield from _leaf_paths(item, path + (i,))
+    elif isinstance(x, (int, float, complex)):
+        yield path
+
+
+def _replaced(x, path, value):
+    """A copy of x with the number at ``path`` replaced; dataclass fields are set past their own checks."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if dataclasses.is_dataclass(x):
+        out = copy.copy(x)
+        object.__setattr__(out, head, _replaced(getattr(x, head), rest, value))
+        return out
+    out = x.copy() if isinstance(x, np.ndarray) else list(x)
+    out[head] = _replaced(x[head], rest, value)
+    return out if isinstance(x, (list, np.ndarray)) else type(x)(out)
+
+
+@pytest.mark.parametrize("fn", GUARDED, ids=[fn.__name__ for fn in GUARDED])
+def test_non_finite_argument_is_a_domain_error(fn):
+    args = _guarded_calls(np.random.default_rng(0))[fn]
+    accepted = []
+    for i, arg in enumerate(args):
+        for path in _leaf_paths(arg):
+            for bad in (math.nan, math.inf):
+                try:
+                    fn(*args[:i], _replaced(arg, path, bad), *args[i + 1:])
+                except DomainError:
+                    continue
+                accepted.append((i, path, bad))
+    assert accepted == []
+
+
+def test_finite_results_keep_their_bits():
+    for seed in range(20):
+        for fn, args in _guarded_calls(np.random.default_rng(seed)).items():
+            assert pickle.dumps(fn(*args)) == pickle.dumps(fn.__wrapped__(*args)), (seed, fn.__name__)

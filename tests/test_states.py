@@ -57,6 +57,12 @@ class TestUnitaryOfZ:
             u = unitary_of_z(z)
             assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-12
 
+    @pytest.mark.parametrize("z", [1e200, 1e-200 * (1 + 1j)], ids=["huge", "tiny"])
+    def test_unitary_at_extreme_z(self, z):
+        # |z|^2 overflows or underflows here; the normalization must not
+        u = unitary_of_z(z)
+        assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-15
+
 
 class TestRhoOfKz:
     def test_z_zero(self):
