@@ -105,7 +105,7 @@ def connection_coefficient(z: complex) -> complex:
 def sphere_tangent_matrix(k: float, z: complex, v: complex) -> np.ndarray:
     """Reference-frame matrix tangent (k1-k2) [[0, v* lam*], [v lam, 0]]."""
     require_mixing_weight(k)
-    lv = connection_coefficient(z) * complex(v)
+    lv = connection_coefficient.__wrapped__(z) * complex(v)
     return (2.0 * k - 1.0) * np.array([[0.0, lv.conjugate()], [lv, 0.0]], dtype=complex)
 
 
@@ -115,8 +115,8 @@ def sphere_generator(z: complex, v: complex) -> np.ndarray:
 
     K = U(z) K0 U(z)^dag with K0 = i [[0, -(v lam)*], [v lam, 0]].
     """
-    lv = connection_coefficient(z) * complex(v)
-    u = unitary_of_z(z)
+    lv = connection_coefficient.__wrapped__(z) * complex(v)
+    u = unitary_of_z.__wrapped__(z)
     return u @ (1j * np.array([[0.0, -lv.conjugate()], [lv, 0.0]], dtype=complex)) @ u.conj().T
 
 

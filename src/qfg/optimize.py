@@ -154,7 +154,9 @@ def mixed_conditions_check(
             -cross / k2 + kd * lam.conjugate() * abs(xi1) ** 2,
         ]
     )
-    denom = sum(abs(complex(x)) ** 2 for x in rhs)  # a float power raises OverflowError; numpy's gives inf
+    denom = float(np.sum(np.abs(rhs) ** 2))
+    if math.isinf(denom):  # the report does not carry denom, so its overflow is raised here
+        raise OverflowError("mixed_conditions_check: the least-squares denominator overflows")
     best_r = float(np.sum((rhs.conj() * lhs).real)) / denom if denom > 0 else 0.0
     residuals = tuple(float(v) for v in np.abs(lhs - best_r * rhs))
     prod = lam * cross

@@ -290,5 +290,5 @@ def s3_tangent(point: QubitPoint, dk: float, v: complex) -> tuple[float, float, 
     """Push a manifold tangent (dk, v) to S^3 chart velocities (dPsi, dtheta, dphi)."""
     cos_psi = math.cos(point.psi_angle)
     dpsi = -2.0 * dk / cos_psi
-    dtheta, dphi = spherical_tangent(point.z, v)
+    dtheta, dphi = spherical_tangent.__wrapped__(point.z, v)
     return dpsi, dtheta, dphi

@@ -34,7 +34,7 @@ from qfg.geometry import (
     sphere_tangent_matrix,
 )
 from qfg.sld import GreatCirclePure, assemble_drho, assemble_drho_stack, differentiate_curve, sld_transverse
-from qfg.states import QubitPoint, qubit_point, rho_of_kz, s3_tangent, spherical_tangent, unitary_of_z
+from qfg.states import Chart, QubitPoint, qubit_point, rho_of_kz, s3_tangent, spherical_tangent, unitary_of_z
 
 SZ_PAIR = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 SY_PAIR = Povm([(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2])
@@ -363,11 +363,14 @@ def _grid(dp, dalpha):
     lambda: sld_transverse(0.25, 1e308, 1e-300),
     lambda: pure_qdit_fisher([0, 1e200], np.eye(2)),
     lambda: spherical_tangent(1e-200, 1),
+    lambda: mixed_conditions_check(1, 1, 0.25, 1e154),
+    lambda: s3_tangent(QubitPoint(0.25, 1e-320, Chart.SOUTH), 0.1, 1),
 ], ids=["qfi_qubit_closed_form", "qfi_qubit_closed_form-v", "coordinate_forms", "total_fisher_metric",
         "fisher_tensor", "sld_transverse", "connection_coefficient", "spherical_tangent",
         "mixed_conditions_check-xi1", "mixed_conditions_check-lam", "wavefunction_fisher-dp",
         "wavefunction_fisher-dalpha", "qfi_qubit_closed_form-dk", "total_fisher_metric-dk", "fisher_tensor-v-v2",
-        "sld_transverse-dk", "pure_qdit_fisher", "spherical_tangent-z-underflow"])
+        "sld_transverse-dk", "pure_qdit_fisher", "spherical_tangent-z-underflow", "mixed_conditions_check-denom-sum",
+        "s3_tangent-z-overflow"])
 def test_closed_form_overflow_raises_non_finite_result(call):
     with pytest.raises(NonFiniteResult):
         call()
