@@ -4,7 +4,7 @@ Classical Fisher information of a POVM {m_x}:
 
     i = sum_{x: p_x > eps} (Tr[drho m_x])^2 / Tr[rho m_x],   p_x = Tr[rho m_x],
 
-with eps = 1e-12 realizing the restriction to outcomes of positive
+with eps = EPS_P = 1e-12 realizing the restriction to outcomes of positive
 probability. Quantum Fisher information is Tr[rho L^2] for the SLD L, an
 upper bound on i for every POVM.
 
@@ -54,6 +54,8 @@ from .states import require_mixing_weight
 
 #: Outcomes with probability at or below this are excluded from classical sums.
 EPS_P = 1e-12
+#: Outcome families whose sum differs from the identity by more than this (Frobenius norm) are no POVM.
+POVM_TOL = 1e-9
 
 
 def _povm_stack(elements: Sequence) -> tuple[np.ndarray | None, str | None]:
@@ -78,8 +80,8 @@ def _povm_stack(elements: Sequence) -> tuple[np.ndarray | None, str | None]:
         i = int(np.argmax(bad))
         return None, f"element {i} has negative eigenvalue {low[i]:.3e}"
     defect = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
-    if defect > 1e-9:
-        return None, f"elements sum to identity with defect {defect:.3e} > 1e-9"
+    if defect > POVM_TOL:
+        return None, f"elements sum to identity with defect {defect:.3e} > {POVM_TOL:g}"
     return stack, None
 
 
@@ -89,39 +91,32 @@ def povm_diagnose(elements: Sequence) -> str | None:
 
 
 class Povm:
-    """Finite POVM: PSD elements summing to the identity within 1e-9."""
+    """Finite POVM: PSD elements summing to the identity within POVM_TOL."""
 
     def __init__(self, elements: Sequence):
         stack, defect = _povm_stack(elements)
         if defect is not None:
             raise InvalidPovm(defect)
-        self._set(stack)
+        stack.setflags(write=False)
+        self.stack = stack
 
     @classmethod
     def of_projectors(cls, projectors: np.ndarray) -> "Povm":
         """A POVM from Hermitian rank-one projectors known to resolve the identity, unchecked."""
         povm = cls.__new__(cls)
-        povm._set(projectors)
+        projectors.setflags(write=False)
+        povm.stack = projectors
         return povm
-
-    def _set(self, stack: np.ndarray):
-        stack.setflags(write=False)
-        self.stack = stack
-        self._elements = tuple(stack)
-
-    @property
-    def elements(self) -> tuple:
-        return self._elements
 
     @property
     def dim(self) -> int:
         return self.stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self.stack)
 
     def __iter__(self):
-        return iter(self._elements)
+        return iter(self.stack)
 
     def __repr__(self) -> str:
         return f"Povm({len(self)} outcomes, dim={self.dim})"
@@ -215,8 +210,12 @@ def qfi_qubit_closed_form(k: float, dk: float, z: complex, v: complex) -> QubitQ
     return QubitQfi(sphere, transverse, sphere + transverse)
 
 
+def _transverse_tensor(k, dk1, dk2):
+    return dk1 * dk2 / (k * (1.0 - k))
+
+
 def _transverse_qfi(k, dk):
-    return dk * dk / (k * (1.0 - k))
+    return _transverse_tensor(k, dk, dk)
 
 
 @finite_closed_form
@@ -230,7 +229,7 @@ def total_fisher_metric(
     require_mixing_weight(k)
     dk1, v1 = t1
     dk2, v2 = t2
-    return dk1 * dk2 / (k * (1.0 - k)) + _sphere_tensor(k, z, v1, v2).real
+    return _transverse_tensor(k, dk1, dk2) + _sphere_tensor(k, z, v1, v2).real
 
 
 @dataclass(frozen=True)
@@ -277,13 +276,13 @@ def pure_qdit_fisher(a: Sequence[complex], xi_outcomes: Sequence) -> tuple[float
         if xi.shape[0] != d:
             raise DomainError(f"outcome {i} has dimension {xi.shape[0]}, expected {d}")
     gram = sum(np.outer(xi.conj(), xi) for xi in xis)
-    defect = float(np.abs(gram - np.eye(d)).max())
-    if defect > 1e-9:
-        raise NotAPovm(f"outcome vectors violate completeness with defect {defect:.3e} > 1e-9")
+    defect = float(np.linalg.norm(gram - np.eye(d)))
+    if defect > POVM_TOL:
+        raise NotAPovm(f"outcome vectors violate completeness with defect {defect:.3e} > {POVM_TOL:g}")
     quantum = 4.0 * float(np.sum(np.abs(a[1:]) ** 2))
     classical = 0.0
     for xi in xis:
-        if abs(xi[0]) <= 1e-12:
+        if abs(xi[0]) ** 2 <= EPS_P:  # the outcome's probability
             continue
         s = complex(np.dot(xi[1:], a[1:].conj()))
         classical += (xi[0].conjugate() * s).real ** 2 / abs(xi[0]) ** 2

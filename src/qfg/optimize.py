@@ -27,7 +27,7 @@ from .errors import (
     ZeroVelocityCurve,
     finite_closed_form,
 )
-from .fisher import Povm, classical_fisher_stack
+from .fisher import EPS_P, Povm, classical_fisher_stack
 from .linalg import (
     IDENTITY2,
     PAULIS,
@@ -44,8 +44,8 @@ from .sld import require_coefficients, require_direction, sld_solve, sld_solve_s
 class AttainabilityReport:
     """Outcome of the real-proportionality test for one POVM element.
 
-    ``vacuous`` marks outcomes orthogonal to the state (p = 0), which are
-    excluded from classical sums and attain trivially with c = 0.
+    ``vacuous`` marks outcomes of probability p = Tr[rho m] <= EPS_P, which
+    are excluded from classical sums and attain trivially with c = 0.
     """
 
     attains: bool
@@ -67,7 +67,8 @@ def attainability_check(rho: DensityOp, drho, m, tol: float = 1e-8) -> Attainabi
         raise DomainError(f"POVM dimension {root_m.shape[0]} does not match rho dimension {rho.dim}")
     b = root_m @ rho.sqrt
     norm_b = float(np.linalg.norm(b))
-    if norm_b <= 1e-12:
+    p = float(np.trace(rho.matrix @ np.asarray(m)).real)  # as classical_fisher_stack computes it
+    if p <= EPS_P or norm_b == 0.0:  # the root drops weight at or below SQRT_RANK_CUTOFF
         return AttainabilityReport(attains=True, c=0.0, residual=0.0, vacuous=True)
     a = root_m @ ell @ rho.sqrt
     c = complex(np.trace(b.conj().T @ a)) / norm_b**2
@@ -80,9 +81,9 @@ def attainability_check(rho: DensityOp, drho, m, tol: float = 1e-8) -> Attainabi
 class ReachResult:
     """Per-outcome pure-state attainability; truthiness is the verdict.
 
-    ``boundary`` flags outcomes with xi_1 = 0 (zero outcome probability):
-    they are excluded from the classical sum, hence vacuously attaining, but
-    any velocity weight they carry is lost to the measurement.
+    ``boundary`` flags outcomes of probability |xi_1|^2 <= EPS_P that carry
+    velocity weight: they are excluded from the classical sum, hence
+    vacuously attaining, but that weight is lost to the measurement.
     """
 
     attains: bool
@@ -96,9 +97,9 @@ class ReachResult:
 def reach_check_pure(xi: Sequence[complex], a: Sequence[complex]) -> ReachResult:
     """Check real-proportionality of xi_1 and S = sum_{i>=2} xi_i a_i*.
 
-    Magnitudes at or below 1e-12 count as zero (the module-wide outcome
-    cutoff): a vanishing S attains trivially with c = 0, and a vanishing xi_1
-    attains vacuously with the boundary flag set when velocity weight is lost.
+    An outcome of probability |xi_1|^2 <= EPS_P attains vacuously, with the
+    boundary flag set when velocity weight is lost (|S| > 1e-12); an overlap
+    |S| <= 1e-12 attains trivially with c = 0.
     """
     a = require_coefficients(a)
     xi = np.asarray([complex(x) for x in xi])
@@ -108,8 +109,9 @@ def reach_check_pure(xi: Sequence[complex], a: Sequence[complex]) -> ReachResult
         raise ZeroVelocityCurve("all velocity coefficients a_i (i >= 2) vanish")
     xi1 = complex(xi[0])
     s = complex(np.dot(xi[1:], a[1:].conj()))
-    if abs(xi1) <= 1e-12 or abs(s) <= 1e-12:
-        return ReachResult(attains=True, boundary=abs(xi1) <= 1e-12 < abs(s))
+    excluded = abs(xi1) ** 2 <= EPS_P
+    if excluded or abs(s) <= 1e-12:
+        return ReachResult(attains=True, boundary=excluded and abs(s) > 1e-12)
     attains = abs((xi1.conjugate() * s).imag) <= 1e-10 * max(abs(xi1) * abs(s), 1e-30)
     return ReachResult(attains=attains, boundary=False)
 
@@ -168,8 +170,17 @@ def mixed_conditions_check(
     )
 
 
-#: SLD spectra with an eigenvalue gap below this have no unique eigenbasis.
+#: SLD spectra with a gap at or below this fraction of their largest |eigenvalue| have no unique eigenbasis.
 SLD_GAP = 1e-10
+
+
+def _degenerate(w: np.ndarray) -> np.ndarray:
+    """The rows of an (n, d) stack of ascending SLD spectra whose smallest gap is <= SLD_GAP * max|w|.
+
+    The rule is scale-free, as the eigenbasis is: L and c L agree for c > 0,
+    and L = 0 is degenerate.
+    """
+    return np.diff(w, axis=1).min(axis=1, initial=np.inf) <= SLD_GAP * np.abs(w).max(axis=1)
 
 
 def sld_eigenbasis(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,10 +188,11 @@ def sld_eigenbasis(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     ``ell`` must be exactly Hermitian, as ``sld_solve_stack`` returns it.
     Returns the ascending spectra (n, d), the eigenvectors (n, d, d) as
-    columns, and a mask of the rows whose spectrum has a gap below SLD_GAP.
+    columns, and a mask of the rows whose spectrum has a gap at or below
+    SLD_GAP times its largest |eigenvalue| (``_degenerate``).
     """
     w, v = eigh(ell)
-    return w, v, np.diff(w, axis=1).min(axis=1, initial=np.inf) < SLD_GAP
+    return w, v, _degenerate(w)
 
 
 def eigenprojector(v: np.ndarray, i: int) -> np.ndarray:
@@ -193,7 +205,7 @@ def sld_eigenbasis_povm(rho: DensityOp, drho) -> Povm:
     """Rank-one eigenprojectors of the SLD; the bound-attaining measurement."""
     w, v, degenerate = sld_eigenbasis(sld_solve(rho, drho)[None])
     if degenerate[0]:
-        raise DegenerateSld(f"SLD spectrum {w[0]} has a gap below {SLD_GAP:g}")
+        raise DegenerateSld(f"SLD spectrum {w[0]} has a relative gap at or below {SLD_GAP:g}")
     return Povm.of_projectors(np.array([eigenprojector(v, i)[0] for i in range(rho.dim)]))
 
 
@@ -245,21 +257,21 @@ def maximize_cfi(rho: DensityOp, drho) -> OptimizeResult:
 
     For rho = (I + s.sigma)/2 and drho = w.sigma/2 the pair along a unit axis n
     has CFI (n.w)^2 / (1 - (n.s)^2), largest at the Bloch axis of the SLD,
-    l = w + s (s.w) / (1 - |s|^2), where it equals the QFI. Since
-    l.w >= |w|^2, l vanishes only with w. A vanishing drho (including the
-    degenerate mixing point) yields value 0 with the degeneracy flag set; a
-    drho leaving the support of rho raises SupportMismatch, as in
-    ``quantum_fisher``.
+    l = w + s (s.w) / (1 - |s|^2), where it equals the QFI. The SLD
+    a I + l.sigma has the spectrum a -+ |l|, judged by the rule of
+    ``sld_eigenbasis`` without an eigendecomposition. A degenerate SLD (a
+    vanishing drho, the degenerate mixing point included) sets the flag and
+    measures along z, where a vanishing drho gives value 0; a drho leaving
+    the support of rho raises SupportMismatch, as in ``quantum_fisher``.
     """
     if rho.dim != 2:
         raise DimensionUnsupported("the projective optimizer supports qubits only")
     drho = require_direction(drho, 2)
-    degenerate = float(np.linalg.norm(_bloch(drho))) <= 1e-12
-    if degenerate:
-        axis = np.array([0.0, 0.0, 1.0])
-    else:
-        ell = _bloch(sld_solve_stack(rho.stack, drho[None])[0])
-        axis = ell / np.linalg.norm(ell)
+    ell = sld_solve_stack(rho.stack, drho[None])[0]
+    a, l = ell.trace().real / 2, _bloch(ell) / 2
+    radius = float(np.linalg.norm(l))
+    degenerate = bool(_degenerate(np.array([[a - radius, a + radius]]))[0])
+    axis = np.array([0.0, 0.0, 1.0]) if degenerate else l / radius
     povm = Povm.of_projectors(pair_outcomes(axis))
     value = float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
     return OptimizeResult(povm, value, axis, degenerate)

@@ -89,14 +89,6 @@ class QubitPoint:
         object.__setattr__(self, "coord", c)
 
     @property
-    def k1(self) -> float:
-        return self.k
-
-    @property
-    def k2(self) -> float:
-        return 1.0 - self.k
-
-    @property
     def r(self) -> float:
         return 1.0 - 2.0 * self.k
 
@@ -117,13 +109,6 @@ class QubitPoint:
         if self.coord == 0:
             raise ChartSingularity("z is infinite at the south-chart origin")
         return 1.0 / self.coord
-
-    @property
-    def chi(self) -> float:
-        z = self.z
-        if z == 0:
-            raise ChartSingularity("chi = arg z undefined at z = 0")
-        return cmath.phase(z)
 
 
 def qubit_point(k: float, z) -> QubitPoint:
