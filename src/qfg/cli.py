@@ -153,13 +153,12 @@ def _cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
     rho, drho = _state_and_direction(scenario, args)
     result = maximize_cfi(rho, drho)
-    qfi = quantum_fisher(rho, drho)
     _emit(
         {
             "n": [float(result.axis[0]), float(result.axis[1]), float(result.axis[2])],
             "cfi": result.value,
-            "qfi": qfi,
-            "gap": qfi - result.value,
+            "qfi": result.qfi,
+            "gap": result.qfi - result.value,
             "degenerate": result.degenerate,
         }
     )
@@ -237,9 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of ``main``, built on its first call (not at import) and reused.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
     try:
-        args = build_parser().parse_args(argv)
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
         # non-finite intermediates are caught by the checks and reported as errors
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -68,6 +68,12 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def rank_one_projectors(vecs: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian projectors |v><v| of the rows v of an (n, d) array of unit vectors."""
+    p = vecs[:, :, None] * vecs.conj()[:, None, :]
+    return (p + dagger(p)) / 2
+
+
 def frobenius_norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in an (n, d, d) stack."""
     x = a.reshape(len(a), -1)

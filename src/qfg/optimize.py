@@ -27,14 +27,14 @@ from .errors import (
     ZeroVelocityCurve,
     finite_closed_form,
 )
-from .fisher import EPS_P, Povm, classical_fisher_stack
+from .fisher import EPS_P, Povm, classical_fisher_stack, quantum_fisher_of_sld
 from .linalg import (
     IDENTITY2,
     PAULIS,
     DensityOp,
-    dagger,
     eigh,
     psd_sqrt,
+    rank_one_projectors,
     require_hermitian,
 )
 from .sld import require_coefficients, require_direction, sld_solve, sld_solve_stack
@@ -197,8 +197,7 @@ def sld_eigenbasis(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def eigenprojector(v: np.ndarray, i: int) -> np.ndarray:
     """The projectors on eigenvector column i of each row of an (n, d, d) eigenvector stack."""
-    p = v[:, :, i, None] * v[:, None, :, i].conj()
-    return (p + dagger(p)) / 2
+    return rank_one_projectors(v[:, :, i])
 
 
 def sld_eigenbasis_povm(rho: DensityOp, drho) -> Povm:
@@ -246,8 +245,11 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The optimal pair ``povm`` along ``axis``, its CFI ``value`` and the QFI of the same SLD."""
+
     povm: Povm
     value: float
+    qfi: float
     axis: np.ndarray
     degenerate: bool
 
@@ -263,6 +265,8 @@ def maximize_cfi(rho: DensityOp, drho) -> OptimizeResult:
     vanishing drho, the degenerate mixing point included) sets the flag and
     measures along z, where a vanishing drho gives value 0; a drho leaving
     the support of rho raises SupportMismatch, as in ``quantum_fisher``.
+    ``qfi`` is ``quantum_fisher(rho, drho)``, taken from the same SLD, so
+    drho is checked once and the SLD solved once.
     """
     if rho.dim != 2:
         raise DimensionUnsupported("the projective optimizer supports qubits only")
@@ -274,4 +278,5 @@ def maximize_cfi(rho: DensityOp, drho) -> OptimizeResult:
     axis = np.array([0.0, 0.0, 1.0]) if degenerate else l / radius
     povm = Povm.of_projectors(pair_outcomes(axis))
     value = float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
-    return OptimizeResult(povm, value, axis, degenerate)
+    qfi = float(quantum_fisher_of_sld(rho.stack, ell[None])[0])
+    return OptimizeResult(povm, value, qfi, axis, degenerate)

@@ -35,6 +35,7 @@ from .linalg import (
     dagger,
     frobenius_norms,
     herm_eigen,
+    rank_one_projectors,
     require_hermitian,
     traces,
 )
@@ -235,7 +236,7 @@ class PureQditCoeffs(_StackedCurve):
         return pure_projector_stack(self._amplitudes(thetas))
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        rho = self.rho_stack(thetas).matrices
+        rho = rank_one_projectors(self._amplitudes(thetas))  # the matrices of rho_stack, unchecked
         gen = self._generator
         return gen @ rho - rho @ gen
 
@@ -289,17 +290,23 @@ Curve = GreatCirclePure | SphereCurve | TransverseCurve | PureQditCoeffs | Table
 
 def differentiate_stack(
     curve, thetas: np.ndarray, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[DensityStack, DensityStack] | None]:
     """d rho / d theta at each of a vector of thetas, closed-form or central finite difference.
 
-    Returns an (n, d, d) stack of exactly Hermitian, traceless matrices.
+    Returns ``(drho, near)``: drho is an (n, d, d) stack of exactly Hermitian,
+    traceless matrices; ``near`` is the pair of checked states
+    ``(rho(theta + h), rho(theta - h))`` the central difference was taken
+    from, or None in analytic mode, which builds no state. A caller that needs
+    those states again (``fisher.qfi_split`` on a table) takes them from here
+    instead of walking the curve a second time.
     """
     if mode == ANALYTIC:
-        drho = curve.drho_stack(thetas)
+        drho, near = curve.drho_stack(thetas), None
     elif mode == FD:
         if not (h > 0):
             raise DomainError(f"finite-difference step h={h!r} must be positive")
-        drho = (curve.rho_stack(thetas + h).matrices - curve.rho_stack(thetas - h).matrices) / (2 * h)
+        near = (curve.rho_stack(thetas + h), curve.rho_stack(thetas - h))
+        drho = (near[0].matrices - near[1].matrices) / (2 * h)
     else:
         raise DomainError(f"unknown differentiation mode {mode!r}")
     drho = (drho + dagger(drho)) / 2
@@ -311,12 +318,13 @@ def differentiate_stack(
         residue = complex(trace[int(np.argmax(bad))])
         raise DomainError(f"drho trace {residue!r} is not negligible; curve is not trace preserving")
     dim = drho.shape[1]
-    return drho - (trace.real / dim)[:, None, None] * np.eye(dim)
+    return drho - (trace.real / dim)[:, None, None] * np.eye(dim), near
 
 
 def differentiate_curve(curve, theta: float, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """d rho / d theta along a curve, closed-form or central finite difference."""
-    return differentiate_stack(curve, _thetas(theta), mode, h)[0]
+    drho, _ = differentiate_stack(curve, _thetas(theta), mode, h)
+    return drho[0]
 
 
 def require_direction(drho, dim: int) -> np.ndarray:

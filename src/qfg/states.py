@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChartSingularity, DomainError, NotNormalized, finite_closed_form
-from .linalg import DensityOp, DensityStack
+from .linalg import DensityOp, DensityStack, rank_one_projectors
 
 
 class Chart(Enum):
@@ -143,7 +143,7 @@ def pure_projector(psi: PureState) -> DensityOp:
 
 def pure_projector_stack(amps: np.ndarray) -> DensityStack:
     """Projectors |psi><psi| of the rows of an (n, d) array of normalized amplitudes."""
-    return DensityStack(amps[:, :, None] * amps.conj()[:, None, :])
+    return DensityStack(rank_one_projectors(amps))
 
 
 @finite_closed_form
@@ -172,8 +172,15 @@ def rho_of_kz_stack(k, coord: np.ndarray, chart: Chart) -> DensityStack:
     """``rho_of_kz`` for n chart points of one chart: weights ``k`` and coordinates ``coord``.
 
     ``k`` is an array of n weights or one weight for all points; the points
-    must be valid, as QubitPoint checks them.
+    must be valid, as QubitPoint checks them. A coordinate whose |coord|^2
+    overflows the float range raises NonFiniteResult, once for the stack.
     """
+    return DensityStack(_rho_of_kz_matrices(k, coord, chart))
+
+
+@finite_closed_form
+def _rho_of_kz_matrices(k, coord: np.ndarray, chart: Chart) -> np.ndarray:
+    """The (n, 2, 2) matrices of ``rho_of_kz_stack``."""
     k1, k2 = k, 1.0 - k
     ac2 = np.abs(coord) ** 2
     m = np.empty((len(coord), 2, 2), dtype=complex)
@@ -187,7 +194,7 @@ def rho_of_kz_stack(k, coord: np.ndarray, chart: Chart) -> DensityStack:
         m[:, 0, 1] = (k2 - k1) * coord.conj()
         m[:, 1, 0] = (k2 - k1) * coord
         m[:, 1, 1] = k2 + k1 * ac2
-    return DensityStack(m / (1.0 + ac2)[:, None, None])
+    return m / (1.0 + ac2)[:, None, None]
 
 
 def chart_convert(point: QubitPoint, target: str):

@@ -255,7 +255,7 @@ def _optimizer_scenarios() -> tuple[DensityStack, np.ndarray]:
     gc = GreatCirclePure()
     thetas = np.linspace(0.3, math.pi - 0.3, 7)
     rho = DensityStack(np.concatenate([gc.rho_stack(thetas).matrices, rho.matrices]))
-    return rho, np.concatenate([differentiate_stack(gc, thetas), drho])
+    return rho, np.concatenate([differentiate_stack(gc, thetas)[0], drho])
 
 
 def suite_optimizer_attainment() -> list[Check]:
@@ -266,7 +266,7 @@ def suite_optimizer_attainment() -> list[Check]:
     gc = GreatCirclePure()
     thetas = np.linspace(0.05, math.pi - 0.05, 50)
     rhos = DensityStack(np.concatenate([rho.matrices, gc.rho_stack(thetas).matrices]))
-    drhos = np.concatenate([drho, differentiate_stack(gc, thetas)])
+    drhos = np.concatenate([drho, differentiate_stack(gc, thetas)[0]])
     results = [maximize_cfi(rhos[i], drhos[i]) for i in range(len(rhos))]
     closed = np.array([result.value for result in results])
     worst_dev = max(math.asin(min(1.0, abs(float(result.axis[1])))) for result in results[n:])

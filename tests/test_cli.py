@@ -106,6 +106,22 @@ def error_kind(err_text):
     return json.loads(err_text)["error"]["kind"]
 
 
+def test_parser_is_built_once_and_reused(monkeypatch):
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    argv = ["eval", "--scenario", fixture("transverse_k025.json"), "--quantity", "qfi"]
+    first = run_cli(*argv)
+    usage = run_cli(*argv[:3])  # --quantity missing
+    with pytest.raises(SystemExit) as help_exit, redirect_stdout(io.StringIO()):
+        cli.main(["scan", "--help"])
+    # a usage error or --help on the reused parser leaves it as it was
+    assert (first[0], usage[0], error_kind(usage[2]), help_exit.value.code) == (0, 2, "invariant", 0)
+    assert run_cli(*argv) == first
+    assert len(built) == 1
+
+
 class TestErrorMapping:
     def test_missing_file_exit_2(self):
         code, _, err = run_cli("eval", "--scenario", "/no/such/file.json", "--quantity", "qfi")
@@ -329,6 +345,23 @@ class TestBoundaryInput:
     ], ids=["tensor-z0-overflow", "wavefunction-dalpha-overflow"])
     def test_float_overflow_is_an_error_line(self, tmp_path, payload, argv):
         code, out, err = run_cli(argv[0], "--scenario", write_scenario(tmp_path, payload), *argv[1:])
+        assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--quantity", "qfi"],
+        ["scan", "--range", "0:0.1:3"],
+        ["optimize"],
+        ["tensor", "--v", "1,0", "--v2", "0,1"],
+    ], ids=["eval", "scan", "optimize", "tensor"])
+    @pytest.mark.parametrize("curve", [
+        {"family": "sphere_curve", "k": 0.25, "path": {"type": "linear", "z0": [1e200, 0], "velocity": [1, 0]}},
+        {"family": "transverse_curve", "chart": "south", "z": [1e-300, 0],
+         "path": {"type": "linear", "k0": 0.25, "rate": 0.1}},
+    ], ids=["north-z0-1e200", "south-w-1e-300"])
+    def test_overflowing_chart_point_is_non_finite_in_every_command(self, tmp_path, curve, command):
+        # |z|^2 overflows where rho(theta) is formed, for every command alike
+        path = write_scenario(tmp_path, {"curve": curve, "theta0": 0.0})
+        code, out, err = run_cli(command[0], "--scenario", path, *command[1:])
         assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
 
     def test_non_finite_result_is_an_error_line(self):

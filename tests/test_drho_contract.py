@@ -5,18 +5,21 @@ within HERMITIAN_RTOL, of dimension d and traceless (``sld.require_direction``).
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qfg.linalg
+import qfg.sld
+from qfg import cli
 from qfg import scan as scan_module
 from qfg.errors import QfgError
 from qfg.fisher import classical_fisher, fisher_tensor_general, quantum_fisher
 from qfg.linalg import PAULI_X, PAULI_Z, DensityOp
 from qfg.optimize import attainability_check, maximize_cfi, projector_pair, sld_eigenbasis_povm
 from qfg.scenario import parse_scenario
-from qfg.sld import ANALYTIC, sld_solve
+from qfg.sld import ANALYTIC, FD, sld_solve
 
 RHO = DensityOp(np.diag([0.3, 0.7]))
 DRHO = 0.2 * PAULI_X + 0.1 * PAULI_Z
@@ -48,9 +51,9 @@ def test_entry_point_rejects_an_invalid_direction(entry, bad):
     assert info.value.kind == kind
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of qfg.linalg.<name>, through every qfg module that imported it."""
-    original = getattr(qfg.linalg, name)
+def _count_calls(monkeypatch, name, owner=qfg.linalg):
+    """Count calls of owner.<name>, through every qfg module that imported it."""
+    original = getattr(owner, name)
     calls = []
 
     def counted(*args, **kwargs):
@@ -72,6 +75,63 @@ def test_analytic_scan_chunk_checks_once(monkeypatch):
     calls = _count_calls(monkeypatch, "hermitian_part")
     scan_module.scan_rows(scenario, np.linspace(0.0, 1.0, 2000), ANALYTIC, 1e-5)
     assert len(calls) == 1
+
+
+def _count_states(monkeypatch):
+    """The row counts of the DensityStacks constructed from now on (every module shares the class)."""
+    original = qfg.linalg.DensityStack.__init__
+    built = []
+
+    def counted(self, matrices):
+        built.append(len(matrices))
+        original(self, matrices)
+
+    monkeypatch.setattr(qfg.linalg.DensityStack, "__init__", counted)
+    return built
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+CURVES = {
+    "great_circle_pure": {"family": "great_circle_pure", "phase": 0.3},
+    "sphere_curve": {"family": "sphere_curve", "k": 0.25,
+                     "path": {"type": "linear", "z0": [0.2, 0.1], "velocity": [1, 0.5]}},
+    "transverse_curve": {"family": "transverse_curve", "z": [0.3, 0.1],
+                         "path": {"type": "linear", "k0": 0.1, "rate": 0.1}},
+    "pure_qdit_coeffs": {"family": "pure_qdit_coeffs", "a": [[0, 0.3], [0.5, 0], [0, 0.2]]},
+    "table": {"family": "table", "samples": [
+        {"theta": 0.0, "rho": [[[0.7, 0], [0.1, 0.05]], [[0.1, -0.05], [0.3, 0]]]},
+        {"theta": 1.0, "rho": [[[0.4, 0], [0, 0.1]], [[0, -0.1], [0.6, 0]]]},
+    ]},
+}
+
+
+@pytest.mark.parametrize("family, mode", [
+    (family, mode) for family in CURVES for mode in (ANALYTIC, FD) if (family, mode) != ("table", ANALYTIC)
+])
+def test_scan_chunk_builds_each_state_once(monkeypatch, family, mode):
+    # rho(theta), and in fd mode rho(theta + h) and rho(theta - h): each one checked stack for the chunk
+    scenario = parse_scenario({"curve": CURVES[family], "theta0": 0.0})
+    thetas = np.linspace(0.2, 0.8, 64)
+    scan_module.scan_rows(scenario, thetas, mode, 1e-5)  # warm: the curve's cached properties
+    built = _count_states(monkeypatch)
+    checks = _count_calls(monkeypatch, "hermitian_part")
+    scan_module.scan_rows(scenario, thetas, mode, 1e-5)
+    stacks = 1 if mode == ANALYTIC else 3
+    assert (built, len(checks)) == ([len(thetas)] * stacks, stacks)
+
+
+def test_eval_qfi_builds_the_state_once(monkeypatch, capsys):
+    built = _count_states(monkeypatch)
+    assert cli.main(["eval", "--scenario", str(FIXTURES / "qdit_d3.json"), "--quantity", "qfi"]) == 0
+    assert built == [1]
+
+
+def test_optimize_checks_drho_once_and_solves_once(monkeypatch, capsys):
+    # one check builds rho, one checks drho; maximize_cfi's SLD gives the printed qfi as well
+    checks = _count_calls(monkeypatch, "hermitian_part")
+    solves = _count_calls(monkeypatch, "sld_solve_stack", owner=qfg.sld)
+    assert cli.main(["optimize", "--scenario", str(FIXTURES / "transverse_k025.json")]) == 0
+    assert (len(checks), len(solves)) == (2, 1)
 
 
 def test_quantum_fisher_checks_once(monkeypatch):
