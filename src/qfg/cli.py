@@ -130,17 +130,14 @@ def _cmd_tensor(args) -> int:
     scenario = load_scenario(args.scenario)
     curve = _require_curve(scenario)
     theta = scenario.theta0
-    if isinstance(curve, SphereCurve):
-        point = curve.point_at(theta)
-    elif isinstance(curve, TransverseCurve):
-        point = curve.point_at(theta)
-        if point.at_infinity:
-            raise InvariantViolation(
-                "tensor needs a finite stereographic point; this transverse curve sits at z = inf"
-            )
-    else:
+    if not isinstance(curve, (SphereCurve, TransverseCurve)):
         raise InvariantViolation(
             "tensor needs a sphere_curve or transverse_curve scenario with a finite point"
+        )
+    point = curve.point_at(theta)
+    if point.at_infinity:  # a sphere curve's point is always finite
+        raise InvariantViolation(
+            "tensor needs a finite stereographic point; this transverse curve sits at z = inf"
         )
     v = _parse_complex_flag(args.v, "--v")
     v2 = _parse_complex_flag(args.v2, "--v2")

@@ -25,6 +25,7 @@ from .errors import (
     NotPositiveSemidefinite,
 )
 
+#: A matrix m is Hermitian when ||m - m^dag||_F <= HERMITIAN_RTOL * max(1, ||m||_F).
 HERMITIAN_RTOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
 #: Eigenvalues at or below this times max(1, lam_max) are zero in a square root.
@@ -85,8 +86,8 @@ def traces(a: np.ndarray) -> np.ndarray:
     return a.trace(axis1=-2, axis2=-1)
 
 
-def hermitian_part(m, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Validate every matrix of a stack as Hermitian; return the exactly symmetrized stack.
+def hermitian_part(m) -> np.ndarray:
+    """Validate every matrix of a stack as Hermitian within HERMITIAN_RTOL; return the exactly symmetrized stack.
 
     The first non-Hermitian row raises NonHermitianInput with its defect.
     """
@@ -94,17 +95,17 @@ def hermitian_part(m, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     s = np.abs(a).max(axis=(1, 2), initial=1.0)  # norms of a / s cannot overflow
     b = a / s[:, None, None]
     defect, norm = frobenius_norms(b - dagger(b)), frobenius_norms(b)
-    bad = defect > rtol * np.maximum(1.0 / s, norm)
+    bad = defect > HERMITIAN_RTOL * np.maximum(1.0 / s, norm)
     if bad.any():
         i = int(np.argmax(bad))
         scale = max(1.0, norm[i] * s[i])
-        raise NonHermitianInput(f"Hermiticity defect {defect[i] * s[i]:.3e} exceeds {rtol:.1e} * {scale:.3e}")
+        raise NonHermitianInput(f"Hermiticity defect {defect[i] * s[i]:.3e} exceeds {HERMITIAN_RTOL:.1e} * {scale:.3e}")
     return (a + dagger(a)) / 2
 
 
-def require_hermitian(m, *, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Validate Hermiticity and return the exactly symmetrized matrix."""
-    return hermitian_part(_square(m)[None], rtol=rtol)[0]
+    return hermitian_part(_square(m)[None])[0]
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

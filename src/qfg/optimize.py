@@ -39,6 +39,11 @@ from .linalg import (
 )
 from .sld import require_coefficients, require_direction, sld_solve, sld_solve_stack
 
+#: SLD spectra with a gap at or below this fraction of their largest |eigenvalue| have no unique eigenbasis.
+SLD_GAP = 1e-10
+#: An outcome attains the bound when its fit residual / max(1, ||m^1/2 rho^1/2||_F) and |Im c| are at most this.
+ATTAINABILITY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class AttainabilityReport:
@@ -54,7 +59,7 @@ class AttainabilityReport:
     vacuous: bool = False
 
 
-def attainability_check(rho: DensityOp, drho, m, tol: float = 1e-8) -> AttainabilityReport:
+def attainability_check(rho: DensityOp, drho, m) -> AttainabilityReport:
     """Decide whether the outcome m can saturate the quantum bound at (rho, drho).
 
     The element is taken at its numerical rank before the square root (see
@@ -73,7 +78,7 @@ def attainability_check(rho: DensityOp, drho, m, tol: float = 1e-8) -> Attainabi
     a = root_m @ ell @ rho.sqrt
     c = complex(np.trace(b.conj().T @ a)) / norm_b**2
     residual = float(np.linalg.norm(a - c * b))
-    attains = residual <= tol * max(1.0, norm_b) and abs(c.imag) <= tol
+    attains = residual <= ATTAINABILITY_TOL * max(1.0, norm_b) and abs(c.imag) <= ATTAINABILITY_TOL
     return AttainabilityReport(attains=attains, c=c.real, residual=residual)
 
 
@@ -168,10 +173,6 @@ def mixed_conditions_check(
         residuals=residuals,
         lambda_product_real=abs(prod.imag) <= 1e-10 * max(1.0, abs(prod)),
     )
-
-
-#: SLD spectra with a gap at or below this fraction of their largest |eigenvalue| have no unique eigenbasis.
-SLD_GAP = 1e-10
 
 
 def _degenerate(w: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .sld import (
     TableCurve,
     TransverseCurve,
 )
+from .states import Chart
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,6 @@ def _check_keys(data: dict, path: str, allowed: set[str], required: set[str]):
     missing = required - set(data)
     if missing:
         raise InvariantViolation(f"{path}: missing required field(s) {sorted(missing)}")
-
-
-def _complex_or_inf(data, path: str):
-    if data == "inf":
-        return "inf"
-    return complex_from_json(data, path)
 
 
 def _path_record(data, path: str, fields: dict) -> dict:
@@ -101,13 +96,10 @@ def curve_from_json(data, path: str = "curve"):
         chart = data.get("chart", "north")
         if chart not in ("north", "south"):
             raise InvariantViolation(f"{path}.chart: expected 'north' or 'south', got {chart!r}")
-        z = _complex_or_inf(data.get("z", "inf"), f"{path}.z")
+        z = data.get("z", "inf")
         if z == "inf":
-            return TransverseCurve(z=None, **rec)
-        if chart == "south":
-            # south-chart coordinate w: the physical point is z = 1/w, w = 0 the pole
-            return TransverseCurve(z=None if z == 0 else 1.0 / z, **rec)
-        return TransverseCurve(z=z, **rec)
+            return TransverseCurve(**rec)
+        return TransverseCurve(coord=complex_from_json(z, f"{path}.z"), chart=Chart(chart), **rec)
     if family == "pure_qdit_coeffs":
         _check_keys(data, path, {"family", "a"}, {"family", "a"})
         if not isinstance(data["a"], list) or len(data["a"]) < 2:

@@ -43,6 +43,7 @@ from .states import (
     Chart,
     PureState,
     QubitPoint,
+    chart_matrices,
     pure_projector_stack,
     require_finite_coords,
     require_mixing_weight,
@@ -139,20 +140,21 @@ class SphereCurve(_StackedCurve):
         return rho_of_kz_stack(self.k, self._coords(thetas), Chart.NORTH)
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        return assemble_drho_stack(self.k, self._coords(thetas), 0.0, self.velocity)
+        return _sphere_drho_stack(self.k, self._coords(thetas), self.velocity)
 
 
 @dataclass(frozen=True)
 class TransverseCurve(_StackedCurve):
-    """Mixing path k(theta) = k0 + rate * theta at a fixed sphere point.
+    """Mixing path k(theta) = k0 + rate * theta at a fixed sphere point (coord, chart), held as QubitPoint holds it.
 
-    ``z=None`` places the curve at the infinity pole, where rho(theta) is the
-    diagonal matrix diag(k, 1-k).
+    The default, the south-chart origin, is the z = infinity pole, where
+    rho(theta) = diag(k, 1-k); d rho / d theta is rate times the (1, -1) chart matrix.
     """
 
     k0: float
     rate: float = 1.0
-    z: complex | None = None
+    coord: complex = 0j
+    chart: Chart = Chart.SOUTH
 
     def k_at(self, theta):
         """k at one theta or at each of an array of thetas."""
@@ -163,22 +165,15 @@ class TransverseCurve(_StackedCurve):
         _guard_rank2(k, thetas)
         return k
 
-    def _chart_points(self, thetas: np.ndarray):
-        k = self._weights(thetas)
-        if self.z is None:
-            return k, np.zeros(len(thetas), dtype=complex), Chart.SOUTH
-        return k, require_finite_coords(np.full(len(thetas), complex(self.z))), Chart.NORTH
-
     def point_at(self, theta: float) -> QubitPoint:
-        k, coord, chart = self._chart_points(_thetas(theta))
-        return QubitPoint(float(k[0]), complex(coord[0]), chart)
+        return QubitPoint(float(self._weights(_thetas(theta))[0]), self.coord, self.chart)
 
     def rho_stack(self, thetas: np.ndarray) -> DensityStack:
-        return rho_of_kz_stack(*self._chart_points(thetas))
+        return rho_of_kz_stack(self._weights(thetas), np.full(len(thetas), self.coord, dtype=complex), self.chart)
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        z = np.inf if self.z is None else complex(self.z)
-        return assemble_drho_stack(self._weights(thetas), np.full(len(thetas), z), self.rate, 0.0)
+        self._weights(thetas)  # the rank guard of rho_stack
+        return self.rate * chart_matrices(1.0, -1.0, np.full(len(thetas), self.coord, dtype=complex), self.chart)
 
 
 def require_coefficients(a) -> np.ndarray:
@@ -385,25 +380,26 @@ def sld_transverse(k: float, dk: float, z: complex) -> np.ndarray:
     )
 
 
+def _sphere_drho_stack(k, z: np.ndarray, v) -> np.ndarray:
+    """The sphere half of ``assemble_drho_stack``: the (n, 2, 2) drho of the velocities v at fixed k."""
+    z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
+    zc, vc = z.conj(), v.conj()
+    sphere = np.stack([zc * v + z * vc, z * z * vc - v, zc * zc * v - vc, -(zc * v + z * vc)], axis=-1)
+    pref = (2.0 * np.asarray(k) - 1.0) / (1.0 + np.abs(z) ** 2) ** 2
+    return (pref[:, None] * sphere).reshape(-1, 2, 2)
+
+
 def assemble_drho_stack(k, z: np.ndarray, dk, v) -> np.ndarray:
-    """Qubit drho of the tangents (dk, v) at the points (k, z): an (n, 2, 2) stack for n coordinates z.
+    """Qubit drho of the tangents (dk, v) at the points (k, z): an (n, 2, 2) stack for n north coordinates z.
 
     ``k``, ``dk`` and ``v`` are arrays of n values or one for all. Points are
-    trusted as QubitPoint checks them; k = 0 is the pure family, and an
-    infinite z the infinity pole, where v must be 0. The transverse unit
-    d rho / dk = U(z) diag(1, -1) U(z)^dag is [[|z|^2 - 1, -2z], [-2z*, 1 - |z|^2]] / (1 + |z|^2).
+    trusted as QubitPoint checks them, and k = 0 is the pure family. drho is
+    the sphere half plus dk times the transverse tangent d rho / dk, the chart
+    matrix of weights (1, -1) (``states.chart_matrices``). The z = infinity
+    pole has no north coordinate; ``TransverseCurve`` reaches it in the south chart.
     """
-    z = np.asarray(z, dtype=complex)
-    pole = np.isinf(z)
-    z = np.where(pole, 0j, z)
-    zc, v = z.conj(), np.asarray(v, dtype=complex)
-    vc = v.conj()
-    az2 = np.abs(z) ** 2
-    sphere = np.stack([zc * v + z * vc, z * z * vc - v, zc * zc * v - vc, -(zc * v + z * vc)], axis=-1)
-    unit = np.stack([az2 - 1.0, -2.0 * z, -2.0 * zc, 1.0 - az2], axis=-1) / (1.0 + az2)[:, None]
-    unit[pole] = (1.0, 0.0, 0.0, -1.0)
-    drho = ((2.0 * np.asarray(k) - 1.0) / (1.0 + az2) ** 2)[:, None] * sphere + np.reshape(dk, (-1, 1)) * unit
-    return drho.reshape(-1, 2, 2)
+    unit = chart_matrices(1.0, -1.0, np.asarray(z, dtype=complex), Chart.NORTH)
+    return _sphere_drho_stack(k, z, v) + np.reshape(dk, (-1, 1, 1)) * unit
 
 
 @finite_closed_form

@@ -5,7 +5,9 @@ stereographic coordinate z (eigenvector direction) times the mixing interval.
 The north chart carries finite z; the point z = infinity is represented in the
 south chart with coordinate w = 1/z, so every point has a finite coordinate in
 some chart. The gauge of the unitary lift U(z) is fixed by taking both column
-phases to zero, with chi := 0 at z = 0.
+phases to zero, with chi := 0 at z = 0. ``chart_matrices`` is the one place
+that forms U diag(k1, k2) U^dag in either chart: rho with weights (k, 1-k),
+the transverse tangent d rho / dk with (1, -1).
 """
 
 from __future__ import annotations
@@ -103,12 +105,12 @@ class QubitPoint:
 
     @property
     def z(self) -> complex:
-        """Physical north-chart coordinate; undefined at the infinity pole."""
+        """Physical north-chart coordinate; undefined at the infinity pole, non-finite where 1/w overflows."""
         if self.chart is Chart.NORTH:
             return self.coord
         if self.coord == 0:
             raise ChartSingularity("z is infinite at the south-chart origin")
-        return 1.0 / self.coord
+        return _other_chart(self.coord)
 
 
 def qubit_point(k: float, z) -> QubitPoint:
@@ -175,26 +177,30 @@ def rho_of_kz_stack(k, coord: np.ndarray, chart: Chart) -> DensityStack:
     must be valid, as QubitPoint checks them. A coordinate whose |coord|^2
     overflows the float range raises NonFiniteResult, once for the stack.
     """
-    return DensityStack(_rho_of_kz_matrices(k, coord, chart))
+    return DensityStack(chart_matrices(k, 1.0 - k, coord, chart))
 
 
 @finite_closed_form
-def _rho_of_kz_matrices(k, coord: np.ndarray, chart: Chart) -> np.ndarray:
-    """The (n, 2, 2) matrices of ``rho_of_kz_stack``."""
-    k1, k2 = k, 1.0 - k
+def chart_matrices(k1, k2, coord: np.ndarray, chart: Chart) -> np.ndarray:
+    """The (n, 2, 2) matrices U diag(k1, k2) U^dag at n coordinates of one chart; weights are n values or one.
+
+    The south chart at w is the north formula at (k2, k1, -w*), so w = 0 gives diag(k1, k2).
+    """
+    if chart is Chart.SOUTH:
+        k1, k2, coord = k2, k1, -coord.conj()
     ac2 = np.abs(coord) ** 2
     m = np.empty((len(coord), 2, 2), dtype=complex)
-    if chart is Chart.NORTH:
-        m[:, 0, 0] = k1 * ac2 + k2
-        m[:, 0, 1] = (k2 - k1) * coord
-        m[:, 1, 0] = (k2 - k1) * coord.conj()
-        m[:, 1, 1] = k1 + ac2 * k2
-    else:
-        m[:, 0, 0] = k1 + k2 * ac2
-        m[:, 0, 1] = (k2 - k1) * coord.conj()
-        m[:, 1, 0] = (k2 - k1) * coord
-        m[:, 1, 1] = k2 + k1 * ac2
+    m[:, 0, 0] = k1 * ac2 + k2
+    m[:, 0, 1] = (k2 - k1) * coord
+    m[:, 1, 0] = (k2 - k1) * coord.conj()
+    m[:, 1, 1] = k1 + ac2 * k2
     return m / (1.0 + ac2)[:, None, None]
+
+
+@finite_closed_form
+def _other_chart(coord: complex) -> complex:
+    """The coordinate 1/coord of the same sphere point in the other chart; coord != 0."""
+    return 1.0 / coord
 
 
 def chart_convert(point: QubitPoint, target: str):
@@ -203,26 +209,26 @@ def chart_convert(point: QubitPoint, target: str):
     "north"/"south" return the coordinate in the target chart; "spherical"
     returns (theta, phi) with z = cot(theta/2) e^{i phi}. Raises
     ChartSingularity where the target representation is undefined (phi at the
-    poles, the opposite chart at its own origin's antipode).
+    poles, the opposite chart at its own origin's antipode), and
+    NonFiniteResult where the other chart's 1/coord overflows.
     """
     if target == "spherical":
+        c = point.coord
         if point.at_infinity:
             raise ChartSingularity("phi undefined at theta = 0 (z = infinity)")
-        z = point.z
-        if z == 0:
+        if point.chart is Chart.SOUTH:  # in the point's own chart, w = 1/z: no 1/w to overflow
+            return 2.0 * math.atan2(abs(c), 1.0), -cmath.phase(c)
+        if c == 0:
             raise ChartSingularity("phi undefined at theta = pi (z = 0)")
-        theta = 2.0 * math.atan2(1.0, abs(z))
-        return theta, cmath.phase(z)
+        return 2.0 * math.atan2(1.0, abs(c)), cmath.phase(c)
     if target == "north":
-        if point.chart is Chart.NORTH:
-            return point.coord
         return point.z
     if target == "south":
         if point.chart is Chart.SOUTH:
             return point.coord
         if point.coord == 0:
             raise ChartSingularity("z = 0 has no south-chart coordinate")
-        return 1.0 / point.coord
+        return _other_chart(point.coord)
     raise DomainError(f"unknown chart target {target!r}")
 
 
@@ -247,7 +253,7 @@ def s3_embed(point: QubitPoint) -> S3Point:
     psi = point.psi_angle
     if point.at_infinity:
         theta, phi = 0.0, 0.0
-    elif point.z == 0:
+    elif point.coord == 0:
         theta, phi = math.pi, 0.0
     else:
         theta, phi = chart_convert(point, "spherical")

@@ -347,22 +347,54 @@ class TestBoundaryInput:
         code, out, err = run_cli(argv[0], "--scenario", write_scenario(tmp_path, payload), *argv[1:])
         assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
 
-    @pytest.mark.parametrize("command", [
-        ["eval", "--quantity", "qfi"],
-        ["scan", "--range", "0:0.1:3"],
-        ["optimize"],
-        ["tensor", "--v", "1,0", "--v2", "0,1"],
-    ], ids=["eval", "scan", "optimize", "tensor"])
-    @pytest.mark.parametrize("curve", [
-        {"family": "sphere_curve", "k": 0.25, "path": {"type": "linear", "z0": [1e200, 0], "velocity": [1, 0]}},
-        {"family": "transverse_curve", "chart": "south", "z": [1e-300, 0],
-         "path": {"type": "linear", "k0": 0.25, "rate": 0.1}},
-    ], ids=["north-z0-1e200", "south-w-1e-300"])
+    @pytest.mark.parametrize("curve, command", [
+        *(({"family": "sphere_curve", "k": 0.25, "path": {"type": "linear", "z0": [1e200, 0], "velocity": [1, 0]}},
+           command) for command in (
+            ["eval", "--quantity", "qfi"],
+            ["scan", "--range", "0:0.1:3"],
+            ["optimize"],
+            ["tensor", "--v", "1,0", "--v2", "0,1"],
+        )),
+        *(({"family": "transverse_curve", "chart": "south", "z": [w, 0],
+            "path": {"type": "linear", "k0": 0.25, "rate": 0.1}},
+           ["tensor", "--v", "1,0", "--v2", "0,1"]) for w in (1e-300, 1e-320)),
+    ], ids=["north-z0-1e200-eval", "north-z0-1e200-scan", "north-z0-1e200-optimize", "north-z0-1e200-tensor",
+            "south-w-1e-300-tensor", "south-w-1e-320-tensor"])
     def test_overflowing_chart_point_is_non_finite_in_every_command(self, tmp_path, curve, command):
-        # |z|^2 overflows where rho(theta) is formed, for every command alike
+        # |z|^2 overflows where rho(theta) is formed, for every command alike; the tensor's north
+        # closed form overflows at z = 1/w = 1e300, and 1/w itself at w = 1e-320
         path = write_scenario(tmp_path, {"curve": curve, "theta0": 0.0})
         code, out, err = run_cli(command[0], "--scenario", path, *command[1:])
         assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--quantity", "qfi"],
+        ["scan", "--range", "0:0.2:5"],
+        ["optimize"],
+    ], ids=["eval", "scan", "optimize"])
+    @pytest.mark.parametrize("w", [0.0, 1e-320, 1e-300, 1e-3])
+    def test_south_chart_point_near_the_pole_has_the_pole_values(self, tmp_path, w, command):
+        # a transverse curve keeps its south-chart point w: rho is finite there, and its QFI
+        # dk^2 / (k (1 - k)) does not depend on the point (6.25 at k = 0.2, rate 1)
+        def run(z, chart):
+            curve = {"family": "transverse_curve", "chart": chart, "z": z,
+                     "path": {"type": "linear", "k0": 0.2, "rate": 1.0}}
+            path = write_scenario(tmp_path, {"curve": curve, "theta0": 0.0})
+            return run_cli(command[0], "--scenario", path, *command[1:])
+
+        pole = run("inf", "north")
+        code, out, err = run([w, 0], "south")
+        assert (code, err) == (0, "")
+        if w == 0.0:
+            assert out == pole[1]
+        if command[0] == "scan":
+            got, want = ([[float(x) for x in line.split(",")] for line in text.splitlines()[1:]] for text in (out, pole[1]))
+        else:
+            fields = ["qfi"] if command[0] == "eval" else ["cfi", "qfi"]  # the optimal axis turns with w
+            got, want = ([json.loads(text)[name] for name in fields] for text in (out, pole[1]))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        if command[0] != "scan":
+            assert json.loads(out)["qfi"] == pytest.approx(6.25, rel=1e-12)
 
     def test_non_finite_result_is_an_error_line(self):
         code, out, err = run_cli(

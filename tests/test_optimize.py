@@ -31,7 +31,7 @@ from qfg.optimize import (
     sld_eigenbasis_povm,
 )
 from qfg.sld import RANK_GUARD, GreatCirclePure, TransverseCurve, assemble_drho, differentiate_curve
-from qfg.states import qubit_point, rho_of_kz
+from qfg.states import Chart, qubit_point, rho_of_kz
 
 
 class TestPovmValidate:
@@ -261,7 +261,7 @@ class TestMaximizeCfi:
     def test_nearly_pure_mixed_state_reaches_quantum_bound(self, k0, z):
         # the outcome of the small eigenvalue k0 carries nearly all of the QFI ~ 1/k0; qfi
         # and cfi each resolve k0 to about 1e-16, so they agree to about 1e-16 / k0
-        curve = TransverseCurve(k0=k0, z=z)
+        curve = TransverseCurve(k0=k0) if z is None else TransverseCurve(k0=k0, coord=z, chart=Chart.NORTH)
         rho, drho = curve.rho_at(0.0), differentiate_curve(curve, 0.0)
         qfi = quantum_fisher(rho, drho)
         assert qfi * (1 - 1e-6) <= maximize_cfi(rho, drho).value <= qfi * (1 + 1e-14 / k0)

@@ -8,6 +8,7 @@ import pytest
 from qfg.errors import InvariantViolation, ParseError
 from qfg.scenario import load_scenario, parse_scenario
 from qfg.sld import GreatCirclePure, SphereCurve, TableCurve, TransverseCurve
+from qfg.states import Chart
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,7 +42,7 @@ class TestHappyPaths:
             {"curve": {"family": "transverse_curve", "path": {"k0": 0.1}}, "theta0": 0.0}
         )
         assert isinstance(scenario.curve, TransverseCurve)
-        assert scenario.curve.z is None
+        assert (scenario.curve.coord, scenario.curve.chart) == (0j, Chart.SOUTH)
 
     def test_transverse_south_chart(self):
         scenario = parse_scenario(
@@ -55,7 +56,8 @@ class TestHappyPaths:
                 "theta0": 0.0,
             }
         )
-        assert scenario.curve.z == pytest.approx(2.0)
+        assert (scenario.curve.coord, scenario.curve.chart) == (0.5, Chart.SOUTH)
+        assert scenario.curve.point_at(0.0).z == pytest.approx(2.0)
 
     def test_table_curve(self):
         rho = [[[0.75, 0], [0, 0]], [[0, 0], [0.25, 0]]]

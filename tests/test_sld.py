@@ -31,7 +31,7 @@ from qfg.sld import (
     sld_solve,
     sld_transverse,
 )
-from qfg.states import qubit_point, rho_of_kz, unitary_of_z
+from qfg.states import Chart, chart_matrices, qubit_point, rho_of_kz, unitary_of_z
 
 
 class TestDifferentiateCurve:
@@ -42,6 +42,18 @@ class TestDifferentiateCurve:
         curve = TransverseCurve(k0=0.0, rate=1.0)
         assert np.allclose(differentiate_curve(curve, 0.25), np.diag([1, -1]))
 
+    def test_transverse_curve_is_the_same_in_either_chart(self):
+        # one transverse curve given at north z and at south w = 1/z
+        rng = np.random.default_rng(30)
+        thetas = np.linspace(0.0, 0.2, 5)
+        for _ in range(50):
+            z = complex(rng.normal(), rng.normal()) * 10 ** rng.uniform(-3, 3)
+            k0, rate = rng.uniform(0.05, 0.25), rng.uniform(-0.2, 1.0)
+            north = TransverseCurve(k0, rate, z, Chart.NORTH)
+            south = TransverseCurve(k0, rate, 1 / z, Chart.SOUTH)
+            assert np.allclose(north.rho_stack(thetas).matrices, south.rho_stack(thetas).matrices, rtol=0, atol=1e-12)
+            assert np.allclose(north.drho_stack(thetas), south.drho_stack(thetas), rtol=0, atol=1e-12)
+
     def test_constant_curve(self):
         curve = SphereCurve(k=0.25, z0=0.5, velocity=0)
         assert np.allclose(differentiate_curve(curve, 1.0), 0)
@@ -51,7 +63,7 @@ class TestDifferentiateCurve:
         [
             (GreatCirclePure(phase=0.3), 0.8),
             (SphereCurve(k=0.3, z0=0.1 + 0.2j, velocity=1 - 0.4j), 0.5),
-            (TransverseCurve(k0=0.1, rate=0.5, z=0.7 - 0.2j), 0.4),
+            (TransverseCurve(k0=0.1, rate=0.5, coord=0.7 - 0.2j, chart=Chart.NORTH), 0.4),
             (PureQditCoeffs(a=(0.1j, 0.4, 0.2 - 0.3j)), 0.6),
         ],
     )
@@ -229,7 +241,17 @@ class TestTangentDir:
             assert np.linalg.norm(commutator - assemble_drho(k, z, 0.0, v)) <= 1e-10
 
     def test_transverse_allowed_at_infinity(self):
-        assert np.array_equal(assemble_drho_stack(0.25, np.array([np.inf]), 1.0, 0j), np.diag([1, -1])[None])
+        assert np.array_equal(TransverseCurve(k0=0.25).drho_stack(np.array([0.0])), np.diag([1, -1])[None])
+
+    def test_transverse_half_is_the_chart_matrix(self):
+        # d rho / dk is the (1, -1) chart matrix, bit for bit, in every qubit drho
+        rng = np.random.default_rng(29)
+        k = rng.uniform(0.02, 0.5, 64)
+        z = rng.normal(size=64) + 1j * rng.normal(size=64)
+        z[0] = 0
+        dk = rng.normal(size=64)
+        unit = chart_matrices(1.0, -1.0, z, Chart.NORTH)
+        assert np.array_equal(assemble_drho_stack(k, z, dk, 0), dk[:, None, None] * unit)
 
     def test_xtilde0_matches_geometry_constructor(self):
         # the reference-frame tangent is U(z)^dag (d/dtheta) rho(k, z + theta v) U(z), by central differences

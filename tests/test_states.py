@@ -1,16 +1,18 @@
 """Tests for state construction and chart machinery."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from qfg.errors import ChartSingularity, DomainError, NotNormalized
+from qfg.errors import ChartSingularity, DomainError, NonFiniteResult, NotNormalized
 from qfg.states import (
     Chart,
     PureState,
     QubitPoint,
     chart_convert,
+    chart_matrices,
     from_spherical,
     pure_projector,
     qubit_point,
@@ -96,6 +98,16 @@ class TestRhoOfKz:
             south = rho_of_kz(QubitPoint(k, 1 / z, Chart.SOUTH))
             assert np.allclose(north.matrix, south.matrix, atol=1e-12)
 
+    def test_chart_matrices_rotate_the_weights(self):
+        # U(z) diag(k1, k2) U(z)^dag for any real weights, in either chart
+        rng = np.random.default_rng(12)
+        for chart in Chart:
+            coord = rng.normal(size=20) + 1j * rng.normal(size=20)
+            k1, k2 = rng.normal(size=20), rng.normal(size=20)
+            u = np.array([unitary_of_z(c if chart is Chart.NORTH else 1 / c) for c in coord])
+            want = u @ (np.stack([k1, k2], axis=1)[:, :, None] * u.conj().transpose(0, 2, 1))
+            assert np.allclose(chart_matrices(k1, k2, coord, chart), want, rtol=0, atol=1e-12)
+
     def test_k_range_enforced(self):
         with pytest.raises(DomainError):
             qubit_point(0.7, 0)
@@ -134,6 +146,30 @@ class TestChartConvert:
         w = chart_convert(point, "south")
         again = chart_convert(QubitPoint(0.2, w, Chart.SOUTH), "north")
         assert abs(again - (2 + 1j)) <= 1e-12
+
+    def test_north_is_the_point_z(self):
+        for point in (qubit_point(0.2, 2 + 1j), QubitPoint(0.2, 0.5 - 0.25j, Chart.SOUTH), QubitPoint(0.2, 1e-300, Chart.SOUTH)):
+            assert chart_convert(point, "north") == point.z
+        with pytest.raises(ChartSingularity):
+            chart_convert(qubit_point(0.2, "inf"), "north")
+
+    def test_spherical_in_the_points_own_chart(self):
+        # a south-chart point is converted without forming 1/w, so it stays finite next to the pole
+        for w in (0.5 - 0.25j, -2.0, 1e-300, 1e-320):
+            theta, phi = chart_convert(QubitPoint(0.2, w, Chart.SOUTH), "spherical")
+            assert theta == pytest.approx(2.0 * math.atan(abs(w)), rel=1e-12)
+            assert cmath.exp(1j * phi) == pytest.approx(complex(w).conjugate() / abs(w), rel=1e-12)  # the phase of z = 1/w
+        assert np.allclose(s3_embed(QubitPoint(0.25, 1e-320, Chart.SOUTH)).as_array(), [0, 0, 0.5, math.sqrt(3) / 2])
+
+    def test_overflowing_inverse_is_non_finite(self):
+        # 1/coord beyond the float range is a computed overflow, not an infinite coordinate
+        point = QubitPoint(0.2, 1e-320, Chart.SOUTH)
+        with pytest.raises(NonFiniteResult):
+            point.z
+        with pytest.raises(NonFiniteResult):
+            chart_convert(point, "north")
+        with pytest.raises(NonFiniteResult):
+            chart_convert(qubit_point(0.2, 1e-320), "south")
 
     def test_singularities(self):
         with pytest.raises(ChartSingularity):
