@@ -115,14 +115,15 @@ def _cmd_scan(args) -> int:
         raise InvariantViolation(f"--range needs finite a, b and b - a, got {args.range!r}")
     opts = _effective_options(scenario, args)
 
-    # rows are written chunk by chunk; a failing chunk leaves the earlier ones written
+    # rows are written chunk by chunk, each formatted first: a failing chunk leaves the earlier ones written
     with contextlib.ExitStack() as stack:
         out = None
         for rows in scan(scenario, lo, hi, count, opts.mode, opts.fd_step):
+            text = format_rows(rows)
             if out is None:
                 out = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
                 out.write(",".join(COLUMNS) + "\n")
-            out.write(format_rows(rows))
+            out.write(text)
     return 0
 
 

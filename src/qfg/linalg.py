@@ -76,8 +76,8 @@ def rank_one_projectors(vecs: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in an (n, d, d) stack."""
-    x = a.reshape(len(a), -1)
+    """Frobenius norm of each matrix in an (..., d, d) stack."""
+    x = a.reshape(*a.shape[:-2], -1)
     return np.sqrt(np.vecdot(x, x).real)
 
 

@@ -10,12 +10,15 @@ The SLD of a direction drho at rho is the Hermitian L solving
 
 Built-in curve families evaluate rho(theta) exactly; finite differences are
 available for all families and are the only route for tabulated curves.
+Every pure family is one closed-form flow, ``PureQditCoeffs``, a turned great
+circle; ``GreatCirclePure`` is its d = 2 case.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +37,6 @@ from .linalg import (
     as_stack,
     dagger,
     frobenius_norms,
-    herm_eigen,
     rank_one_projectors,
     require_hermitian,
     traces,
@@ -59,7 +61,7 @@ DEFAULT_FD_STEP = 1e-5
 RANK_GUARD = 1e-9
 #: Eigenvalue pairs with lam_i + lam_j at or below this are outside rho's support.
 SUPPORT_CUTOFF = 1e-12
-#: Largest |drho_ij| tolerated on an eigenvalue pair outside the support.
+#: Largest |drho_ij| / max(1, ||drho||_F) tolerated on an eigenvalue pair outside the support.
 SUPPORT_LEAK_TOL = 1e-10
 #: Largest |Tr drho| / max(1, ||drho||_F) of a valid direction.
 DRHO_TRACE_TOL = 1e-10
@@ -92,30 +94,6 @@ class _StackedCurve:
 
     def rho_at(self, theta: float) -> DensityOp:
         return self.rho_stack(_thetas(theta))[0]
-
-
-@dataclass(frozen=True)
-class GreatCirclePure(_StackedCurve):
-    """Pure qubit great circle psi(theta) = (cos(theta/2), e^{i phase} sin(theta/2))."""
-
-    phase: float = 0.0
-
-    def _amplitudes(self, thetas: np.ndarray) -> np.ndarray:
-        half = thetas / 2.0
-        amps = np.stack([np.cos(half), cmath.exp(1j * self.phase) * np.sin(half)], axis=1)
-        return require_normalized(amps)
-
-    def state_at(self, theta: float) -> PureState:
-        return PureState(self._amplitudes(_thetas(theta))[0])
-
-    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
-        return pure_projector_stack(self._amplitudes(thetas))
-
-    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        half = thetas / 2.0
-        psi = self._amplitudes(thetas)
-        dpsi = 0.5 * np.stack([-np.sin(half), cmath.exp(1j * self.phase) * np.cos(half)], axis=1)
-        return dpsi[:, :, None] * psi.conj()[:, None, :] + psi[:, :, None] * dpsi.conj()[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -192,9 +170,11 @@ def require_coefficients(a) -> np.ndarray:
 class PureQditCoeffs(_StackedCurve):
     """Pure d-level curve with prescribed velocity coefficients at theta = 0.
 
-    In the adapted frame psi(0) = e1 and dpsi(0) = sum_i a_i e_i with a_1 pure
-    imaginary; the curve is the unitary flow psi(theta) = exp(theta A) e1 for
-    the anti-Hermitian generator A with A e1 = dpsi(0).
+    In the adapted frame psi(0) = e1 and dpsi(0) = a = (i b, a'); the curve is the
+    flow psi(theta) = exp(theta A) e1, A anti-Hermitian with A e1 = a: the great
+    circle through e1 and a' turned by the phase b. With w = sqrt(b^2 + 4 |a'|^2),
+    psi = e^{i b theta/2} [(cos(w theta/2) + i (b/w) sin(w theta/2)) e1 + (2/w) sin(w theta/2) a'],
+    O(d) per theta; drho = A rho - rho A, exactly 0 on a phase-only flow (a' = 0).
     """
 
     a: tuple[complex, ...]
@@ -215,14 +195,16 @@ class PureQditCoeffs(_StackedCurve):
             gen[0, i] = -self.a[i].conjugate()
         return gen
 
-    @cached_property
-    def _flow_eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        return herm_eigen(1j * self._generator)  # 1j * A is Hermitian
-
     def _amplitudes(self, thetas: np.ndarray) -> np.ndarray:
-        w, v = self._flow_eigen
-        u = (v * np.exp(-1j * thetas[:, None] * w)[:, None, :]) @ v.conj().T
-        return require_normalized(u[:, :, 0])
+        half_b, rest = self.a[0].imag / 2, np.array(self.a[1:])
+        half_w = math.hypot(half_b, *np.abs(rest))  # w / 2, formed without overflow
+        # sin(w theta/2) / (w/2); its limit theta at w = 0, where a = 0, keeps psi = e1 exactly
+        sinc = np.sin(half_w * thetas) / half_w if half_w else thetas
+        turn = np.exp(1j * half_b * thetas)
+        first, scale = turn * (np.cos(half_w * thetas) + 1j * half_b * sinc), turn * sinc
+        # real-by-complex products, so a row's bits do not depend on how many rows there are
+        tail = scale.real[:, None] * rest + scale.imag[:, None] * (1j * rest)
+        return require_normalized(np.concatenate([first[:, None], tail], axis=1))
 
     def state_at(self, theta: float) -> PureState:
         return PureState(self._amplitudes(_thetas(theta))[0])
@@ -232,8 +214,20 @@ class PureQditCoeffs(_StackedCurve):
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
         rho = rank_one_projectors(self._amplitudes(thetas))  # the matrices of rho_stack, unchecked
-        gen = self._generator
-        return gen @ rho - rho @ gen
+        left = self._generator @ rho
+        return left + dagger(left)  # A rho - rho A: rho A = -(A rho)^dag, as A^dag = -A and rho = rho^dag exactly
+
+
+@dataclass(frozen=True)
+class GreatCirclePure(PureQditCoeffs):
+    """Pure qubit great circle (cos(theta/2), e^{i phase} sin(theta/2)), the flow of a = (0, e^{i phase}/2)."""
+
+    a: tuple[complex, ...] = field(init=False)
+    phase: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", (0j, cmath.exp(1j * self.phase) / 2))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -278,9 +272,6 @@ class TableCurve(_StackedCurve):
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
         raise TableResolutionError("tabulated curves support finite-difference derivatives only")
-
-
-Curve = GreatCirclePure | SphereCurve | TransverseCurve | PureQditCoeffs | TableCurve
 
 
 def differentiate_stack(
@@ -343,7 +334,8 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     Trusts ``drho`` to be valid row by row (see ``require_direction``), as
     ``differentiate_stack`` returns it. In each rho's eigenbasis L_ij = 2 drho_ij /
     (lam_i + lam_j) on the support. Entries over eigenvalue pairs outside the
-    support are set to 0 when drho vanishes there too; otherwise the direction
+    support are set to 0 when drho vanishes there too, within SUPPORT_LEAK_TOL
+    * max(1, ||drho||_F) for each row and direction; otherwise the direction
     leaves the support and SupportMismatch is raised.
     """
     w, v = rho.eigenvalues, rho.eigenvectors
@@ -353,7 +345,14 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     dr = vh @ drho @ v
     denom = w[..., :, None] + w[..., None, :]
     support = denom > SUPPORT_CUTOFF
-    leak = ~support & (np.abs(dr) > SUPPORT_LEAK_TOL)
+    mag = np.abs(dr)
+    # roundoff off the support grows with ||drho||_F = ||dr||_F, so the rule is relative to it; that
+    # tolerance is never below SUPPORT_LEAK_TOL, so it is formed only where the bare one is exceeded
+    leak = ~support & (mag > SUPPORT_LEAK_TOL)
+    if leak.any():
+        peak = mag.max(axis=(-2, -1), initial=1.0)  # norms of dr / peak cannot overflow
+        tol = SUPPORT_LEAK_TOL * np.maximum(1.0, peak * frobenius_norms(dr / peak[..., None, None]))
+        leak &= mag > tol[..., None, None]
     if leak.any():
         weight = abs(dr[tuple(np.argwhere(leak)[0])])
         raise SupportMismatch(f"drho has weight {weight:.3e} outside the support of rho")

@@ -230,6 +230,10 @@ TABLE = {
 }
 
 
+RATE_1E200 = {"curve": {"family": "transverse_curve", "z": [0.3, 0.1],
+                        "path": {"type": "linear", "k0": 0.25, "rate": 1e200}}, "theta0": 0.0}
+
+
 class TestScanErrors:
     """A scan failing inside the grid reports the first failing row's error, as row-by-row evaluation does."""
 
@@ -248,11 +252,20 @@ class TestScanErrors:
          "theta=-1e-05 outside the tabulated range [0.0, 1.0]"),
         (TABLE, ["--range", "0.5:1.5:3", "--mode", "analytic"], "table-resolution",
          "tabulated curves support finite-difference derivatives only"),
+        # the qfi rate^2 / (k (1 - k)) overflows: the row fails when it is formatted, before the header
+        (RATE_1E200, ["--range", "0:0:1"], "non-finite-result", "non-finite value inf cannot be serialized"),
     ])
     def test_first_failing_row_reported(self, tmp_path, payload, argv, kind, detail):
         code, out, err = run_cli("scan", "--scenario", write_scenario(tmp_path, payload), *argv)
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": {"kind": kind, "detail": detail}}
+
+    def test_failing_first_chunk_writes_no_out_file(self, tmp_path):
+        out_path = tmp_path / "scan.csv"
+        code, out, err = run_cli("scan", "--scenario", write_scenario(tmp_path, RATE_1E200), "--range", "0:0:1",
+                                 "--out", str(out_path))
+        assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
+        assert not out_path.exists()
 
     def test_earlier_chunks_stay_written(self, tmp_path, monkeypatch):
         from qfg import scan
@@ -404,6 +417,41 @@ class TestBoundaryInput:
         assert json.loads(err) == {
             "error": {"kind": "non-finite-result", "detail": "fisher_tensor: a computed value is not finite"}
         }
+
+
+class TestFastPureFlows:
+    """A pure flow's QFI is 4 |a'|^2 at every speed the float range holds (the SLD support rule is relative)."""
+
+    @pytest.mark.parametrize("a", [
+        [[0, 0.2e6], [0.5e6, 0.1e6], [-0.3e6, 0.4e6]],
+        [[0, 0.2e8], [0.5e8, 0.1e8]],
+        [[0, 0], [1e150, 0]],
+    ], ids=["d3-scale-1e6", "d2-scale-1e8", "r-1e150"])
+    def test_qfi_is_four_r_squared(self, tmp_path, a):
+        path = write_scenario(tmp_path, {"curve": {"family": "pure_qdit_coeffs", "a": a}, "theta0": 0.7})
+        qfi = 4 * sum(re * re + im * im for re, im in a[1:])
+        code, out, err = run_cli("eval", "--scenario", path, "--quantity", "qfi")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["qfi"] == pytest.approx(qfi, rel=1e-9)
+        code, out, err = run_cli("scan", "--scenario", path, "--range=-1:1:5")
+        assert (code, err) == (0, "")
+        rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[1:]])
+        assert np.allclose(rows[:, 4], qfi, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("command", [["eval", "--quantity", "qfi"], ["scan", "--range=-1:1:5"]],
+                             ids=["eval", "scan"])
+    def test_overflowing_qfi_is_non_finite(self, tmp_path, command):
+        path = write_scenario(tmp_path, {"curve": {"family": "pure_qdit_coeffs", "a": [[0, 0], [1e200, 0]]},
+                                         "theta0": 0.7})
+        code, out, err = run_cli(command[0], "--scenario", path, *command[1:])
+        assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
+
+    def test_phase_only_flow_has_zero_qfi(self, tmp_path):
+        path = write_scenario(tmp_path, {"curve": {"family": "pure_qdit_coeffs", "a": [[0, 0.4], [0, 0]]},
+                                         "theta0": 0.7})
+        assert run_cli("eval", "--scenario", path, "--quantity", "qfi") == (0, '{"qfi": 0}\n', "")
+        code, out, _ = run_cli("scan", "--scenario", path, "--range=-1:1:3")
+        assert (code, out.splitlines()[1:]) == (0, ["-1,0,0,0,0", "0,0,0,0,0", "1,0,0,0,0"])
 
 
 class TestVerifySubcommand:

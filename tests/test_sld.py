@@ -1,5 +1,7 @@
 """Tests for curves, differentiation, and SLD solvers."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -317,14 +319,18 @@ class TestGuardEdges:
         assert ell[0, 0] == pytest.approx(expected, rel=1e-12)
         assert ell[1, 1] == pytest.approx(-d / (1.0 - lam), rel=1e-12)
 
-    def test_support_leak_edge(self):
-        # off the support, drho weight up to SUPPORT_LEAK_TOL is zeroed in L; more leaves the support
+    @pytest.mark.parametrize("inside", [0.0, 2.0**20], ids=["no-support-part", "support-part-1e6"])
+    def test_support_leak_edge(self, inside):
+        # off the support, drho weight up to SUPPORT_LEAK_TOL * max(1, ||drho||_F) is zeroed in L; more
+        # leaves the support. The in-support part (0, 1) is a power of two, so ||drho||_F is formed exactly.
         rho = DensityOp(np.diag([0.0, 1.0]))
-        d = SUPPORT_LEAK_TOL
-        assert np.array_equal(sld_solve(rho, np.diag([d, -d])), np.diag([0.0, -d]))
-        d = float(np.nextafter(SUPPORT_LEAK_TOL, 1.0))
+        part = np.array([[0.0, inside], [inside, 0.0]])
+        edge = SUPPORT_LEAK_TOL * max(1.0, float(np.linalg.norm(part)))
+        d = edge
+        assert np.array_equal(sld_solve(rho, np.diag([d, -d]) + part), 2 * part + np.diag([0.0, -d]))
+        d = float(np.nextafter(edge, 1.0))
         with pytest.raises(SupportMismatch):
-            sld_solve(rho, np.diag([d, -d]))
+            sld_solve(rho, np.diag([d, -d]) + part)
 
 
 def test_pure_qdit_flow_preserves_norm():
@@ -343,6 +349,52 @@ def test_pure_qdit_initial_velocity():
     h = 1e-6
     dpsi = (curve.state_at(h).amplitudes - curve.state_at(-h).amplitudes) / (2 * h)
     assert np.allclose(dpsi, a, atol=1e-8)
+
+
+def _flow_by_eigh(a, theta):
+    """exp(theta A) e1 for the curve's generator A, through the eigenpairs of the Hermitian 1j * A."""
+    w, v = np.linalg.eigh(1j * PureQditCoeffs(a)._generator)
+    return v @ (np.exp(-1j * theta * w) * v[0].conj())
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("kind", ["generic", "b=0", "r=0", "a=0"])
+def test_pure_flow_closed_form_is_the_matrix_exponential(d, kind):
+    # the flow of s a at theta is the flow of a at s theta, so theta runs over [-10, 10] / s and every
+    # phase stays O(10): a phase of 1e13 rad, as at s = 1e12 and theta = 10, is known only to ~1e-3
+    rng = np.random.default_rng([40, d])
+    for scale in (1e-3, 1.0, 1e6, 1e12):
+        a = np.concatenate([[1j * rng.normal()], rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1)])
+        if kind in ("b=0", "a=0"):
+            a[0] = 0.0
+        if kind in ("r=0", "a=0"):
+            a[1:] = 0.0
+        a = tuple(scale * a)
+        thetas = np.linspace(-10.0, 10.0, 41) / scale
+        amps = PureQditCoeffs(a)._amplitudes(thetas)
+        exact = np.array([_flow_by_eigh(a, theta) for theta in thetas])
+        assert np.abs(amps - exact).max() <= 1e-12
+        if kind == "a=0":
+            assert np.array_equal(amps, np.eye(d)[[0] * len(thetas)])
+
+
+def test_great_circle_is_the_pure_flow_of_its_phase():
+    rng = np.random.default_rng(41)
+    thetas = np.linspace(-10.0, 10.0, 201)
+    for phase in [0.0, np.pi / 2, np.pi, *rng.uniform(0.0, 2 * np.pi, 20)]:
+        curve = GreatCirclePure(phase=phase)
+        assert isinstance(curve, PureQditCoeffs) and curve.a == (0j, cmath.exp(1j * phase) / 2)
+        expected = np.stack([np.cos(thetas / 2), np.exp(1j * phase) * np.sin(thetas / 2)], axis=1)
+        assert np.abs(curve._amplitudes(thetas) - expected).max() <= 1e-15
+    # one implementation: the great circle adds no evaluation of its own
+    assert not {"_amplitudes", "state_at", "rho_stack", "drho_stack"} & set(vars(GreatCirclePure))
+
+
+def test_phase_only_flow_has_exactly_zero_drho():
+    curve = PureQditCoeffs(a=(0.4j, 0))
+    thetas = np.linspace(-3.0, 3.0, 13)
+    assert not curve.drho_stack(thetas).any()
+    assert quantum_fisher(curve.rho_at(0.7), differentiate_curve(curve, 0.7)) == 0.0
 
 
 def test_pure_qdit_rejects_real_a1():
