@@ -46,8 +46,8 @@ from .linalg import (
     DensityStack,
     _square,
     eigh,
+    frobenius_inner,
     hermitian_part,
-    traces,
 )
 from .sld import TableCurve, TransverseCurve, require_coefficients, require_direction, sld_solve, sld_solve_stack
 from .states import require_mixing_weight
@@ -125,7 +125,10 @@ class Povm:
 def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.ndarray:
     """Classical Fisher information of each row of (rho, drho) stacks.
 
-    Trusts ``drho`` to be valid row by row (see ``require_direction``).
+    Trusts ``drho`` to be valid row by row (see ``require_direction``), so
+    exactly Hermitian, as ``rho.matrices`` are: p = Tr[rho m] and
+    dp = Tr[drho m] are each one ``frobenius_inner`` with rho or drho as the
+    Hermitian operand, and m need not be exactly Hermitian.
     ``outcomes`` yields one POVM element per outcome: an (n, d, d) stack with
     the element of each row, or a (1, d, d) one that measures every row alike.
     A (k, 1, d, d) element measures every row with each of k POVMs and gives
@@ -135,8 +138,8 @@ def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.
     for m in outcomes:
         if m.shape[-1] != rho.dim:
             raise DomainError(f"POVM dimension {m.shape[-1]} does not match rho dimension {rho.dim}")
-        p = traces(rho.matrices @ m).real
-        dp = traces(drho @ m).real
+        p = frobenius_inner(rho.matrices, m).real
+        dp = frobenius_inner(drho, m).real
         total = total + np.divide(dp * dp, p, out=np.zeros_like(p), where=p > EPS_P)
     return total
 
@@ -148,8 +151,14 @@ def classical_fisher(rho: DensityOp, drho, povm: Povm) -> float:
 
 
 def fisher_tensor_stack(rho: DensityStack, ell: np.ndarray) -> np.ndarray:
-    """Fisher tensor F_ab = Tr[rho L_a L_b] = conj(F_ba), (n, p, p), of an (n, p, d, d) stack of p SLDs per row."""
-    return traces(rho.matrices[:, None, None] @ ell[:, :, None] @ ell[:, None, :])
+    """Fisher tensor F_ab = Tr[rho L_a L_b] = conj(F_ba), (n, p, p), of an (n, p, d, d) stack of p SLDs per row.
+
+    The SLDs must be exactly Hermitian, as ``sld_solve_stack`` returns them:
+    F_ab is ``frobenius_inner`` of L_b, the Hermitian operand, with rho L_a,
+    the one matrix product formed.
+    """
+    rho_ell = rho.matrices[:, None] @ ell
+    return frobenius_inner(ell[:, None], rho_ell[:, :, None])
 
 
 def quantum_fisher_of_sld(rho: DensityStack, ell: np.ndarray) -> np.ndarray:

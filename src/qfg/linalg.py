@@ -75,10 +75,20 @@ def rank_one_projectors(vecs: np.ndarray) -> np.ndarray:
     return (p + dagger(p)) / 2
 
 
+def frobenius_inner(h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Frobenius inner product Tr[h^dag a] of each pair of matrices of two broadcasting (..., d, d) stacks.
+
+    It is sum_ij conj(h_ij) a_ij, one ``vecdot`` of the flattened matrices, so
+    for an exactly Hermitian h it is the trace of the product, Tr[h a], with
+    no d x d product formed. A gufunc, it gives each pair's bits from that
+    pair alone, whatever the stack size or broadcasting.
+    """
+    return np.vecdot(h.reshape(*h.shape[:-2], -1), a.reshape(*a.shape[:-2], -1))
+
+
 def frobenius_norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in an (..., d, d) stack."""
-    x = a.reshape(*a.shape[:-2], -1)
-    return np.sqrt(np.vecdot(x, x).real)
+    return np.sqrt(frobenius_inner(a, a).real)
 
 
 def traces(a: np.ndarray) -> np.ndarray:

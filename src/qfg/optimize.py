@@ -33,6 +33,7 @@ from .linalg import (
     PAULIS,
     DensityOp,
     eigh,
+    frobenius_inner,
     psd_sqrt,
     rank_one_projectors,
     require_hermitian,
@@ -67,16 +68,17 @@ def attainability_check(rho: DensityOp, drho, m) -> AttainabilityReport:
     support.
     """
     ell = sld_solve(rho, drho)
+    m = require_hermitian(m)  # exactly symmetrized, as a Povm stores its elements
     root_m = psd_sqrt(m)
     if root_m.shape[0] != rho.dim:
         raise DomainError(f"POVM dimension {root_m.shape[0]} does not match rho dimension {rho.dim}")
     b = root_m @ rho.sqrt
     norm_b = float(np.linalg.norm(b))
-    p = float(np.trace(rho.matrix @ np.asarray(m)).real)  # as classical_fisher_stack computes it
+    p = float(frobenius_inner(rho.matrix, m).real)  # the kernel and operand order of classical_fisher_stack
     if p <= EPS_P or norm_b == 0.0:  # the root drops weight at or below SQRT_RANK_CUTOFF
         return AttainabilityReport(attains=True, c=0.0, residual=0.0, vacuous=True)
     a = root_m @ ell @ rho.sqrt
-    c = complex(np.trace(b.conj().T @ a)) / norm_b**2
+    c = complex(frobenius_inner(b, a)) / norm_b**2  # <b, a> / <b, b>, the least-squares c
     residual = float(np.linalg.norm(a - c * b))
     attains = residual <= ATTAINABILITY_TOL * max(1.0, norm_b) and abs(c.imag) <= ATTAINABILITY_TOL
     return AttainabilityReport(attains=attains, c=c.real, residual=residual)

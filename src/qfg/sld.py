@@ -196,15 +196,7 @@ class PureQditCoeffs(_StackedCurve):
         return gen
 
     def _amplitudes(self, thetas: np.ndarray) -> np.ndarray:
-        half_b, rest = self.a[0].imag / 2, np.array(self.a[1:])
-        half_w = math.hypot(half_b, *np.abs(rest))  # w / 2, formed without overflow
-        # sin(w theta/2) / (w/2); its limit theta at w = 0, where a = 0, keeps psi = e1 exactly
-        sinc = np.sin(half_w * thetas) / half_w if half_w else thetas
-        turn = np.exp(1j * half_b * thetas)
-        first, scale = turn * (np.cos(half_w * thetas) + 1j * half_b * sinc), turn * sinc
-        # real-by-complex products, so a row's bits do not depend on how many rows there are
-        tail = scale.real[:, None] * rest + scale.imag[:, None] * (1j * rest)
-        return require_normalized(np.concatenate([first[:, None], tail], axis=1))
+        return require_normalized(_pure_flow(self.a, thetas))
 
     def state_at(self, theta: float) -> PureState:
         return PureState(self._amplitudes(_thetas(theta))[0])
@@ -216,6 +208,20 @@ class PureQditCoeffs(_StackedCurve):
         rho = rank_one_projectors(self._amplitudes(thetas))  # the matrices of rho_stack, unchecked
         left = self._generator @ rho
         return left + dagger(left)  # A rho - rho A: rho A = -(A rho)^dag, as A^dag = -A and rho = rho^dag exactly
+
+
+@finite_closed_form
+def _pure_flow(a: tuple[complex, ...], thetas: np.ndarray) -> np.ndarray:
+    """The (n, d) amplitudes of ``PureQditCoeffs``'s closed form at thetas; w/2 or w theta/2 may overflow."""
+    half_b, rest = a[0].imag / 2, np.array(a[1:])
+    half_w = math.hypot(half_b, *np.abs(rest))  # w / 2, finite unless w / 2 itself is beyond the float range
+    # sin(w theta/2) / (w/2); its limit theta at w = 0, where a = 0, keeps psi = e1 exactly
+    sinc = np.sin(half_w * thetas) / half_w if half_w else thetas
+    turn = np.exp(1j * half_b * thetas)
+    first, scale = turn * (np.cos(half_w * thetas) + 1j * half_b * sinc), turn * sinc
+    # real-by-complex products, so a row's bits do not depend on how many rows there are
+    tail = scale.real[:, None] * rest + scale.imag[:, None] * (1j * rest)
+    return np.concatenate([first[:, None], tail], axis=1)
 
 
 @dataclass(frozen=True)
@@ -274,6 +280,7 @@ class TableCurve(_StackedCurve):
         raise TableResolutionError("tabulated curves support finite-difference derivatives only")
 
 
+@finite_closed_form
 def differentiate_stack(
     curve, thetas: np.ndarray, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP
 ) -> tuple[np.ndarray, tuple[DensityStack, DensityStack] | None]:
@@ -284,7 +291,9 @@ def differentiate_stack(
     ``(rho(theta + h), rho(theta - h))`` the central difference was taken
     from, or None in analytic mode, which builds no state. A caller that needs
     those states again (``fisher.qfi_split`` on a table) takes them from here
-    instead of walking the curve a second time.
+    instead of walking the curve a second time. A drho that overflows (in the
+    curve's formula, the difference quotient or the symmetrization) raises
+    NonFiniteResult.
     """
     if mode == ANALYTIC:
         drho, near = curve.drho_stack(thetas), None

@@ -33,9 +33,9 @@ AT_INFINITY = "inf"
 
 
 def require_normalized(amps: np.ndarray) -> np.ndarray:
-    """Check that every row of an (n, d) amplitude array has unit norm within 1e-12."""
+    """Check that every row of an (n, d) amplitude array has unit norm within 1e-12; a NaN row has none."""
     norms = np.sqrt(np.vecdot(amps, amps).real)
-    bad = np.abs(norms - 1.0) > 1e-12
+    bad = ~(np.abs(norms - 1.0) <= 1e-12)
     if bad.any():
         norm = float(np.linalg.norm(amps[int(np.argmax(bad))]))
         raise NotNormalized(f"state norm {norm!r} differs from 1 by more than 1e-12")

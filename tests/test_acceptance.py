@@ -75,7 +75,7 @@ def test_criterion_07_gkks_relation():
 
 
 def test_criterion_08_optimizer_attainment():
-    run_suite(8, "optimizer-attainment", max_seconds=1.0)
+    run_suite(8, "optimizer-attainment", max_seconds=0.25)
 
 
 def test_criterion_09_attainability_soundness():

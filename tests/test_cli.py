@@ -446,6 +446,19 @@ class TestFastPureFlows:
         code, out, err = run_cli(command[0], "--scenario", path, *command[1:])
         assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
 
+    @pytest.mark.parametrize("command", [["eval", "--quantity", "qfi"], ["scan", "--range", "0:0.1:3"], ["optimize"]],
+                             ids=["eval", "scan", "optimize"])
+    @pytest.mark.parametrize("a", [
+        [[0, 1e308], [1e308, 0]],
+        [[0, 1e308], [1e308, 1e308], [1e308, 1e308]],
+    ], ids=["drho-overflows", "half-w-overflows"])
+    def test_overflowing_flow_is_non_finite_in_every_command(self, tmp_path, a, command):
+        # finite coefficients whose drho (first) or flow speed w/2 (second) overflows: a computed
+        # value leaves the float range, which is no defect of the input's Hermiticity
+        path = write_scenario(tmp_path, {"curve": {"family": "pure_qdit_coeffs", "a": a}, "theta0": 0.0})
+        code, out, err = run_cli(command[0], "--scenario", path, *command[1:])
+        assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
+
     def test_phase_only_flow_has_zero_qfi(self, tmp_path):
         path = write_scenario(tmp_path, {"curve": {"family": "pure_qdit_coeffs", "a": [[0, 0.4], [0, 0]]},
                                          "theta0": 0.7})

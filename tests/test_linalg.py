@@ -14,6 +14,9 @@ from qfg.linalg import (
     PAULI_Y,
     PAULI_Z,
     comm_anticomm,
+    dagger,
+    frobenius_inner,
+    frobenius_norms,
     herm_eigen,
     hermitian_part,
     psd_sqrt,
@@ -24,6 +27,59 @@ from qfg.linalg import (
 def random_hermitian(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (x + x.conj().T) / 2
+
+
+def _stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _hermitian_stack(rng, shape):
+    x = _stack(rng, shape)
+    return (x + dagger(x)) / 2  # exactly Hermitian
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+class TestFrobeniusInner:
+    """frobenius_inner(h, a) is Tr[h a] for exactly Hermitian h, with each row's bits its own."""
+
+    @staticmethod
+    def _assert_trace_of_product(h, a, got):
+        want = np.trace(h @ a, axis1=-2, axis2=-1)
+        assert got.shape == want.shape
+        # relative to the Cauchy-Schwarz bound ||h||_F ||a||_F on |Tr[h a]|
+        scale = frobenius_norms(h) * frobenius_norms(a)
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+    def test_stack(self, d):
+        rng = np.random.default_rng(400 + d)
+        h, a = _hermitian_stack(rng, (64, d, d)), _stack(rng, (64, d, d))
+        self._assert_trace_of_product(h, a, frobenius_inner(h, a))
+
+    def test_broadcast_element(self, d):
+        rng = np.random.default_rng(500 + d)
+        h, m = _hermitian_stack(rng, (64, d, d)), _stack(rng, (1, d, d))
+        self._assert_trace_of_product(h, m, frobenius_inner(h, m))
+        assert (frobenius_inner(h, m) == frobenius_inner(h, np.repeat(m, 64, axis=0))).all()
+
+    def test_certificate_shape(self, d):
+        # k POVM elements against n states, (k, 1, d, d) x (n, d, d) -> (k, n)
+        rng = np.random.default_rng(600 + d)
+        h, m = _hermitian_stack(rng, (16, d, d)), _stack(rng, (5, 1, d, d))
+        got = frobenius_inner(h, m)
+        self._assert_trace_of_product(h, m, got)
+        assert (got == np.array([frobenius_inner(h, m[j]) for j in range(5)])).all()
+
+    def test_row_bits_do_not_depend_on_stack_size(self, d):
+        rng = np.random.default_rng(700 + d)
+        h, a = _hermitian_stack(rng, (2048, d, d)), _stack(rng, (2048, d, d))
+        full, seven = frobenius_inner(h, a), frobenius_inner(h[:7], a[:7])
+        singles = np.array([frobenius_inner(h[i : i + 1], a[i : i + 1])[0] for i in range(7)])
+        assert (full[:7] == seven).all() and (seven == singles).all()
+
+    def test_general_left_operand_is_conjugated(self, d):
+        rng = np.random.default_rng(800 + d)
+        x, a = _stack(rng, (8, d, d)), _stack(rng, (8, d, d))
+        self._assert_trace_of_product(dagger(x), a, frobenius_inner(x, a))
 
 
 class TestHermEigen:

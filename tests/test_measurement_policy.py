@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from qfg import cli
+from qfg import cli, fisher, optimize
 from qfg.errors import DegenerateSld, InvalidPovm, NotAPovm
 from qfg.fisher import EPS_P, POVM_TOL, Povm, classical_fisher, pure_qdit_fisher
 from qfg.linalg import DensityOp
@@ -55,9 +55,25 @@ def _pure_rho_drho(a):
     return DensityOp(np.diag(e1)), np.outer(a, e1) + np.outer(e1, a.conj())
 
 
+def _first_probability(monkeypatch, module, rho, call):
+    """The first p = Tr[rho m] that ``call`` takes through ``module``'s inner-product kernel."""
+    kernel, seen = module.frobenius_inner, []
+
+    def spy(h, a):
+        out = kernel(h, a)
+        if np.shares_memory(h, rho.stack.matrices):
+            seen.append(float(np.ravel(out)[0].real))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "frobenius_inner", spy)
+        call()
+    return seen[0]
+
+
 @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_outcome_cutoff_is_one_probability_rule(d, p):
+def test_outcome_cutoff_is_one_probability_rule(monkeypatch, d, p):
     rng = np.random.default_rng(1000 * d + EDGE_PROBABILITIES.index(p))
     for _ in range(5):
         a, xis = _pure_case(rng, d, p)
@@ -69,6 +85,10 @@ def test_outcome_cutoff_is_one_probability_rule(d, p):
         assert classical == pytest.approx(classical_fisher(rho, drho, Povm(matrices)), rel=1e-12, abs=0.0)
         assert attainability_check(rho, drho, matrices[0]).vacuous == excluded
         assert reach_check_pure(xis[0], a).boundary == excluded
+        # both verdicts read the same bits of p: one kernel, rho as its Hermitian operand
+        p_sum = _first_probability(monkeypatch, fisher, rho, lambda: classical_fisher(rho, drho, Povm(matrices)))
+        p_check = _first_probability(monkeypatch, optimize, rho, lambda: attainability_check(rho, drho, matrices[0]))
+        assert p_sum == p_check
 
 
 def test_outcome_whose_root_vanishes_is_vacuous():

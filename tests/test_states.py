@@ -16,6 +16,7 @@ from qfg.states import (
     from_spherical,
     pure_projector,
     qubit_point,
+    require_normalized,
     rho_of_kz,
     s3_embed,
     s3_tangent,
@@ -40,6 +41,15 @@ class TestPureProjector:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             PureState([1, 1])
+
+    @pytest.mark.parametrize("row", [[np.nan, 0], [1, np.nan], [complex(0, np.nan), 0]], ids=["nan-re", "nan-2", "nan-im"])
+    def test_rejects_nan_amplitudes(self, row):
+        # |NaN - 1| > tol is False; a NaN norm is no unit norm
+        amps = np.array([[1, 0], row], dtype=complex)
+        with pytest.raises(NotNormalized):
+            require_normalized(amps)
+        with pytest.raises(NotNormalized):
+            PureState(row)
 
 
 class TestUnitaryOfZ:
