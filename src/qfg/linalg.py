@@ -7,8 +7,11 @@ Conventions used everywhere downstream:
 * a matrix is accepted as Hermitian when ``||M - M^dag||_F <= 1e-12 * max(1, ||M||_F)``;
 * eigenvalues are returned ascending, eigenvectors as unitary column matrices.
 
-Eigendecompositions come from ``np.linalg.eigh``, which decomposes a whole
-stack in one call. The single-matrix functions are the n = 1 case of the
+Every eigendecomposition goes through ``eigh``, which decomposes a whole
+stack in one call: a 2 x 2 stack in closed form as array operations, by the
+formulas of LAPACK's ``dlaev2`` (LAPACK Users' Guide, 3rd ed., 1999; Golub &
+Van Loan, Matrix Computations, section 8.5), and d >= 3 by
+``np.linalg.eigh``. The single-matrix functions are the n = 1 case of the
 stacked ones, so a matrix gives the same bits alone and as a row of a stack.
 """
 
@@ -32,6 +35,8 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 SQRT_RANK_CUTOFF = 1e-12
 TRACE_TOL = 1e-9
 MAX_DIM = 8
+_TINY = np.finfo(float).smallest_subnormal
+_EPS = np.finfo(float).eps / 2  # LAPACK's dlamch('E'), the unit roundoff
 
 IDENTITY2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -119,15 +124,96 @@ def require_hermitian(m) -> np.ndarray:
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of an exactly Hermitian matrix or stack: w ascending, V unitary.
+    """Eigendecomposition of an exactly Hermitian matrix or stack: w ascending, V unitary.
 
-    LAPACK does not converge on entries that overflow; that raises
-    NonHermitianInput, as non-finite entries do, instead of numpy's LinAlgError.
+    The eigenvectors are V's columns. A 2 x 2 matrix or stack is solved in
+    closed form as array operations by ``_eigh2``, the formulas of LAPACK's
+    ``dlaev2``; d >= 3 goes to ``np.linalg.eigh``. Either way a row's bits
+    depend on that row alone. A NaN or infinite entry of a 2 x 2 row raises
+    NonHermitianInput; so does LAPACK's failure to converge on entries that
+    overflow, instead of numpy's LinAlgError.
     """
+    if a.shape[-1] == 2:
+        return _eigh2(a)
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError:
         raise NonHermitianInput("matrix entries overflow; eigendecomposition did not converge") from None
+
+
+def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a (..., 2, 2) stack as array operations, by LAPACK's ``dlaev2``.
+
+    With b = a_10, the row is D [[p, |b|], [|b|, q]] D^dag for D = diag(1, b/|b|),
+    and dlaev2 (LAPACK Users' Guide, 3rd ed., 1999) solves the real matrix:
+    rt1, the eigenvalue of larger magnitude, is (sm +- rt)/2 with sm = p + q
+    and rt = sqrt((p - q)^2 + 4|b|^2) formed without overflow; the other is
+    det / rt1, which does not cancel as (sm -+ rt)/2 would; its eigenvector
+    (cs1, sn1) follows dlaev2's branch rules, the other is perpendicular, and
+    D puts the phase of b on the second component. A row that LAPACK's
+    dsteqr would deflate is its own diagonal, so diagonal input is exact.
+    Each row is first scaled by the power of two of its largest entry, which
+    changes no bits, so neither an overflow nor a subnormal |b| breaks the
+    formulas; an eigenvalue beyond the float range is +-inf, as LAPACK
+    returns it. The sign of each column is a choice, as LAPACK's is.
+    """
+    f = np.asarray(a, dtype=complex).reshape(*a.shape[:-2], 4).view(float)  # re, im of a_00, a_01, a_10, a_11
+    big = np.abs(f).max(axis=-1)
+    if not np.isfinite(big).all():
+        raise NonHermitianInput("matrix contains NaN or Inf entries")
+    exp = np.frexp(big)[1]
+    f = np.ldexp(f, -exp[..., None])
+    p, br, bi, q = f[..., 0], f[..., 4], f[..., 5], f[..., 6]
+    ab = np.hypot(br, bi)
+    # the phase from b scaled to |b| ~ 1, so that a subnormal b keeps a unit phase
+    bexp = -np.frexp(ab)[1]
+    ur, ui = np.ldexp(br, bexp), np.ldexp(bi, bexp)
+    ub = np.hypot(ur, ui)
+    phase = np.ones(ab.shape, dtype=complex)
+    nonzero = ub > 0
+    np.divide(ur, ub, out=phase.real, where=nonzero)
+    np.divide(ui, ub, out=phase.imag, where=nonzero)
+
+    sm, df, tb = p + q, p - q, ab + ab
+    adf = np.abs(df)
+    hi, lo = np.maximum(adf, tb), np.minimum(adf, tb)
+    rt = hi * np.sqrt(1.0 + (r := lo / np.maximum(hi, _TINY)) * r)
+    s1 = np.copysign(rt, sm)
+    rt1 = 0.5 * (sm + s1)
+    zero = sm == 0  # rt1 = rt/2 and rt2 = -rt/2; else rt2 = (acmx/rt1)*acmn - (|b|/rt1)*|b|
+    ap, aq = np.abs(p), np.abs(q)
+    wider = ap > aq
+    acmx, acmn = np.where(wider, p, q), np.where(wider, q, p)
+    den = rt1 + zero
+    rt2 = np.where(zero, -rt1, (acmx / den) * acmn - (ab / den) * ab)
+
+    s2 = np.copysign(rt, df)
+    cs = df + s2
+    acs = np.abs(cs)
+    first = acs > tb  # ct = -tb/cs, else tn = -cs/tb (0 when tb = 0): the smaller over the larger
+    t = np.copysign(np.minimum(acs, tb) / np.maximum(np.maximum(acs, tb), _TINY), -cs)
+    h = 1.0 / np.sqrt(1.0 + t * t)
+    th = t * h
+    c, s = np.where(first, th, h), np.where(first, h, th)
+    # (c, s) belongs to rt1 turned by 90 degrees when sgn1 = sgn2; the column
+    # of the smaller eigenvalue is rt1's turned by 90 degrees when rt2 < rt1
+    turn = (s1 == s2) != (rt2 < rt1)
+    x, y = np.where(turn, -s, c), np.where(turn, c, s)
+    # LAPACK's dsteqr deflates |b| <= sqrt|p| sqrt|q| eps: such a row is its diagonal, with unit vectors
+    split = ab <= np.sqrt(ap) * np.sqrt(aq) * _EPS
+    rt1, rt2 = np.where(split, p, rt1), np.where(split, q, rt2)
+    low_p = p <= q
+    x, y = np.where(split, low_p, x), np.where(split, ~low_p, y)
+
+    w = np.empty(a.shape[:-1])
+    np.minimum(rt1, rt2, out=w[..., 0])
+    np.maximum(rt1, rt2, out=w[..., 1])
+    with np.errstate(over="ignore"):
+        w = np.ldexp(w, exp[..., None])
+    v = np.empty(a.shape, dtype=complex)
+    v[..., 0, 0], v[..., 0, 1] = x, -y
+    v[..., 1, 0], v[..., 1, 1] = phase * y, phase * x
+    return w, v
 
 
 def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:

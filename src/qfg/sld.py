@@ -291,16 +291,19 @@ def differentiate_stack(
     ``(rho(theta + h), rho(theta - h))`` the central difference was taken
     from, or None in analytic mode, which builds no state. A caller that needs
     those states again (``fisher.qfi_split`` on a table) takes them from here
-    instead of walking the curve a second time. A drho that overflows (in the
-    curve's formula, the difference quotient or the symmetrization) raises
-    NonFiniteResult.
+    instead of walking the curve a second time. A theta +- h or a drho that
+    overflows (in the curve's formula, the difference quotient or the
+    symmetrization) raises NonFiniteResult.
     """
     if mode == ANALYTIC:
         drho, near = curve.drho_stack(thetas), None
     elif mode == FD:
         if not (h > 0):
             raise DomainError(f"finite-difference step h={h!r} must be positive")
-        near = (curve.rho_stack(thetas + h), curve.rho_stack(thetas - h))
+        shifted = thetas + h, thetas - h
+        if not np.isfinite(shifted).all():
+            raise OverflowError("theta +- h")  # finite_closed_form reports it as NonFiniteResult
+        near = (curve.rho_stack(shifted[0]), curve.rho_stack(shifted[1]))
         drho = (near[0].matrices - near[1].matrices) / (2 * h)
     else:
         raise DomainError(f"unknown differentiation mode {mode!r}")

@@ -409,6 +409,20 @@ class TestBoundaryInput:
         if command[0] != "scan":
             assert json.loads(out)["qfi"] == pytest.approx(6.25, rel=1e-12)
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--quantity", "qfi"],
+        ["scan", "--range", "1.78e308:1.79e308:3"],
+        ["optimize"],
+    ], ids=["eval", "scan", "optimize"])
+    def test_overflowing_fd_shift_is_non_finite(self, tmp_path, command):
+        # theta0 and fd_step are finite, but the central difference's theta + h overflows
+        curve = {"family": "sphere_curve", "k": 0.25,
+                 "path": {"type": "linear", "z0": [0, 0], "velocity": [1e-300, 0]}}
+        path = write_scenario(tmp_path, {"curve": curve, "theta0": 1.79e308,
+                                         "options": {"mode": "fd", "fd_step": 1e306}})
+        code, out, err = run_cli(command[0], "--scenario", path, *command[1:])
+        assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
+
     def test_non_finite_result_is_an_error_line(self):
         code, out, err = run_cli(
             "tensor", "--scenario", fixture("sphere_k025.json"), "--v", "1e200,0", "--v2", "1e200,0"

@@ -1,5 +1,9 @@
 """Tests for the dense complex matrix primitives."""
 
+import decimal
+from decimal import Decimal
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from qfg.errors import DimensionMismatch, NonHermitianInput, NotNormalized, NotPositiveSemidefinite
 from qfg.linalg import (
+    IDENTITY2,
     SQRT_RANK_CUTOFF,
     DensityOp,
     PAULI_X,
@@ -15,13 +20,18 @@ from qfg.linalg import (
     PAULI_Z,
     comm_anticomm,
     dagger,
+    eigh,
     frobenius_inner,
     frobenius_norms,
     herm_eigen,
     hermitian_part,
     psd_sqrt,
+    rank_one_projectors,
     require_hermitian,
 )
+from qfg.optimize import SLD_GAP, sld_eigenbasis
+from qfg.scenario import load_scenario
+from qfg.sld import RANK_GUARD
 
 
 def random_hermitian(rng, dim):
@@ -128,6 +138,150 @@ class TestHermEigen:
     def test_rejects_nan(self):
         with pytest.raises(NonHermitianInput):
             herm_eigen(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+
+EPS = np.finfo(float).eps
+
+
+def _reference_eigenvalues(a):
+    """The eigenvalues (p + q)/2 -+ sqrt(((p - q)/2)^2 + |b|^2) of each 2 x 2 row, to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        rows = []
+        for m in a:
+            p, q, br, bi = (Decimal(float(x)) for x in (m[0, 0].real, m[1, 1].real, m[1, 0].real, m[1, 0].imag))
+            mid, r = (p + q) / 2, (((p - q) / 2) ** 2 + br * br + bi * bi).sqrt()
+            rows.append((mid - r, mid + r))
+        return rows
+
+
+def _eigh2_draws(rng, n):
+    """n exactly Hermitian 2 x 2 matrices: Gaussian ones over six decades, real ones, projectors and states."""
+    general = _hermitian_stack(rng, (n, 2, 2)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+    real = _hermitian_stack(rng, (n, 2, 2)).real.astype(complex)
+    vecs = _stack(rng, (n, 2))
+    projectors = rank_one_projectors(vecs / np.linalg.norm(vecs, axis=1)[:, None])
+    k = rng.uniform(RANK_GUARD, 0.5, size=(n, 1, 1))
+    states = k * projectors[::-1] + (1 - k) * (IDENTITY2 - projectors[::-1])
+    return np.concatenate([general, real, projectors, (states + dagger(states)) / 2])
+
+
+class TestEigh2:
+    """The closed-form 2 x 2 kernel of ``eigh`` (LAPACK's dlaev2): accurate, exact where it can be, row by row."""
+
+    @staticmethod
+    def _assert_decomposes(a, w, v, tol=4):
+        norm = frobenius_norms(a)
+        assert (np.diff(w, axis=-1) >= 0).all()
+        assert (frobenius_norms(a @ v - v * w[..., None, :]) <= tol * EPS * norm).all()
+        assert (frobenius_norms(dagger(v) @ v - IDENTITY2) <= 6 * EPS).all()
+
+    def test_agrees_with_lapack_and_the_exact_spectrum(self):
+        a = _eigh2_draws(np.random.default_rng(900), 200)
+        w, v = eigh(a)
+        self._assert_decomposes(a, w, v)
+        norm = frobenius_norms(a)
+        # LAPACK's own Householder step costs it up to about 6 eps ||A||_F on complex rows
+        assert (np.abs(w - np.linalg.eigh(a)[0]) <= 8 * EPS * norm[:, None]).all()
+        for wi, ref, n in zip(w, _reference_eigenvalues(a), norm):
+            assert max(abs(Decimal(float(x)) - r) for x, r in zip(wi, ref)) <= Decimal(2 * EPS * n)
+
+    @pytest.mark.parametrize("diag", [
+        (SQRT_RANK_CUTOFF, 1.0), (RANK_GUARD, 1 - RANK_GUARD), (1 - RANK_GUARD, RANK_GUARD),
+        (0.25, 0.75), (-2.0, 3.0), (5.0, -7.0), (0.0, 0.0), (-1e-150, 1e150),
+    ])
+    def test_diagonal_input_is_exact(self, diag):
+        a = np.diag(np.array(diag, dtype=complex))
+        w, v = eigh(a)
+        assert (w == np.sort(diag)).all()
+        assert (a @ v == v * w).all() and (np.abs(v) == np.abs(v).round()).all()
+
+    def test_seeded_diagonals_are_exact(self):
+        # dsteqr's deflation: the diagonal is the spectrum, not (sm +- rt)/2 rounded
+        rng = np.random.default_rng(901)
+        d = rng.uniform(-1, 1, size=(4096, 2)) * 10.0 ** rng.integers(-20, 20, size=(4096, 2))
+        a = np.zeros((4096, 2, 2), dtype=complex)
+        a[:, 0, 0], a[:, 1, 1] = d[:, 0], d[:, 1]
+        w, v = eigh(a)
+        assert (w == np.sort(d, axis=1)).all()
+        assert (np.abs(v) == np.abs(v).round()).all()
+
+    def test_great_circle_projector_has_an_exact_zero(self):
+        scenario = load_scenario(Path(__file__).parent / "fixtures" / "great_circle.json")
+        rho = scenario.curve.rho_stack(np.array([scenario.theta0]))
+        assert rho.eigenvalues[0, 0] == 0.0
+        w, v = eigh(rho.matrices)
+        assert w[0, 0] == 0.0 and w[0, 1] == pytest.approx(1.0, abs=EPS)
+        self._assert_decomposes(rho.matrices, w, v)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -3.5, 2.0**500, 2.0**-500, 5e-324])
+    def test_multiple_of_identity(self, c):
+        a = c * IDENTITY2
+        w, v = eigh(a)
+        assert (w == c).all() and (v == IDENTITY2).all()
+
+    @pytest.mark.parametrize("rel_gap", [SLD_GAP / 2, SLD_GAP, 2 * SLD_GAP, 1e3 * SLD_GAP])
+    def test_gaps_near_the_sld_gap_are_resolved(self, rel_gap):
+        # lam (1 +- rel_gap / 2) in a random basis: the gap comes back within a few eps |lam|,
+        # so the SLD-gap rule sees the side of SLD_GAP it was put on
+        rng = np.random.default_rng(902)
+        vecs = _stack(rng, (64, 2))
+        u = rank_one_projectors(vecs / np.linalg.norm(vecs, axis=1)[:, None])
+        lam = 10.0 ** rng.uniform(-3, 3, size=64) * rng.choice([-1, 1], size=64)
+        a = lam[:, None, None] * ((1 + rel_gap / 2) * u + (1 - rel_gap / 2) * (IDENTITY2 - u))
+        a = (a + dagger(a)) / 2
+        w, v, degenerate = sld_eigenbasis(a)
+        self._assert_decomposes(a, w, v)
+        assert (np.abs(w[:, 1] - w[:, 0] - np.abs(lam) * rel_gap) <= 8 * EPS * np.abs(lam)).all()
+        if rel_gap != SLD_GAP:
+            assert (degenerate == (rel_gap < SLD_GAP)).all()
+
+    @pytest.mark.parametrize("scale", [2.0**500, 2.0**-500])
+    def test_power_of_two_scaling_changes_no_bits(self, scale):
+        a = _eigh2_draws(np.random.default_rng(903), 50)
+        w, v = eigh(a)
+        ws, vs = eigh(a * scale)
+        assert (ws == w * scale).all() and (vs == v).all()
+
+    @pytest.mark.parametrize("b", [1e-320, 1e-320j, -3e-321 + 4e-321j])
+    @pytest.mark.parametrize("p, q", [(1.0, 0.0), (0.2, 0.8), (0.5, 0.5), (0.0, 0.0)])
+    def test_subnormal_off_diagonal(self, b, p, q):
+        a = np.array([[p, np.conj(b)], [b, q]], dtype=complex)
+        w, v = eigh(a)
+        assert np.isfinite(v).all()
+        assert (frobenius_norms(dagger(v) @ v - IDENTITY2) <= 6 * EPS).all()
+        assert np.allclose(w, sorted((p, q)), rtol=0, atol=1e-300)
+        if p == q == 0.0:
+            assert (w == [-abs(b), abs(b)]).all()
+
+    def test_entries_near_the_float_range(self):
+        a = np.array([[[1e308, 1e308], [1e308, -1e308]], [[0.5, 1e308 - 1e308j], [1e308 + 1e308j, 0.5]]])
+        w, v = eigh(a)
+        self._assert_decomposes(a / 1e308, w / 1e308, v)
+        assert np.allclose(w[0], np.linalg.eigh(a[0])[0], rtol=4 * EPS, atol=0)
+        # an eigenvalue beyond the float range is inf with a unit eigenvector, as LAPACK gives it
+        w, v = eigh(np.full((2, 2), 1.5e308, dtype=complex))
+        assert (w == [0.0, np.inf]).all() and (w == np.linalg.eigh(np.full((2, 2), 1.5e308 + 0j))[0]).all()
+        assert np.allclose(np.abs(v), np.sqrt(0.5), rtol=EPS, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_entries_raise(self, bad):
+        a = np.array([[[0.5, 0.1], [0.1, 0.5]], [[0.5, bad], [bad, 0.5]]], dtype=complex)
+        with pytest.raises(NonHermitianInput):
+            eigh(a)
+
+    def test_row_bits_do_not_depend_on_stack_size(self):
+        a = _eigh2_draws(np.random.default_rng(904), 512)
+        specials = np.array([IDENTITY2, np.diag([SQRT_RANK_CUTOFF, 1.0]), [[1, 1e-320], [1e-320, 0]],
+                             np.zeros((2, 2)), [[0.5, 0.5j], [-0.5j, 0.5]]], dtype=complex)
+        a = np.concatenate([specials, a])
+        w, v = eigh(a)
+        assert w.shape == (2048 + 5, 2) and v.shape == (2048 + 5, 2, 2)
+        w7, v7 = eigh(a[:7])
+        assert (w7 == w[:7]).all() and (v7 == v[:7]).all()
+        for i in range(7):
+            wi, vi = eigh(a[i])
+            assert (wi == w[i]).all() and (vi == v[i]).all()
 
 
 class TestPsdSqrt:

@@ -1,0 +1,75 @@
+"""The library has one eigensolver, ``qfg.linalg.eigh``.
+
+Every eigendecomposition goes through it, so its closed-form 2 x 2 kernel
+takes every qubit stack. This parses each ``src/qfg`` module other than
+``linalg.py`` with ``ast`` and fails on a reference to numpy's Hermitian
+solvers ``eigh``/``eigvalsh``: as an attribute (``np.linalg.eigh``, or
+through an alias of ``numpy.linalg``) or as a name imported from
+``numpy.linalg``. Other ``numpy.linalg`` routines, such as ``verify``'s
+``qr``, stay allowed.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qfg"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py")
+SOLVERS = {"eigh", "eigvalsh"}
+
+
+def solver_references(source: str) -> list[str]:
+    tree = ast.parse(source)
+    numpy, linalg = set(), set()  # names bound to the numpy and numpy.linalg modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy |= {a.asname or a.name for a in node.names if a.name == "numpy"}
+            linalg |= {a.asname for a in node.names if a.name == "numpy.linalg" and a.asname}
+            numpy |= {a.name.split(".")[0] for a in node.names if a.name == "numpy.linalg" and not a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "numpy":
+            linalg |= {a.asname or a.name for a in node.names if a.name == "linalg"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SOLVERS:
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in linalg) or (
+                isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                and isinstance(owner.value, ast.Name) and owner.value.id in numpy
+            ):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "numpy.linalg":
+            found += [(node.lineno, f"from numpy.linalg import {a.name}") for a in node.names if a.name in SOLVERS]
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_checker_flags_every_route_to_lapack():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import eigvalsh, qr\n"
+        "import qfg.linalg\n"
+        "from .linalg import eigh\n"
+        "w = np.linalg.eigh(m)\n"
+        "w = la.eigvalsh(m)\n"
+        "w = linalg.eigh(m)\n"
+        "q = np.linalg.qr(m)\n"
+        "w = eigh(m)\n"
+        "w = qfg.linalg.eigh(m)\n"
+    )
+    assert solver_references(source) == [
+        "line 4: from numpy.linalg import eigvalsh",
+        "line 7: np.linalg.eigh",
+        "line 8: la.eigvalsh",
+        "line 9: linalg.eigh",
+    ]
+
+
+def test_linalg_holds_the_lapack_call():
+    assert solver_references((SRC / "linalg.py").read_text(encoding="utf-8")) != []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_calls_no_other_eigensolver(path):
+    assert solver_references(path.read_text(encoding="utf-8")) == []
