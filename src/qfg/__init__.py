@@ -58,7 +58,6 @@ from .geometry import (
 )
 from .linalg import (
     DensityOp,
-    comm_anticomm,
     herm_eigen,
     psd_sqrt,
     require_hermitian,

@@ -171,24 +171,16 @@ def quantum_fisher(rho: DensityOp, drho) -> float:
     return float(quantum_fisher_of_sld(rho.stack, sld_solve(rho, drho)[None])[0])
 
 
-def qfi_split(
-    curve,
-    rho: DensityStack,
-    near: tuple[DensityStack, DensityStack] | None,
-    thetas: np.ndarray,
-    h: float,
-    total: np.ndarray,
-):
+def qfi_split(curve, rho: DensityStack, thetas: np.ndarray, h: float, total: np.ndarray):
     """Split each QFI value along a curve into (sphere, transverse) parts.
 
-    ``rho`` holds the states rho(theta) and ``near`` the pair
-    (rho(theta + h), rho(theta - h)) that ``differentiate_stack`` returned with
-    the finite-difference drho, None in analytic mode; no state is built here.
-    Transverse curves are all transverse (the closed form dk^2 / (k (1-k))),
-    tabulated curves take the transverse share from the drift of the smallest
-    eigenvalue k between the two ``near`` states (none where k is not in
-    (0, 1/2]), and every other family is all sphere. At d >= 3 that share is
-    the qubit-style term of the smallest eigenvalue alone, not the sum of
+    ``rho`` holds the checked states rho(theta). Transverse curves are all
+    transverse (the closed form dk^2 / (k (1-k))) and every family other than
+    a table is all sphere; neither builds a state. A tabulated curve takes
+    its transverse share from the drift of the smallest eigenvalue k between
+    the states rho(theta + h) and rho(theta - h), which it builds and checks
+    here as one stack (none where k is not in (0, 1/2]). At d >= 3 that share is the
+    qubit-style term of the smallest eigenvalue alone, not the sum of
     dlam_i^2 / lam_i over the spectrum.
     """
     if isinstance(curve, TransverseCurve):
@@ -196,7 +188,7 @@ def qfi_split(
     if not isinstance(curve, TableCurve):
         return total, np.zeros_like(total)
     k = rho.eigenvalues[:, 0]
-    hi, lo = (state.eigenvalues[:, 0] for state in near)
+    hi, lo = np.split(curve.rho_stack(np.concatenate([thetas + h, thetas - h])).eigenvalues[:, 0], 2)
     dk = (hi - lo) / (2 * h)
     ok = (0.0 < k) & (k <= 0.5)
     with np.errstate(invalid="ignore", divide="ignore"):

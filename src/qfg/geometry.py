@@ -36,8 +36,8 @@ from .errors import (
     NotTangentForm,
     finite_closed_form,
 )
-from .fisher import _sphere_tensor
-from .linalg import DensityOp, as_matrix, comm_anticomm, require_hermitian
+from .fisher import _sphere_tensor, fisher_tensor_stack
+from .linalg import DensityOp, as_matrix, require_hermitian
 from .states import PureState, require_mixing_weight, unitary_of_z
 
 
@@ -70,17 +70,16 @@ def k_generator(psi, chi) -> tuple[np.ndarray, np.ndarray]:
 def fs_kks_at(rho: DensityOp, k1, k2) -> KahlerPair:
     """Metric and symplectic pairing of two Hermitian generators at rho.
 
-    Both pairings are exactly real for Hermitian inputs; the floating-point
-    residue is discarded after validation.
+    Both are one complex number, Tr[rho K1 K2], the Fisher-tensor pairing
+    (``fisher.fisher_tensor_stack``) of the two generators: its real part is
+    g = (1/2) Tr[rho {K1, K2}] and its imaginary part omega = -(i/2) Tr[rho [K1, K2]].
     """
     k1 = require_hermitian(k1)
     k2 = require_hermitian(k2)
     if k1.shape != k2.shape or k1.shape[0] != rho.dim:
         raise DimensionMismatch("generator dimensions must match rho")
-    comm, anti = comm_anticomm(k1, k2)
-    g = 0.5 * complex(np.trace(rho.matrix @ anti))
-    omega = -0.5j * complex(np.trace(rho.matrix @ comm))
-    return KahlerPair(g.real, omega.real)
+    value = fisher_tensor_stack(rho.stack, np.array([[k1, k2]]))[0, 0, 1]
+    return KahlerPair(value.real, value.imag)
 
 
 @finite_closed_form

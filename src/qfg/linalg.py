@@ -105,6 +105,9 @@ def hermitian_part(m) -> np.ndarray:
     """Validate every matrix of a stack as Hermitian within HERMITIAN_RTOL; return the exactly symmetrized stack.
 
     The first non-Hermitian row raises NonHermitianInput with its defect.
+    A row is symmetrized as (a + a^dag) / 2, exact on an exactly Hermitian
+    row; a row with an entry at or above 2^1023, where that sum may overflow,
+    is halved first, so no finite entry overflows.
     """
     a = as_stack(m)
     s = np.abs(a).max(axis=(1, 2), initial=1.0)  # norms of a / s cannot overflow
@@ -115,7 +118,12 @@ def hermitian_part(m) -> np.ndarray:
         i = int(np.argmax(bad))
         scale = max(1.0, norm[i] * s[i])
         raise NonHermitianInput(f"Hermiticity defect {defect[i] * s[i]:.3e} exceeds {HERMITIAN_RTOL:.1e} * {scale:.3e}")
-    return (a + dagger(a)) / 2
+    huge = ~(s < 2.0**1023)
+    if not huge.any():
+        return (a + dagger(a)) / 2
+    half = a / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(huge[:, None, None], half + dagger(half), (a + dagger(a)) / 2)
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -241,17 +249,6 @@ def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = np.where(w > SQRT_RANK_CUTOFF * max(1.0, float(w[-1])), w, 0.0)
     root = (v * np.sqrt(w)) @ v.conj().T
     return (root + root.conj().T) / 2
-
-
-def comm_anticomm(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Return ([A, B], {A, B}) = (AB - BA, AB + BA)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    ab = a @ b
-    ba = b @ a
-    return ab - ba, ab + ba
 
 
 class DensityStack:

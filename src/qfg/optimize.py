@@ -212,7 +212,7 @@ def sld_eigenbasis_povm(rho: DensityOp, drho) -> Povm:
 
 
 def _bloch(m: np.ndarray) -> np.ndarray:
-    return np.array([float(np.trace(m @ s).real) for s in PAULIS])
+    return frobenius_inner(np.array(PAULIS), m).real
 
 
 def bloch_vector(matrix) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 A scan evaluates the grid in chunks of at most CHUNK_ROWS thetas. Each chunk
 is one pass over stacked ``(n, d, d)`` arrays: rho and drho along the curve,
-each state built and checked once (rho(theta), and in fd mode the states at
-theta +- h that drho and the table split share), the SLD, the QFI and its
-(sphere, transverse) split, and the classical Fisher information of the
-scenario's POVM or, without one, of the SLD eigenbasis (0 where the SLD
-spectrum is degenerate). The single-theta functions of the package are the
-one-row case of the same kernels, so every row equals, bit for bit, what
-those functions give for its theta.
+the SLD, the QFI and its (sphere, transverse) split, and the classical Fisher
+information of the scenario's POVM or, without one, of the SLD eigenbasis (0
+where the SLD spectrum is degenerate). The curve gives matrices and a state
+is checked where it is used: a chunk checks the states rho(theta), once, and
+a finite-difference drho builds none; only a table's split checks the states
+at theta +- h whose spectra it reads. The single-theta functions of the
+package are the one-row case of the same kernels, so every row equals, bit
+for bit, what those functions give for its theta.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ def scan_rows(scenario: Scenario, thetas: np.ndarray, mode: str, h: float) -> np
     """The rows (theta, cfi, qfi_sphere, qfi_transverse, qfi_total) at each theta."""
     curve = scenario.curve
     rho = curve.rho_stack(thetas)
-    drho, near = differentiate_stack(curve, thetas, mode, h)
+    drho = differentiate_stack(curve, thetas, mode, h)
     ell = sld_solve_stack(rho, drho)
     total = quantum_fisher_of_sld(rho, ell)
-    sphere, transverse = qfi_split(curve, rho, near, thetas, h, total)
+    sphere, transverse = qfi_split(curve, rho, thetas, h, total)
     if scenario.povm is not None:
         cfi = classical_fisher_stack(rho, drho, scenario.povm.stack[:, None])
     else:

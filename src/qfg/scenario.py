@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParseError, QfgError
 from .fisher import Povm, WavefunctionGrid
+from .linalg import DensityOp
 from .serialize import complex_from_json, float_from_json, matrix_from_json
 from .sld import (
     ANALYTIC,
@@ -117,7 +118,15 @@ def curve_from_json(data, path: str = "curve"):
             _check_keys(sample, spath, {"theta", "rho"}, {"theta", "rho"})
             thetas.append(float_from_json(sample["theta"], f"{spath}.theta"))
             rhos.append(matrix_from_json(sample["rho"], f"{spath}.rho"))
-        return TableCurve(thetas=tuple(thetas), rhos=tuple(rhos))
+        try:
+            return TableCurve(thetas=tuple(thetas), rhos=tuple(rhos))
+        except QfgError:
+            for i, rho in enumerate(rhos):  # name the first sample that fails alone, with its own error
+                try:
+                    DensityOp(rho)
+                except QfgError as exc:
+                    raise InvariantViolation(f"{path}.samples[{i}]: {exc}") from exc
+            raise
     raise InvariantViolation(
         f"{path}.family: expected one of great_circle_pure, sphere_curve, "
         f"transverse_curve, pure_qdit_coeffs, table; got {family!r}"

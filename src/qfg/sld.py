@@ -12,6 +12,13 @@ Built-in curve families evaluate rho(theta) exactly; finite differences are
 available for all families and are the only route for tabulated curves.
 Every pure family is one closed-form flow, ``PureQditCoeffs``, a turned great
 circle; ``GreatCirclePure`` is its d = 2 case.
+
+A curve gives matrices: ``rho_matrices`` runs the family's own guards and
+returns rho(theta) unchecked, and a state is checked where it is used, as the
+``DensityStack`` of ``rho_stack``. A finite difference takes the matrices at
+theta +- h and builds no state: a closed form is a state by construction, and
+a table's samples are checked once, when the table is built, so each
+interpolated matrix is a convex combination of checked states.
 """
 
 from __future__ import annotations
@@ -46,11 +53,9 @@ from .states import (
     PureState,
     QubitPoint,
     chart_matrices,
-    pure_projector_stack,
     require_finite_coords,
     require_mixing_weight,
     require_normalized,
-    rho_of_kz_stack,
 )
 
 ANALYTIC = "analytic"
@@ -87,10 +92,15 @@ def _guard_rank2(k, thetas: np.ndarray):
 class _StackedCurve:
     """Base of the curve families, which evaluate a vector of thetas at once.
 
-    ``rho_stack`` gives the DensityStack of rho(theta) and ``drho_stack`` the
-    exact derivatives as an (n, d, d) array. The one-theta methods (these two,
-    and ``point_at`` or ``state_at``) are their one-row case.
+    Each family defines ``rho_matrices``, the (n, d, d) matrices of rho(theta)
+    behind its own guards, and ``drho_stack``, the exact derivatives as an
+    (n, d, d) array. ``rho_stack`` checks the matrices as one DensityStack.
+    The one-theta methods (``rho_at``, and ``point_at`` or ``state_at``) are
+    their one-row case.
     """
+
+    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
+        return DensityStack(self.rho_matrices(thetas))
 
     def rho_at(self, theta: float) -> DensityOp:
         return self.rho_stack(_thetas(theta))[0]
@@ -114,8 +124,8 @@ class SphereCurve(_StackedCurve):
     def point_at(self, theta: float) -> QubitPoint:
         return QubitPoint(self.k, complex(self._coords(_thetas(theta))[0]))
 
-    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
-        return rho_of_kz_stack(self.k, self._coords(thetas), Chart.NORTH)
+    def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
+        return chart_matrices(self.k, 1.0 - self.k, self._coords(thetas), Chart.NORTH)
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
         return _sphere_drho_stack(self.k, self._coords(thetas), self.velocity)
@@ -146,11 +156,12 @@ class TransverseCurve(_StackedCurve):
     def point_at(self, theta: float) -> QubitPoint:
         return QubitPoint(float(self._weights(_thetas(theta))[0]), self.coord, self.chart)
 
-    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
-        return rho_of_kz_stack(self._weights(thetas), np.full(len(thetas), self.coord, dtype=complex), self.chart)
+    def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
+        k = self._weights(thetas)
+        return chart_matrices(k, 1.0 - k, np.full(len(thetas), self.coord, dtype=complex), self.chart)
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        self._weights(thetas)  # the rank guard of rho_stack
+        self._weights(thetas)  # the rank guard of rho_matrices
         return self.rate * chart_matrices(1.0, -1.0, np.full(len(thetas), self.coord, dtype=complex), self.chart)
 
 
@@ -201,12 +212,11 @@ class PureQditCoeffs(_StackedCurve):
     def state_at(self, theta: float) -> PureState:
         return PureState(self._amplitudes(_thetas(theta))[0])
 
-    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
-        return pure_projector_stack(self._amplitudes(thetas))
+    def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
+        return rank_one_projectors(self._amplitudes(thetas))
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        rho = rank_one_projectors(self._amplitudes(thetas))  # the matrices of rho_stack, unchecked
-        left = self._generator @ rho
+        left = self._generator @ self.rho_matrices(thetas)
         return left + dagger(left)  # A rho - rho A: rho A = -(A rho)^dag, as A^dag = -A and rho = rho^dag exactly
 
 
@@ -238,7 +248,7 @@ class GreatCirclePure(PureQditCoeffs):
 
 @dataclass(frozen=True)
 class TableCurve(_StackedCurve):
-    """Curve tabulated as (theta_j, rho_j) samples; evaluated by linear interpolation."""
+    """Curve tabulated as (theta_j, rho_j) samples, checked as one DensityStack when built; linearly interpolated."""
 
     thetas: tuple[float, ...]
     rhos: tuple
@@ -251,16 +261,17 @@ class TableCurve(_StackedCurve):
         ):
             raise DomainError("table thetas must be strictly increasing")
         if self.rhos:
-            self._samples  # checks the samples' shape and dimension on construction
+            self._samples  # checks the samples on construction
 
     @cached_property
     def _samples(self) -> np.ndarray:
         try:
-            return as_stack(self.rhos)
+            stack = as_stack(self.rhos)
         except ValueError:
             raise DimensionMismatch("table samples differ in dimension") from None
+        return DensityStack(stack).matrices
 
-    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
+    def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
         ts = self.thetas
         if len(ts) < 2:
             raise TableResolutionError("tabulated curve needs at least 2 samples")
@@ -274,37 +285,33 @@ class TableCurve(_StackedCurve):
         j = np.minimum(np.searchsorted(knots, thetas, side="right") - 1, len(ts) - 2)
         frac = ((thetas - knots[j]) / (knots[j + 1] - knots[j]))[:, None, None]
         samples = self._samples
-        return DensityStack((1.0 - frac) * samples[j] + frac * samples[j + 1])
+        return (1.0 - frac) * samples[j] + frac * samples[j + 1]
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
         raise TableResolutionError("tabulated curves support finite-difference derivatives only")
 
 
 @finite_closed_form
-def differentiate_stack(
-    curve, thetas: np.ndarray, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP
-) -> tuple[np.ndarray, tuple[DensityStack, DensityStack] | None]:
+def differentiate_stack(curve, thetas: np.ndarray, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """d rho / d theta at each of a vector of thetas, closed-form or central finite difference.
 
-    Returns ``(drho, near)``: drho is an (n, d, d) stack of exactly Hermitian,
-    traceless matrices; ``near`` is the pair of checked states
-    ``(rho(theta + h), rho(theta - h))`` the central difference was taken
-    from, or None in analytic mode, which builds no state. A caller that needs
-    those states again (``fisher.qfi_split`` on a table) takes them from here
-    instead of walking the curve a second time. A theta +- h or a drho that
-    overflows (in the curve's formula, the difference quotient or the
-    symmetrization) raises NonFiniteResult.
+    Returns an (n, d, d) stack of exactly Hermitian, traceless matrices.
+    Neither mode builds a state: the finite difference is taken between the
+    curve's matrices ``rho_matrices`` at theta + h and theta - h, which pass
+    the family's own guards. A theta +- h or a drho that overflows (in the
+    curve's formula, the difference quotient or the symmetrization) raises
+    NonFiniteResult.
     """
     if mode == ANALYTIC:
-        drho, near = curve.drho_stack(thetas), None
+        drho = curve.drho_stack(thetas)
     elif mode == FD:
         if not (h > 0):
             raise DomainError(f"finite-difference step h={h!r} must be positive")
-        shifted = thetas + h, thetas - h
+        shifted = np.concatenate([thetas + h, thetas - h])  # one walk of the curve; a row's bits are its own
         if not np.isfinite(shifted).all():
             raise OverflowError("theta +- h")  # finite_closed_form reports it as NonFiniteResult
-        near = (curve.rho_stack(shifted[0]), curve.rho_stack(shifted[1]))
-        drho = (near[0].matrices - near[1].matrices) / (2 * h)
+        plus, minus = np.split(curve.rho_matrices(shifted), 2)
+        drho = (plus - minus) / (2 * h)
     else:
         raise DomainError(f"unknown differentiation mode {mode!r}")
     drho = (drho + dagger(drho)) / 2
@@ -316,13 +323,12 @@ def differentiate_stack(
         residue = complex(trace[int(np.argmax(bad))])
         raise DomainError(f"drho trace {residue!r} is not negligible; curve is not trace preserving")
     dim = drho.shape[1]
-    return drho - (trace.real / dim)[:, None, None] * np.eye(dim), near
+    return drho - (trace.real / dim)[:, None, None] * np.eye(dim)
 
 
 def differentiate_curve(curve, theta: float, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """d rho / d theta along a curve, closed-form or central finite difference."""
-    drho, _ = differentiate_stack(curve, _thetas(theta), mode, h)
-    return drho[0]
+    return differentiate_stack(curve, _thetas(theta), mode, h)[0]
 
 
 def require_direction(drho, dim: int) -> np.ndarray:

@@ -223,15 +223,14 @@ def suite_tensor_identities() -> list[Check]:
 
 def suite_gkks_relation() -> list[Check]:
     rng = np.random.default_rng(20240907)
+    k, z, v1, v2 = _columns((*_random_point(rng, k_lo=0.02, k_hi=0.49), complex(rng.normal(), rng.normal()),
+                             complex(rng.normal(), rng.normal())) for _ in range(200))
+    rho0 = DensityStack(np.stack([k, 1.0 - k], axis=1)[:, None] * np.eye(2))  # reference_density(k) = diag(k, 1-k)
     worst = 0.0
-    for _ in range(200):
-        k, z = _random_point(rng, k_lo=0.02, k_hi=0.49)
-        v1 = complex(rng.normal(), rng.normal())
-        v2 = complex(rng.normal(), rng.normal())
-        value = fisher_tensor(k, z, v1, v2).value
-        rho0 = reference_density(k)
-        gk = g_kks(rho0, sphere_tangent_matrix(k, z, v1), sphere_tangent_matrix(k, z, v2))
-        worst = max(worst, abs((2 * k - 1) * value.real - 4.0 * gk))
+    for i in range(len(k)):
+        x1, x2 = (sphere_tangent_matrix(k[i], z[i], v) for v in (v1[i], v2[i]))
+        value = fisher_tensor(k[i], z[i], v1[i], v2[i]).value
+        worst = max(worst, abs((2 * k[i] - 1) * value.real - 4.0 * g_kks(rho0[i], x1, x2)))
     x = sphere_tangent_matrix(0.25, 0j, 1.0)
     ref = abs(g_kks(reference_density(0.25), x, x) + 0.125)
     return [
@@ -254,8 +253,8 @@ def _optimizer_scenarios() -> tuple[DensityStack, np.ndarray]:
     rho, drho = _qubit_stacks(*_columns(draws + [draw(True, True) for _ in range(6)]))
     gc = GreatCirclePure()
     thetas = np.linspace(0.3, math.pi - 0.3, 7)
-    rho = DensityStack(np.concatenate([gc.rho_stack(thetas).matrices, rho.matrices]))
-    return rho, np.concatenate([differentiate_stack(gc, thetas)[0], drho])
+    rho = DensityStack(np.concatenate([gc.rho_matrices(thetas), rho.matrices]))
+    return rho, np.concatenate([differentiate_stack(gc, thetas), drho])
 
 
 def suite_optimizer_attainment() -> list[Check]:
@@ -265,8 +264,8 @@ def suite_optimizer_attainment() -> list[Check]:
     basis = [classical_fisher(rho[i], drho[i], sld_eigenbasis_povm(rho[i], drho[i])) for i in range(n)]
     gc = GreatCirclePure()
     thetas = np.linspace(0.05, math.pi - 0.05, 50)
-    rhos = DensityStack(np.concatenate([rho.matrices, gc.rho_stack(thetas).matrices]))
-    drhos = np.concatenate([drho, differentiate_stack(gc, thetas)[0]])
+    rhos = DensityStack(np.concatenate([rho.matrices, gc.rho_matrices(thetas)]))
+    drhos = np.concatenate([drho, differentiate_stack(gc, thetas)])
     results = [maximize_cfi(rhos[i], drhos[i]) for i in range(len(rhos))]
     closed = np.array([result.value for result in results])
     worst_dev = max(math.asin(min(1.0, abs(float(result.axis[1])))) for result in results[n:])

@@ -118,10 +118,10 @@ def test_rows_equal_single_theta_calls(case, n, data):
     curve, mode, h = scenario.curve, scenario.options.mode, scenario.options.fd_step
     thetas = np.linspace(lo, hi, n)
     rho = curve.rho_stack(thetas)
-    drho, near = differentiate_stack(curve, thetas, mode, h)
+    drho = differentiate_stack(curve, thetas, mode, h)
     ell = sld_solve_stack(rho, drho)
     qfi = quantum_fisher_of_sld(rho, ell)
-    sphere, transverse = qfi_split(curve, rho, near, thetas, h, qfi)
+    sphere, transverse = qfi_split(curve, rho, thetas, h, qfi)
     _, v, degenerate = sld_eigenbasis(ell)
     outcomes = [eigenprojector(v, j) for j in range(rho.dim)]
     cfi_sld = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
@@ -146,8 +146,7 @@ def test_rows_equal_single_theta_calls(case, n, data):
         assert (sld_solve(single, d1) == ell[i]).all()
         assert quantum_fisher(single, d1) == qfi[i] == max(tensor[i, 0, 0].real, 0.0)
         assert fisher_tensor_general(single, d1, d2[i]).value == tensor[i, 0, 1]
-        near1 = differentiate_stack(curve, np.array([theta]), mode, h)[1]
-        split = qfi_split(curve, single.stack, near1, np.array([theta]), h, np.array([qfi[i]]))
+        split = qfi_split(curve, single.stack, np.array([theta]), h, np.array([qfi[i]]))
         assert (split[0][0], split[1][0]) == (sphere[i], transverse[i])
         try:
             cfi = classical_fisher(single, d1, sld_eigenbasis_povm(single, d1))

@@ -323,6 +323,42 @@ class TestBoundaryInput:
         assert (code, out) == (2, "")
         assert error_kind(err) in ("parse", "invariant")
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--quantity", "qfi"],
+        ["scan", "--range", "0.1:0.9:3"],
+        ["optimize"],
+    ], ids=["eval", "scan", "optimize"])
+    def test_bad_table_sample_rejected_at_load(self, tmp_path, command):
+        # rho(0) = diag(1.5, -0.5) is no state, though rho(theta) near theta0 = 0.9 is
+        payload = {"curve": {"family": "table", "samples": [
+            {"theta": 0.0, "rho": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]},
+            {"theta": 1.0, "rho": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+        ]}, "theta0": 0.9, "options": {"mode": "fd"}}
+        code, out, err = run_cli(command[0], "--scenario", write_scenario(tmp_path, payload), *command[1:])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "kind": "invariant", "detail": "curve.samples[0]: density operator has eigenvalue -5.000e-01"}}
+
+    def test_first_bad_table_sample_is_named(self, tmp_path):
+        # checked as one stack, sample 2's trace is reported before sample 1's spectrum; load names sample 1
+        diagonals = [(0.5, 0.5), (1.2, -0.2), (0.6, 0.6)]
+        payload = {"curve": {"family": "table", "samples": [
+            {"theta": float(i), "rho": [[[a, 0], [0, 0]], [[0, 0], [b, 0]]]} for i, (a, b) in enumerate(diagonals)
+        ]}, "theta0": 0.5}
+        code, _, err = run_cli("eval", "--scenario", write_scenario(tmp_path, payload), "--quantity", "qfi")
+        assert code == 2
+        assert json.loads(err)["error"]["detail"] == "curve.samples[1]: density operator has eigenvalue -2.000e-01"
+
+    def test_povm_entries_near_the_float_range_are_judged_by_their_spectrum(self, tmp_path):
+        # elements [[0.5, +-1.7e308], [+-1.7e308, 0.5]] with eigenvalues +-1.7e308
+        povm = {"elements": [[[[0.5, 0], [b, 0]], [[b, 0], [0.5, 0]]] for b in (1.7e308, -1.7e308)]}
+        path = write_scenario(tmp_path, {"curve": {"family": "sphere_curve", "k": 0.25, "path": {
+            "type": "linear", "z0": [0, 0], "velocity": [1, 0]}}, "theta0": 0.0, "povm": povm})
+        code, out, err = run_cli("eval", "--scenario", path, "--quantity", "cfi")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "kind": "invariant", "detail": "povm: element 0 has negative eigenvalue -1.700e+308"}}
+
     @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"theta0": 1' + "0" * 5000 + "}"],
                              ids=["deep-nesting", "integer-digit-limit"])
     def test_unreadable_json_rejected(self, tmp_path, text):

@@ -18,7 +18,6 @@ from qfg.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    comm_anticomm,
     dagger,
     eigh,
     frobenius_inner,
@@ -318,29 +317,6 @@ class TestPsdSqrt:
             psd_sqrt(np.diag([-1e-3, 1.0]))
 
 
-class TestCommAnticomm:
-    def test_pauli_algebra(self):
-        comm, anti = comm_anticomm(PAULI_X, PAULI_Y)
-        assert np.allclose(comm, 2j * PAULI_Z)
-        assert np.allclose(anti, 0)
-
-    def test_self_bracket(self):
-        a = np.array([[1, 2j], [-2j, 3]])
-        comm, anti = comm_anticomm(a, a)
-        assert np.allclose(comm, 0)
-        assert np.allclose(anti, 2 * a @ a)
-
-    def test_identity_commutes(self):
-        b = np.array([[1, 2], [3, 4]], dtype=complex)
-        comm, anti = comm_anticomm(np.eye(2), b)
-        assert np.allclose(comm, 0)
-        assert np.allclose(anti, 2 * b)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            comm_anticomm(np.eye(2), np.eye(3))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     arrays(np.float64, (3, 3), elements=st.floats(-10, 10)),
@@ -395,4 +371,10 @@ def test_hermitian_check_survives_huge_entries():
     with pytest.raises(NonHermitianInput):
         hermitian_part(np.array([[[0.5, 1e200], [0, 0.5]]]))
     m = np.array([[[0.5, 1e200], [1e200, 0.5]]])
+    assert (hermitian_part(m) == m).all()
+    # a + a^dag overflows for entries above about 9e307; halving first does not
+    m = np.array([[[0.5, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 0.5]]])
+    assert (hermitian_part(m) == m).all()
+    # halving first would round a subnormal entry; every other row keeps its exactly Hermitian bits
+    m = np.array([m[0], [[0.5, 5e-324], [5e-324, 0.5]]])
     assert (hermitian_part(m) == m).all()

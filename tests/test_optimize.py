@@ -250,7 +250,7 @@ class TestMaximizeCfi:
             assert result.value >= qfi - 1e-6
 
     def test_pure_great_circle_stays_below_quantum_bound(self):
-        # outcomes with p near 1e-12 used to steer the search to cfi = qfi + 1.1e-4
+        # outcomes with p close to 1e-12 used to steer the search to cfi = qfi + 1.1e-4
         curve = GreatCirclePure(phase=4.958988598908727)
         theta = 1.7034558231457735
         rho, drho = curve.rho_at(theta), differentiate_curve(curve, theta)

@@ -9,6 +9,7 @@ from qfg.errors import (
     DimensionUnsupported,
     DomainError,
     NotNormalized,
+    NotPositiveSemidefinite,
     SupportMismatch,
     TableResolutionError,
 )
@@ -129,6 +130,11 @@ class TestTableCurve:
     def test_out_of_range(self):
         with pytest.raises(TableResolutionError):
             self._table().rho_at(0.9)
+
+    def test_samples_checked_at_construction(self):
+        # an interpolated state near theta = 1 is valid, so only a check of the samples rejects it there
+        with pytest.raises(NotPositiveSemidefinite):
+            TableCurve(thetas=(0.0, 1.0), rhos=(np.diag([1.5, -0.5]), np.eye(2) / 2))
 
     def test_insufficient_samples(self):
         single = TableCurve(thetas=(0.0,), rhos=(np.eye(2) / 2,))
