@@ -175,13 +175,12 @@ def qfi_split(curve, rho: DensityStack, thetas: np.ndarray, h: float, total: np.
     """Split each QFI value along a curve into (sphere, transverse) parts.
 
     ``rho`` holds the checked states rho(theta). Transverse curves are all
-    transverse (the closed form dk^2 / (k (1-k))) and every family other than
-    a table is all sphere; neither builds a state. A tabulated curve takes
-    its transverse share from the drift of the smallest eigenvalue k between
-    the states rho(theta + h) and rho(theta - h), which it builds and checks
-    here as one stack (none where k is not in (0, 1/2]). At d >= 3 that share is the
-    qubit-style term of the smallest eigenvalue alone, not the sum of
-    dlam_i^2 / lam_i over the spectrum.
+    transverse (the closed form dk^2 / (k (1-k))), and every family but a
+    table is all sphere; neither builds a state. A tabulated curve takes its
+    transverse share from the drift of the smallest eigenvalue k between the
+    states rho(theta +- h), which it builds and checks here as one stack (none
+    where k is not in (0, 1/2]). At d >= 3 that share is the qubit-style term
+    of the smallest eigenvalue alone, not the sum of dlam_i^2 / lam_i.
     """
     if isinstance(curve, TransverseCurve):
         return np.zeros_like(total), _transverse_qfi(curve.k_at(thetas), curve.rate)

@@ -105,9 +105,8 @@ def hermitian_part(m) -> np.ndarray:
     """Validate every matrix of a stack as Hermitian within HERMITIAN_RTOL; return the exactly symmetrized stack.
 
     The first non-Hermitian row raises NonHermitianInput with its defect.
-    A row is symmetrized as (a + a^dag) / 2, exact on an exactly Hermitian
-    row; a row with an entry at or above 2^1023, where that sum may overflow,
-    is halved first, so no finite entry overflows.
+    Rows are symmetrized as (a + a^dag) / 2, exact on exactly Hermitian rows,
+    and halved first where an entry at or above 2^1023 could overflow the sum.
     """
     a = as_stack(m)
     s = np.abs(a).max(axis=(1, 2), initial=1.0)  # norms of a / s cannot overflow

@@ -14,11 +14,10 @@ Every pure family is one closed-form flow, ``PureQditCoeffs``, a turned great
 circle; ``GreatCirclePure`` is its d = 2 case.
 
 A curve gives matrices: ``rho_matrices`` runs the family's own guards and
-returns rho(theta) unchecked, and a state is checked where it is used, as the
-``DensityStack`` of ``rho_stack``. A finite difference takes the matrices at
-theta +- h and builds no state: a closed form is a state by construction, and
-a table's samples are checked once, when the table is built, so each
-interpolated matrix is a convex combination of checked states.
+returns rho(theta) unchecked; ``rho_stack`` checks them where a state is used.
+A finite difference takes the matrices at theta +- h and builds no state: a
+closed form is a state by construction, and a table's samples are checked once,
+when it is built, so each interpolated matrix mixes checked states.
 """
 
 from __future__ import annotations
@@ -92,11 +91,10 @@ def _guard_rank2(k, thetas: np.ndarray):
 class _StackedCurve:
     """Base of the curve families, which evaluate a vector of thetas at once.
 
-    Each family defines ``rho_matrices``, the (n, d, d) matrices of rho(theta)
-    behind its own guards, and ``drho_stack``, the exact derivatives as an
-    (n, d, d) array. ``rho_stack`` checks the matrices as one DensityStack.
-    The one-theta methods (``rho_at``, and ``point_at`` or ``state_at``) are
-    their one-row case.
+    Each family defines ``rho_matrices``, its unchecked (n, d, d) matrices of
+    rho(theta), and ``drho_stack``, the exact derivatives; ``rho_stack`` checks
+    the matrices as one DensityStack. The one-theta methods (``rho_at``,
+    ``point_at``, ``state_at``) are their one-row case.
     """
 
     def rho_stack(self, thetas: np.ndarray) -> DensityStack:

@@ -329,7 +329,7 @@ class TestBoundaryInput:
         ["optimize"],
     ], ids=["eval", "scan", "optimize"])
     def test_bad_table_sample_rejected_at_load(self, tmp_path, command):
-        # rho(0) = diag(1.5, -0.5) is no state, though rho(theta) near theta0 = 0.9 is
+        # rho(0) = diag(1.5, -0.5) is no state, though rho(theta) at theta0 = 0.9 is
         payload = {"curve": {"family": "table", "samples": [
             {"theta": 0.0, "rho": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]},
             {"theta": 1.0, "rho": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
@@ -349,7 +349,7 @@ class TestBoundaryInput:
         assert code == 2
         assert json.loads(err)["error"]["detail"] == "curve.samples[1]: density operator has eigenvalue -2.000e-01"
 
-    def test_povm_entries_near_the_float_range_are_judged_by_their_spectrum(self, tmp_path):
+    def test_huge_povm_entries_are_judged_by_their_spectrum(self, tmp_path):
         # elements [[0.5, +-1.7e308], [+-1.7e308, 0.5]] with eigenvalues +-1.7e308
         povm = {"elements": [[[[0.5, 0], [b, 0]], [[b, 0], [0.5, 0]]] for b in (1.7e308, -1.7e308)]}
         path = write_scenario(tmp_path, {"curve": {"family": "sphere_curve", "k": 0.25, "path": {

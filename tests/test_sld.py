@@ -132,7 +132,7 @@ class TestTableCurve:
             self._table().rho_at(0.9)
 
     def test_samples_checked_at_construction(self):
-        # an interpolated state near theta = 1 is valid, so only a check of the samples rejects it there
+        # an interpolated state close to theta = 1 is valid, so only a check of the samples rejects it there
         with pytest.raises(NotPositiveSemidefinite):
             TableCurve(thetas=(0.0, 1.0), rhos=(np.diag([1.5, -0.5]), np.eye(2) / 2))
 
