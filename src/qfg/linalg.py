@@ -83,11 +83,12 @@ def rank_one_projectors(vecs: np.ndarray) -> np.ndarray:
 def frobenius_inner(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Frobenius inner product Tr[h^dag a] of each pair of matrices of two broadcasting (..., d, d) stacks.
 
-    It is sum_ij conj(h_ij) a_ij, one ``vecdot`` of the flattened matrices, so
-    for an exactly Hermitian h it is the trace of the product, Tr[h a], with
-    no d x d product formed. A gufunc, it gives each pair's bits from that
-    pair alone, whatever the stack size or broadcasting.
+    It is sum_ij conj(h_ij) a_ij, one ``vecdot`` of the contiguous flattened
+    matrices, so for an exactly Hermitian h it is Tr[h a], with no d x d
+    product formed; each pair's bits come from that pair alone, whatever the
+    stack size, broadcasting or memory layout.
     """
+    h, a = np.ascontiguousarray(h), np.ascontiguousarray(a)
     return np.vecdot(h.reshape(*h.shape[:-2], -1), a.reshape(*a.shape[:-2], -1))
 
 
@@ -164,7 +165,7 @@ def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     formulas; an eigenvalue beyond the float range is +-inf, as LAPACK
     returns it. The sign of each column is a choice, as LAPACK's is.
     """
-    f = np.asarray(a, dtype=complex).reshape(*a.shape[:-2], 4).view(float)  # re, im of a_00, a_01, a_10, a_11
+    f = np.ascontiguousarray(a, dtype=complex).reshape(*a.shape[:-2], 4).view(float)  # re, im of a_00, a_01, a_10, a_11
     big = np.abs(f).max(axis=-1)
     if not np.isfinite(big).all():
         raise NonHermitianInput("matrix contains NaN or Inf entries")
@@ -242,12 +243,13 @@ def psd_sqrt(m) -> np.ndarray:
 
 
 def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``psd_sqrt`` from the ascending eigenpairs (w, v) of the matrix."""
-    if w[0] < PSD_EIGENVALUE_FLOOR:
-        raise NotPositiveSemidefinite(f"minimum eigenvalue {w[0]:.3e} below {PSD_EIGENVALUE_FLOOR:.1e}")
-    w = np.where(w > SQRT_RANK_CUTOFF * max(1.0, float(w[-1])), w, 0.0)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
+    """``psd_sqrt`` of each matrix from its ascending eigenpairs: (..., d) w and (..., d, d) v."""
+    low = w[..., 0] < PSD_EIGENVALUE_FLOOR
+    if low.any():
+        raise NotPositiveSemidefinite(f"minimum eigenvalue {w[..., 0][low][0]:.3e} below {PSD_EIGENVALUE_FLOOR:.1e}")
+    w = np.where(w > SQRT_RANK_CUTOFF * np.maximum(1.0, w[..., -1:]), w, 0.0)
+    root = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return (root + dagger(root)) / 2
 
 
 class DensityStack:

@@ -32,9 +32,11 @@ from .linalg import (
     IDENTITY2,
     PAULIS,
     DensityOp,
+    DensityStack,
+    _psd_root,
     eigh,
     frobenius_inner,
-    psd_sqrt,
+    frobenius_norms,
     rank_one_projectors,
     require_hermitian,
 )
@@ -60,28 +62,36 @@ class AttainabilityReport:
     vacuous: bool = False
 
 
-def attainability_check(rho: DensityOp, drho, m) -> AttainabilityReport:
-    """Decide whether the outcome m can saturate the quantum bound at (rho, drho).
+def attainability_stack(rho: DensityStack, ell: np.ndarray, outcomes: np.ndarray):
+    """The real-proportionality test of every outcome at every row: (attains, c, residual, vacuous), each (m, n).
 
-    The element is taken at its numerical rank before the square root (see
-    ``psd_sqrt``), so spurious floating-point weight cannot masquerade as
-    support.
+    ``ell`` is rho's (n, d, d) SLD stack; the exactly Hermitian ``outcomes``
+    are (m, n, d, d), or (m, 1, d, d) for one POVM at every row. Elements are
+    rooted at their numerical rank (``psd_sqrt``), so floating-point debris is
+    no support; p = Tr[rho m] is read as ``classical_fisher_stack`` reads it.
+    An outcome of p <= EPS_P, or whose root drops its weight, attains vacuously.
     """
+    root_m = _psd_root(*eigh(outcomes))
+    root_rho = _psd_root(rho.eigenvalues, rho.eigenvectors)
+    b = root_m @ root_rho
+    a = root_m @ ell @ root_rho
+    norm_b = frobenius_norms(b)
+    vacuous = (frobenius_inner(rho.matrices, outcomes).real <= EPS_P) | (norm_b == 0.0)
+    # <b, a> / <b, b>, the least-squares c
+    c = np.divide(frobenius_inner(b, a), norm_b**2, out=np.zeros(norm_b.shape, complex), where=~vacuous)
+    residual = frobenius_norms(a - c[..., None, None] * b)
+    attains = (residual <= ATTAINABILITY_TOL * np.maximum(1.0, norm_b)) & (np.abs(c.imag) <= ATTAINABILITY_TOL)
+    return attains | vacuous, c.real, np.where(vacuous, 0.0, residual), vacuous
+
+
+def attainability_check(rho: DensityOp, drho, m) -> AttainabilityReport:
+    """Whether the outcome m can saturate the quantum bound at (rho, drho): one row of ``attainability_stack``."""
     ell = sld_solve(rho, drho)
     m = require_hermitian(m)  # exactly symmetrized, as a Povm stores its elements
-    root_m = psd_sqrt(m)
-    if root_m.shape[0] != rho.dim:
-        raise DomainError(f"POVM dimension {root_m.shape[0]} does not match rho dimension {rho.dim}")
-    b = root_m @ rho.sqrt
-    norm_b = float(np.linalg.norm(b))
-    p = float(frobenius_inner(rho.matrix, m).real)  # the kernel and operand order of classical_fisher_stack
-    if p <= EPS_P or norm_b == 0.0:  # the root drops weight at or below SQRT_RANK_CUTOFF
-        return AttainabilityReport(attains=True, c=0.0, residual=0.0, vacuous=True)
-    a = root_m @ ell @ rho.sqrt
-    c = complex(frobenius_inner(b, a)) / norm_b**2  # <b, a> / <b, b>, the least-squares c
-    residual = float(np.linalg.norm(a - c * b))
-    attains = residual <= ATTAINABILITY_TOL * max(1.0, norm_b) and abs(c.imag) <= ATTAINABILITY_TOL
-    return AttainabilityReport(attains=attains, c=c.real, residual=residual)
+    if m.shape[0] != rho.dim:
+        raise DomainError(f"POVM dimension {m.shape[0]} does not match rho dimension {rho.dim}")
+    attains, c, residual, vacuous = attainability_stack(rho.stack, ell[None], m[None, None])
+    return AttainabilityReport(bool(attains[0, 0]), float(c[0, 0]), float(residual[0, 0]), bool(vacuous[0, 0]))
 
 
 @dataclass(frozen=True)

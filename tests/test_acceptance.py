@@ -79,7 +79,7 @@ def test_criterion_08_optimizer_attainment():
 
 
 def test_criterion_09_attainability_soundness():
-    run_suite(9, "attainability-soundness")
+    run_suite(9, "attainability-soundness", max_seconds=0.25)
 
 
 def test_criterion_10_finite_differences():

@@ -3,7 +3,7 @@
 ``qfg scan`` evaluates thetas in stacked chunks, while the single-theta
 functions are the one-row case of the same kernels. These tests compare the
 two with ``==``, for every curve family and mode at d = 2..8, the Fisher tensor
-of two directions included, and compare the CSV of ``qfg scan`` with the rows
+of two directions and the attainability kernel included, and compare the CSV of ``qfg scan`` with the rows
 the benchmark's traced replay (``bench/tracing.py``) builds from the
 single-theta public calls.
 """
@@ -34,10 +34,16 @@ from qfg.fisher import (
     quantum_fisher,
     quantum_fisher_of_sld,
 )
-from qfg.linalg import dagger
-from qfg.optimize import eigenprojector, sld_eigenbasis, sld_eigenbasis_povm
+from qfg.linalg import PAULI_Y, DensityStack, dagger
+from qfg.optimize import (
+    attainability_check,
+    attainability_stack,
+    eigenprojector,
+    sld_eigenbasis,
+    sld_eigenbasis_povm,
+)
 from qfg.scenario import parse_scenario
-from qfg.sld import FD, differentiate_curve, differentiate_stack, sld_solve, sld_solve_stack
+from qfg.sld import FD, GreatCirclePure, differentiate_curve, differentiate_stack, sld_solve, sld_solve_stack
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -168,6 +174,51 @@ def test_rows_of_a_full_chunk_equal_single_theta_calls(case, data):
     for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)):
         single = scan_module.scan_rows(scenario, thetas[i : i + 1], scenario.options.mode, scenario.options.fd_step)
         assert (single[0] == rows[i]).all()
+
+
+def _attainability_rows(d):
+    """(rho, drho, outcomes (m, n, d, d)): mixed rows, a pure row and, at d = 2, the great circle.
+
+    Each row's outcomes are its SLD eigenprojectors, which attain, an element
+    of probability 1e-13 <= EPS_P, and diag(5e-11, 100, ...), whose root drops
+    the pure row's weight; at d = 2 the sigma_y pair follows.
+    """
+    rng = np.random.default_rng(1200 + d)
+    rho = [_mixed_state(rng, d) for _ in range(4)] + [np.diag(np.eye(d)[0]).astype(complex)]
+    gen = _mixed_state(rng, d)
+    drho = [1j * (gen @ r - r @ gen) for r in rho[:4]]
+    a = np.r_[0.0, rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1)]
+    drho.append(np.outer(a, np.eye(d)[0]) + np.outer(np.eye(d)[0], a.conj()))
+    extra = [1e-13 * np.eye(d), np.diag(np.r_[5e-11, np.full(d - 1, 100.0)])]
+    if d == 2:
+        gc = GreatCirclePure()
+        rho.append(gc.rho_matrices(np.array([math.pi / 3]))[0])
+        drho.append(differentiate_stack(gc, np.array([math.pi / 3]))[0])
+        extra += [(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2]
+    rho, drho = DensityStack(np.array(rho)), np.array(drho)
+    drho = (drho + dagger(drho)) / 2
+    _, v, _ = sld_eigenbasis(sld_solve_stack(rho, drho))
+    basis = [eigenprojector(v, i) for i in range(d)]
+    outcomes = np.array(basis + [np.broadcast_to(m, v.shape) for m in extra], dtype=complex)
+    return rho, drho, outcomes
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_attainability_rows_equal_one_outcome_checks(d, shared):
+    rho, drho, outcomes = _attainability_rows(d)
+    if shared:
+        outcomes = outcomes[:, :1]  # row 0's outcomes, one POVM for every row
+    kernel = attainability_stack(rho, sld_solve_stack(rho, drho), outcomes)
+    assert all(x.shape == (len(outcomes), len(rho)) for x in kernel)
+    for j, i in np.ndindex(*kernel[0].shape):
+        report = attainability_check(rho[i], drho[i], outcomes[j, 0 if shared else i])
+        assert (report.attains, report.c, report.residual, report.vacuous) == tuple(x[j, i] for x in kernel)
+    attains, _, _, vacuous = kernel
+    assert shared or attains[:d].all()
+    assert vacuous[d].all() and vacuous[d + 1, 4] and not vacuous[d + 1, :4].any()
+    if d == 2:
+        assert not attains[d + 2 :, 5].any()  # the sigma_y pair on the great circle
 
 
 def run_cli(*argv):

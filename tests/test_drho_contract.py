@@ -146,3 +146,12 @@ def test_maximize_cfi_checks_once(monkeypatch):
     eighs = _count_calls(monkeypatch, "eigh")
     maximize_cfi(RHO, DRHO)
     assert (len(checks), len(eighs)) == (1, 0)
+
+
+def test_attainability_check_checks_each_input_once_and_solves_once(monkeypatch):
+    # drho is checked by sld_solve and m once; the one eigensolve is m's, rho's root reads its spectrum
+    checks = _count_calls(monkeypatch, "hermitian_part")
+    solves = _count_calls(monkeypatch, "sld_solve_stack", owner=qfg.sld)
+    eighs = _count_calls(monkeypatch, "eigh")
+    attainability_check(RHO, DRHO, np.diag([1.0, 0.0]))
+    assert (len(checks), len(solves), len(eighs)) == (2, 1, 1)

@@ -15,9 +15,11 @@ from qfg.linalg import (
     IDENTITY2,
     SQRT_RANK_CUTOFF,
     DensityOp,
+    DensityStack,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _psd_root,
     dagger,
     eigh,
     frobenius_inner,
@@ -84,6 +86,14 @@ class TestFrobeniusInner:
         full, seven = frobenius_inner(h, a), frobenius_inner(h[:7], a[:7])
         singles = np.array([frobenius_inner(h[i : i + 1], a[i : i + 1])[0] for i in range(7)])
         assert (full[:7] == seven).all() and (seven == singles).all()
+
+    def test_row_bits_do_not_depend_on_memory_layout(self, d):
+        rng = np.random.default_rng(900 + d)
+        h, big = _hermitian_stack(rng, (50, d, d)), _stack(rng, (50, d, 2 * d))
+        for a in (big[:, ::-1, ::-2], big[:, :, :d].swapaxes(-1, -2), np.asfortranarray(big[:, :, :d])):
+            copy = np.ascontiguousarray(a)
+            assert (frobenius_inner(h, a) == frobenius_inner(h, copy)).all()
+            assert (frobenius_inner(a, h) == frobenius_inner(copy, h)).all()
 
     def test_general_left_operand_is_conjugated(self, d):
         rng = np.random.default_rng(800 + d)
@@ -283,7 +293,33 @@ class TestEigh2:
             assert (wi == w[i]).all() and (vi == v[i]).all()
 
 
+    def test_any_memory_layout_gives_the_contiguous_bits(self):
+        a = _eigh2_draws(np.random.default_rng(905), 64)
+        moved = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+        for view in (np.asfortranarray(a), a[:, ::-1, ::-1], moved):
+            w, v = eigh(view)
+            wc, vc = eigh(np.ascontiguousarray(view))
+            assert (w == wc).all() and (v == vc).all()
+        rho = np.array([np.diag([0.3, 0.7]), [[0.5, 0.1j], [-0.1j, 0.5]]])
+        fortran, contiguous = DensityStack(np.asfortranarray(rho)), DensityStack(rho)
+        assert (fortran.eigenvalues == contiguous.eigenvalues).all()
+        assert (fortran.eigenvectors == contiguous.eigenvectors).all()
+
+
 class TestPsdSqrt:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stacked_rows_equal_single_roots(self, d):
+        rng = np.random.default_rng(1000 + d)
+        x = _stack(rng, (3, 4, d, d))
+        m = x @ dagger(x)
+        m[0, 0] = np.diag(np.r_[5e-11, np.full(d - 1, 100.0)])  # a root that drops an eigenvalue
+        m = (m + dagger(m)) / 2
+        roots = _psd_root(*eigh(m))
+        assert roots.shape == m.shape
+        for i, j in np.ndindex(3, 4):
+            assert (roots[i, j] == psd_sqrt(m[i, j])).all()
+
+
     def test_diagonal(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
         assert np.allclose(psd_sqrt(np.diag([0.25, 0.75])), np.diag([0.5, np.sqrt(3) / 2]))
