@@ -292,7 +292,6 @@ class TestEigh2:
             wi, vi = eigh(a[i])
             assert (wi == w[i]).all() and (vi == v[i]).all()
 
-
     def test_any_memory_layout_gives_the_contiguous_bits(self):
         a = _eigh2_draws(np.random.default_rng(905), 64)
         moved = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
@@ -318,7 +317,6 @@ class TestPsdSqrt:
         assert roots.shape == m.shape
         for i, j in np.ndindex(3, 4):
             assert (roots[i, j] == psd_sqrt(m[i, j])).all()
-
 
     def test_diagonal(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
