@@ -126,7 +126,8 @@ def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.
     """Classical Fisher information of each row of (rho, drho) stacks.
 
     Trusts ``drho`` to be valid row by row (see ``require_direction``), so
-    exactly Hermitian, as ``rho.matrices`` are: p = Tr[rho m] and
+    exactly Hermitian, as ``rho.matrices`` are, and the outcomes to be of
+    rho's dimension: p = Tr[rho m] and
     dp = Tr[drho m] are each one ``frobenius_inner`` with rho or drho as the
     Hermitian operand, and m need not be exactly Hermitian.
     ``outcomes`` yields one POVM element per outcome: an (n, d, d) stack with
@@ -136,8 +137,6 @@ def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.
     """
     total = np.zeros(len(drho))
     for m in outcomes:
-        if m.shape[-1] != rho.dim:
-            raise DomainError(f"POVM dimension {m.shape[-1]} does not match rho dimension {rho.dim}")
         p = frobenius_inner(rho.matrices, m).real
         dp = frobenius_inner(drho, m).real
         total = total + np.divide(dp * dp, p, out=np.zeros_like(p), where=p > EPS_P)
@@ -147,6 +146,8 @@ def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.
 def classical_fisher(rho: DensityOp, drho, povm: Povm) -> float:
     """Classical Fisher information of the POVM at (rho, drho)."""
     drho = require_direction(drho, rho.dim)
+    if povm.dim != rho.dim:
+        raise DomainError(f"POVM dimension {povm.dim} does not match rho dimension {rho.dim}")
     return float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
 
 
@@ -174,20 +175,21 @@ def quantum_fisher(rho: DensityOp, drho) -> float:
 def qfi_split(curve, rho: DensityStack, thetas: np.ndarray, h: float, total: np.ndarray):
     """Split each QFI value along a curve into (sphere, transverse) parts.
 
-    ``rho`` holds the checked states rho(theta). Transverse curves are all
-    transverse (the closed form dk^2 / (k (1-k))), and every family but a
-    table is all sphere; neither builds a state. A tabulated curve takes its
-    transverse share from the drift of the smallest eigenvalue k between the
-    states rho(theta +- h), which it builds and checks here as one stack (none
-    where k is not in (0, 1/2]). At d >= 3 that share is the qubit-style term
-    of the smallest eigenvalue alone, not the sum of dlam_i^2 / lam_i.
+    ``rho`` holds the checked states rho(theta); the split checks no state.
+    Transverse curves are all transverse (the closed form dk^2 / (k (1-k))),
+    and every family but a table is all sphere. A tabulated curve takes its
+    transverse share from the drift of the smallest eigenvalue k between
+    rho(theta +- h), read from the spectra of the curve's matrices there:
+    each is an exactly Hermitian convex combination of checked samples. At
+    d >= 3 that share is the qubit-style term of the smallest eigenvalue
+    alone, not the sum of dlam_i^2 / lam_i.
     """
     if isinstance(curve, TransverseCurve):
         return np.zeros_like(total), _transverse_qfi(curve.k_at(thetas), curve.rate)
     if not isinstance(curve, TableCurve):
         return total, np.zeros_like(total)
     k = rho.eigenvalues[:, 0]
-    hi, lo = np.split(curve.rho_stack(np.concatenate([thetas + h, thetas - h])).eigenvalues[:, 0], 2)
+    hi, lo = np.split(eigh(curve.rho_matrices(np.concatenate([thetas + h, thetas - h])))[0][:, 0], 2)
     dk = (hi - lo) / (2 * h)
     ok = (0.0 < k) & (k <= 0.5)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -17,8 +17,6 @@ stacked ones, so a matrix gives the same bits alone and as a row of a stack.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import (
@@ -322,10 +320,6 @@ class DensityOp:
     @property
     def eigenvectors(self) -> np.ndarray:
         return self.stack.eigenvectors[0]
-
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        return _psd_root(self.eigenvalues, self.eigenvectors)
 
     def __repr__(self) -> str:
         return f"DensityOp(dim={self.dim})"

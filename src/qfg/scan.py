@@ -6,10 +6,11 @@ the SLD, the QFI and its (sphere, transverse) split, and the classical Fisher
 information of the scenario's POVM or, without one, of the SLD eigenbasis (0
 where the SLD spectrum is degenerate). The curve gives matrices and a state
 is checked where it is used: a chunk checks the states rho(theta), once, and
-a finite-difference drho builds none; only a table's split checks the states
-at theta +- h whose spectra it reads. The single-theta functions of the
-package are the one-row case of the same kernels, so every row equals, bit
-for bit, what those functions give for its theta.
+nothing else, as neither a finite-difference drho nor a table's split, which
+reads the spectra of the curve's matrices at theta +- h, builds a state. The
+single-theta functions of the package are the one-row case of the same
+kernels, so every row equals, bit for bit, what those functions give for its
+theta.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvariantViolation, ParseError, QfgError
 from .fisher import Povm, WavefunctionGrid
 from .linalg import DensityOp
@@ -188,7 +190,11 @@ def parse_scenario(data) -> Scenario:
         theta0 = float_from_json(data["theta0"], "theta0")
     elif curve is not None:
         raise InvariantViolation("scenario: missing required field(s) ['theta0']")
+    if isinstance(curve, TableCurve):
+        guarded(lambda t, _: curve.require_in_range(np.array([t])), theta0, "theta0")
     povm = guarded(povm_from_json, data["povm"], "povm") if "povm" in data else None
+    if povm is not None and curve is not None and povm.dim != curve.dim:
+        raise InvariantViolation(f"povm: dimension {povm.dim} does not match the curve's dimension {curve.dim}")
     grid = guarded(grid_from_json, data["grid"], "grid") if "grid" in data else None
     options = guarded(options_from_json, data["options"], "options") if "options" in data else Options()
     return Scenario(curve=curve, theta0=theta0, povm=povm, grid=grid, options=options)

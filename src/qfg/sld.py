@@ -8,8 +8,8 @@ The SLD of a direction drho at rho is the Hermitian L solving
 * transverse direction (fixed eigenvectors, moving mixing k): L =
   dk / ((1+|z|^2) k (1-k)) * [[|z|^2 - k(|z|^2+1), -z], [-z*, 1 - k(|z|^2+1)]].
 
-Built-in curve families evaluate rho(theta) exactly; finite differences are
-available for all families and are the only route for tabulated curves.
+Built-in curve families evaluate rho(theta) and drho exactly; finite
+differences are available for all families.
 Every pure family is one closed-form flow, ``PureQditCoeffs``, a turned great
 circle; ``GreatCirclePure`` is its d = 2 case.
 
@@ -77,11 +77,11 @@ def _thetas(theta) -> np.ndarray:
 
 
 def _guard_rank2(k, thetas: np.ndarray):
-    k = np.asarray(k)
+    k = np.broadcast_to(k, thetas.shape)
     bad = ~((RANK_GUARD <= k) & (k <= 0.5))
     if bad.any():
-        i = int(np.argmax(np.broadcast_to(bad, thetas.shape)))
-        theta, k = float(thetas[i]), float(np.broadcast_to(k, thetas.shape)[i])
+        i = int(np.argmax(bad))
+        theta, k = float(thetas[i]), float(k[i])
         raise DomainError(
             f"mixing weight k(theta={theta!r}) = {k!r} leaves [{RANK_GUARD}, 1/2]; "
             "rank-2 curves must keep their rank"
@@ -96,6 +96,11 @@ class _StackedCurve:
     the matrices as one DensityStack. The one-theta methods (``rho_at``,
     ``point_at``, ``state_at``) are their one-row case.
     """
+
+    @property
+    def dim(self) -> int:
+        """The dimension d of rho(theta), read from the (0, d, d) matrices of no theta."""
+        return self.rho_matrices(np.empty(0)).shape[-1]
 
     def rho_stack(self, thetas: np.ndarray) -> DensityStack:
         return DensityStack(self.rho_matrices(thetas))
@@ -246,7 +251,7 @@ class GreatCirclePure(PureQditCoeffs):
 
 @dataclass(frozen=True)
 class TableCurve(_StackedCurve):
-    """Curve tabulated as (theta_j, rho_j) samples, checked as one DensityStack when built; linearly interpolated."""
+    """Curve tabulated as (theta_j, rho_j) samples, checked as one DensityStack when built; linearly interpolated, so drho is a segment's slope."""
 
     thetas: tuple[float, ...]
     rhos: tuple
@@ -254,12 +259,11 @@ class TableCurve(_StackedCurve):
     def __post_init__(self):
         if len(self.thetas) != len(self.rhos):
             raise DomainError("table thetas and rhos differ in length")
-        if len(self.thetas) >= 2 and not all(
-            b > a for a, b in zip(self.thetas, self.thetas[1:])
-        ):
+        if len(self.thetas) < 2:
+            raise TableResolutionError("tabulated curve needs at least 2 samples")
+        if not all(b > a for a, b in zip(self.thetas, self.thetas[1:])):
             raise DomainError("table thetas must be strictly increasing")
-        if self.rhos:
-            self._samples  # checks the samples on construction
+        self._samples  # checks the samples on construction
 
     @cached_property
     def _samples(self) -> np.ndarray:
@@ -269,32 +273,40 @@ class TableCurve(_StackedCurve):
             raise DimensionMismatch("table samples differ in dimension") from None
         return DensityStack(stack).matrices
 
-    def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
+    def require_in_range(self, thetas: np.ndarray):
+        """Raise TableResolutionError for the first theta outside the tabulated range."""
         ts = self.thetas
-        if len(ts) < 2:
-            raise TableResolutionError("tabulated curve needs at least 2 samples")
         outside = ~((ts[0] <= thetas) & (thetas <= ts[-1]))
         if outside.any():
             theta = float(thetas[int(np.argmax(outside))])
             raise TableResolutionError(
                 f"theta={theta!r} outside the tabulated range [{ts[0]}, {ts[-1]}]"
             )
-        knots = np.asarray(ts)
-        j = np.minimum(np.searchsorted(knots, thetas, side="right") - 1, len(ts) - 2)
+
+    def _segments(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The knots and the segment j of each theta; the last knot is on the last segment."""
+        self.require_in_range(thetas)
+        knots = np.asarray(self.thetas)
+        return knots, np.minimum(np.searchsorted(knots, thetas, side="right") - 1, len(knots) - 2)
+
+    def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
+        knots, j = self._segments(thetas)
         frac = ((thetas - knots[j]) / (knots[j + 1] - knots[j]))[:, None, None]
         samples = self._samples
         return (1.0 - frac) * samples[j] + frac * samples[j + 1]
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        raise TableResolutionError("tabulated curves support finite-difference derivatives only")
+        knots, j = self._segments(thetas)
+        return (self._samples[j + 1] - self._samples[j]) / (knots[j + 1] - knots[j])[:, None, None]
 
 
 @finite_closed_form
 def differentiate_stack(curve, thetas: np.ndarray, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """d rho / d theta at each of a vector of thetas, closed-form or central finite difference.
 
-    Returns an (n, d, d) stack of exactly Hermitian, traceless matrices.
-    Neither mode builds a state: the finite difference is taken between the
+    Returns an (n, d, d) stack of exactly Hermitian matrices, made traceless
+    by projection: every family is unit-trace, a table by its load check, so
+    the trace is roundoff and is not judged. Neither mode builds a state: the finite difference is taken between the
     curve's matrices ``rho_matrices`` at theta + h and theta - h, which pass
     the family's own guards. A theta +- h or a drho that overflows (in the
     curve's formula, the difference quotient or the symmetrization) raises
@@ -313,15 +325,8 @@ def differentiate_stack(curve, thetas: np.ndarray, mode: str = ANALYTIC, h: floa
     else:
         raise DomainError(f"unknown differentiation mode {mode!r}")
     drho = (drho + dagger(drho)) / 2
-    # the FD trace residue is pure roundoff of unit traces and grows like eps/h
-    tol = 1e-12 if mode == ANALYTIC else 1e-10 * max(1.0, DEFAULT_FD_STEP / h)
-    trace = traces(drho)
-    bad = np.abs(trace) > tol * np.maximum(1.0, frobenius_norms(drho))
-    if bad.any():
-        residue = complex(trace[int(np.argmax(bad))])
-        raise DomainError(f"drho trace {residue!r} is not negligible; curve is not trace preserving")
     dim = drho.shape[1]
-    return drho - (trace.real / dim)[:, None, None] * np.eye(dim)
+    return drho - (traces(drho).real / dim)[:, None, None] * np.eye(dim)
 
 
 def differentiate_curve(curve, theta: float, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:

@@ -108,7 +108,7 @@ def scenarios(draw):
         samples = [{"theta": t, "rho": _matrix_json(_mixed_state(rng, d))} for t in (0.0, 1.0)]
         curve, lo, hi = {"family": "table", "samples": samples}, unit(0.01, 0.3), unit(0.6, 0.99)
     scenario = {"curve": curve, "theta0": lo}
-    fd = family == "table" or draw(st.booleans())
+    fd = draw(st.booleans())
     if fd:
         scenario["options"] = {"mode": FD}
     if draw(st.booleans()):

@@ -39,6 +39,7 @@ GOLDEN_COMMANDS = [
     ("scan_transverse.csv", ["scan", "--scenario", fixture("transverse_k025.json"), "--param", "theta", "--range", "0.1:0.4:4"]),
     ("optimize_transverse.json", ["optimize", "--scenario", fixture("transverse_k025.json")]),
     ("optimize_great_circle.json", ["optimize", "--scenario", fixture("great_circle.json")]),
+    ("scan_table_d3.csv", ["scan", "--scenario", fixture("table_d3.json"), "--param", "theta", "--range", "0.1:0.9:9"]),
 ]
 
 
@@ -172,13 +173,15 @@ class TestErrorMapping:
         assert code == 3 and error_kind(err) == "domain"
 
     def test_table_resolution_exit_3(self, tmp_path):
+        # theta0 is on the table, but the finite difference leaves it at theta0 + h
         rho = [[[0.75, 0], [0, 0]], [[0, 0], [0.25, 0]]]
         bad = tmp_path / "table.json"
         bad.write_text(json.dumps({
             "curve": {"family": "table", "samples": [
                 {"theta": 0.0, "rho": rho}, {"theta": 1.0, "rho": rho},
             ]},
-            "theta0": 0.5,
+            "theta0": 1.0,
+            "options": {"mode": "fd"},
         }))
         code, _, err = run_cli("eval", "--scenario", str(bad), "--quantity", "qfi")
         assert code == 3 and error_kind(err) == "table-resolution"
@@ -250,8 +253,9 @@ class TestScanErrors:
          "theta=1.00001 outside the tabulated range [0.0, 1.0]"),
         (TABLE, ["--range", "0:1:5"], "table-resolution",
          "theta=-1e-05 outside the tabulated range [0.0, 1.0]"),
+        # in either mode the split reads the table at theta +- h
         (TABLE, ["--range", "0.5:1.5:3", "--mode", "analytic"], "table-resolution",
-         "tabulated curves support finite-difference derivatives only"),
+         "theta=1.00001 outside the tabulated range [0.0, 1.0]"),
         # the qfi rate^2 / (k (1 - k)) overflows: the row fails when it is formatted, before the header
         (RATE_1E200, ["--range", "0:0:1"], "non-finite-result", "non-finite value inf cannot be serialized"),
     ])
@@ -282,6 +286,23 @@ class TestScanErrors:
         code, _, err = run_cli("eval", "--scenario", str(tmp_path / "a\nb\x01.json"), "--quantity", "qfi")
         assert code == 2
         assert "a\nb\x01.json" in json.loads(err)["error"]["detail"]
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_table_trace_defect_inside_the_load_tolerance_is_roundoff(tmp_path, mode):
+    # sample traces 1 + 5e-10 and 1 pass the load's 1e-9 trace check, so drho's trace is projected out, not judged
+    defect = json.loads(json.dumps(TABLE))
+    defect["curve"]["samples"][0]["rho"][0][0][0] += 5e-10
+
+    def qfi(payload):  # eval's qfi at theta0, then the qfi_total column of a scan
+        path = write_scenario(tmp_path, dict(payload, options={"mode": mode}))
+        (code, out, err), (scan_code, csv, scan_err) = (
+            run_cli("eval", "--scenario", path, "--quantity", "qfi"),
+            run_cli("scan", "--scenario", path, "--range", "0.2:0.8:4"))
+        assert (code, scan_code) == (0, 0), err + scan_err
+        return np.r_[json.loads(out)["qfi"], np.loadtxt(io.StringIO(csv), delimiter=",", skiprows=1)[:, 4]]
+
+    assert np.allclose(qfi(defect), qfi(TABLE), rtol=1e-6, atol=0)
 
 
 def test_table_split_uses_fd_step(tmp_path):
@@ -338,6 +359,24 @@ class TestBoundaryInput:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": {
             "kind": "invariant", "detail": "curve.samples[0]: density operator has eigenvalue -5.000e-01"}}
+
+    @pytest.mark.parametrize("command", [["eval", "--quantity", "qfi"], ["scan", "--range", "0.1:0.9:3"], ["optimize"]],
+                             ids=["eval", "scan", "optimize"])
+    @pytest.mark.parametrize("payload, detail", [
+        ({"curve": {"family": "table", "samples": []}, "theta0": 0.0},
+         "curve: tabulated curve needs at least 2 samples"),
+        ({"curve": {"family": "table", "samples": TABLE["curve"]["samples"][:1]}, "theta0": 0.0},
+         "curve: tabulated curve needs at least 2 samples"),
+        ({"curve": TABLE["curve"], "theta0": 2.0},
+         "theta0: theta=2.0 outside the tabulated range [0.0, 1.0]"),
+        ({"curve": {"family": "sphere_curve", "k": 0.25, "path": {"z0": [0, 0], "velocity": [1, 0]}}, "theta0": 0.0,
+          "povm": {"elements": [[[[float(x), 0] for x in row] for row in np.diag(e)] for e in ([1, 0, 0], [0, 1, 1])]}},
+         "povm: dimension 3 does not match the curve's dimension 2"),
+    ], ids=["empty-table", "one-sample-table", "theta0-off-table", "povm-dimension"])
+    def test_input_error_found_at_load(self, tmp_path, command, payload, detail):
+        code, out, err = run_cli(command[0], "--scenario", write_scenario(tmp_path, payload), *command[1:])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {"kind": "invariant", "detail": detail}}
 
     def test_first_bad_table_sample_is_named(self, tmp_path):
         # checked as one stack, sample 2's trace is reported before sample 1's spectrum; load names sample 1

@@ -105,20 +105,17 @@ CURVES = {
 }
 
 
-@pytest.mark.parametrize("family, mode", [
-    (family, mode) for family in CURVES for mode in (ANALYTIC, FD) if (family, mode) != ("table", ANALYTIC)
-])
+@pytest.mark.parametrize("family, mode", [(family, mode) for family in CURVES for mode in (ANALYTIC, FD)])
 def test_scan_chunk_builds_each_state_once(monkeypatch, family, mode):
-    # rho(theta) is the chunk's one checked stack: a finite difference takes the curve's matrices at
-    # theta +- h unchecked, and only a table's split checks the states at theta +- h it reads, as one stack
+    # rho(theta) is the chunk's one checked stack: a finite difference and a table's split take the
+    # curve's matrices at theta +- h unchecked
     scenario = parse_scenario({"curve": CURVES[family], "theta0": 0.0})
     thetas = np.linspace(0.2, 0.8, 64)
     scan_module.scan_rows(scenario, thetas, mode, 1e-5)  # warm: the curve's cached properties
     built = _count_states(monkeypatch)
     checks = _count_calls(monkeypatch, "hermitian_part")
     scan_module.scan_rows(scenario, thetas, mode, 1e-5)
-    rows = [len(thetas), 2 * len(thetas)] if family == "table" else [len(thetas)]
-    assert (built, len(checks)) == (rows, len(rows))
+    assert (built, len(checks)) == ([len(thetas)], 1)
 
 
 def test_eval_qfi_builds_the_state_once(monkeypatch, capsys):

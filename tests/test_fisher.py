@@ -83,6 +83,12 @@ class TestClassicalFisher:
         value = classical_fisher(rho, drho, SZ_PAIR)
         assert np.isfinite(value)
 
+    def test_povm_of_another_dimension_rejected(self):
+        # the public entry checks the dimension; classical_fisher_stack trusts it
+        rho = rho_of_kz(qubit_point(0.3, 0.5))
+        with pytest.raises(DomainError, match="POVM dimension 3 does not match rho dimension 2"):
+            classical_fisher(rho, np.zeros((2, 2)), Povm([np.eye(3)]))
+
 
 class TestQuantumFisher:
     def test_transverse_value(self):

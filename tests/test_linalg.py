@@ -374,7 +374,6 @@ class TestDensityOp:
     def test_cached_eigendecomposition(self):
         rho = DensityOp(np.diag([0.25, 0.75]))
         assert np.allclose(rho.eigenvalues, [0.25, 0.75])
-        assert np.allclose(rho.sqrt, np.diag([0.5, np.sqrt(0.75)]))
 
     def test_trace_enforced(self):
         with pytest.raises(NotNormalized):

@@ -123,9 +123,15 @@ class TestTableCurve:
         expected = assemble_drho(0.2 + 0.2 * 0.25, 0.5, 0.2, 0.0)
         assert np.linalg.norm(drho - expected) <= 1e-6
 
-    def test_analytic_unsupported(self):
-        with pytest.raises(TableResolutionError):
-            differentiate_curve(self._table(), 0.25, mode=ANALYTIC)
+    def test_analytic_derivative_is_the_segment_slope(self):
+        curve = self._table()
+        ts, rhos = curve.thetas, curve.rhos
+        # 0.27 lies on segment 3; a knot takes the segment to its right, the last knot the last segment
+        for theta, j in ((0.27, 3), (ts[3], 3), (ts[-1], len(ts) - 2)):
+            slope = (rhos[j + 1] - rhos[j]) / (ts[j + 1] - ts[j])
+            assert (curve.drho_stack(np.array([theta]))[0] == slope).all()
+        fd = differentiate_curve(curve, 0.27, mode=FD, h=1e-3)
+        assert np.linalg.norm(differentiate_curve(curve, 0.27, mode=ANALYTIC) - fd) <= 1e-6
 
     def test_out_of_range(self):
         with pytest.raises(TableResolutionError):
@@ -137,9 +143,9 @@ class TestTableCurve:
             TableCurve(thetas=(0.0, 1.0), rhos=(np.diag([1.5, -0.5]), np.eye(2) / 2))
 
     def test_insufficient_samples(self):
-        single = TableCurve(thetas=(0.0,), rhos=(np.eye(2) / 2,))
-        with pytest.raises(TableResolutionError):
-            single.rho_at(0.0)
+        for n in (0, 1):
+            with pytest.raises(TableResolutionError):
+                TableCurve(thetas=(0.0,)[:n], rhos=(np.eye(2) / 2,)[:n])
 
 
 class TestSldSolve:
