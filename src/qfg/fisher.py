@@ -48,6 +48,7 @@ from .linalg import (
     eigh,
     frobenius_inner,
     hermitian_part,
+    matmul,
 )
 from .sld import TableCurve, TransverseCurve, require_coefficients, require_direction, sld_solve, sld_solve_stack
 from .states import require_mixing_weight
@@ -156,9 +157,9 @@ def fisher_tensor_stack(rho: DensityStack, ell: np.ndarray) -> np.ndarray:
 
     The SLDs must be exactly Hermitian, as ``sld_solve_stack`` returns them:
     F_ab is ``frobenius_inner`` of L_b, the Hermitian operand, with rho L_a,
-    the one matrix product formed.
+    the one matrix product formed, by ``linalg.matmul``.
     """
-    rho_ell = rho.matrices[:, None] @ ell
+    rho_ell = matmul(rho.matrices[:, None], ell)
     return frobenius_inner(ell[:, None], rho_ell[:, :, None])
 
 

@@ -37,6 +37,7 @@ from .linalg import (
     eigh,
     frobenius_inner,
     frobenius_norms,
+    matmul,
     rank_one_projectors,
     require_hermitian,
 )
@@ -73,8 +74,8 @@ def attainability_stack(rho: DensityStack, ell: np.ndarray, outcomes: np.ndarray
     """
     root_m = _psd_root(*eigh(outcomes))
     root_rho = _psd_root(rho.eigenvalues, rho.eigenvectors)
-    b = root_m @ root_rho
-    a = root_m @ ell @ root_rho
+    b = matmul(root_m, root_rho)
+    a = matmul(matmul(root_m, ell), root_rho)
     norm_b = frobenius_norms(b)
     vacuous = (frobenius_inner(rho.matrices, outcomes).real <= EPS_P) | (norm_b == 0.0)
     # <b, a> / <b, b>, the least-squares c

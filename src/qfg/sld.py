@@ -43,6 +43,7 @@ from .linalg import (
     as_stack,
     dagger,
     frobenius_norms,
+    matmul,
     rank_one_projectors,
     require_hermitian,
     traces,
@@ -219,7 +220,7 @@ class PureQditCoeffs(_StackedCurve):
         return rank_one_projectors(self._amplitudes(thetas))
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        left = self._generator @ self.rho_matrices(thetas)
+        left = matmul(self._generator, self.rho_matrices(thetas))
         return left + dagger(left)  # A rho - rho A: rho A = -(A rho)^dag, as A^dag = -A and rho = rho^dag exactly
 
 
@@ -251,7 +252,12 @@ class GreatCirclePure(PureQditCoeffs):
 
 @dataclass(frozen=True)
 class TableCurve(_StackedCurve):
-    """Curve tabulated as (theta_j, rho_j) samples, checked as one DensityStack when built; linearly interpolated, so drho is a segment's slope."""
+    """Curve tabulated as (theta_j, rho_j) samples, checked as one DensityStack when built; linearly interpolated, so drho is a segment's slope.
+
+    At an interior knot drho is the slope of the segment to its right; a
+    central finite difference there straddles the knot and gives the mean
+    of the two slopes instead.
+    """
 
     thetas: tuple[float, ...]
     rhos: tuple
@@ -354,7 +360,9 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     ``drho`` is (n, d, d), or (n, p, d, d) for p directions at each rho.
     Trusts ``drho`` to be valid row by row (see ``require_direction``), as
     ``differentiate_stack`` returns it. In each rho's eigenbasis L_ij = 2 drho_ij /
-    (lam_i + lam_j) on the support. Entries over eigenvalue pairs outside the
+    (lam_i + lam_j) on the support; both changes of basis, V^dag drho V and
+    V L V^dag, are ``linalg.matmul`` products, entry formulas on a qubit
+    stack. Entries over eigenvalue pairs outside the
     support are set to 0 when drho vanishes there too, within SUPPORT_LEAK_TOL
     * max(1, ||drho||_F) for each row and direction; otherwise the direction
     leaves the support and SupportMismatch is raised.
@@ -363,7 +371,7 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     if drho.ndim == 4:
         w, v = w[:, None], v[:, None]
     vh = dagger(v)
-    dr = vh @ drho @ v
+    dr = matmul(matmul(vh, drho), v)
     denom = w[..., :, None] + w[..., None, :]
     support = denom > SUPPORT_CUTOFF
     mag = np.abs(dr)
@@ -378,7 +386,7 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
         weight = abs(dr[tuple(np.argwhere(leak)[0])])
         raise SupportMismatch(f"drho has weight {weight:.3e} outside the support of rho")
     ell = np.divide(2.0 * dr, denom, out=np.zeros_like(dr), where=support)
-    out = v @ ell @ vh
+    out = matmul(matmul(v, ell), vh)
     return (out + dagger(out)) / 2
 
 

@@ -322,6 +322,22 @@ def test_table_split_uses_fd_step(tmp_path):
         assert transverse == pytest.approx(min(dk * dk / (k * (1 - k)), total), rel=1e-9)
 
 
+
+def test_table_knot_takes_the_right_slope_analytic_and_the_mean_slope_fd():
+    # the piecewise-linear table_d3 has no derivative at its knot 0.5: analytic mode takes the slope of the
+    # segment to the right, the central fd step straddles the knot and takes the mean of the two slopes;
+    # the transverse part reads theta +- h in both modes, so it is the same
+    def rows(mode):
+        code, out, err = run_cli("scan", "--scenario", fixture("table_d3.json"), "--range", "0.1:0.9:9", "--mode", mode)
+        assert code == 0, err
+        return {line.split(",")[0]: line.split(",")[1:] for line in out.splitlines()[1:]}
+
+    analytic, fd = rows("analytic"), rows("fd")
+    assert (analytic["0.5"][3], fd["0.5"][3]) == ("0.945102413703", "0.460470651831")  # qfi_total
+    assert analytic["0.5"][2] == fd["0.5"][2] == "0.161155808965"  # qfi_transverse
+    for theta in ("0.4", "0.6"):  # inside a segment the two modes agree
+        assert np.allclose(np.array(analytic[theta], float), np.array(fd[theta], float), rtol=0, atol=1e-9)
+
 NINE = [[[1 / 9 if i == j else 0, 0] for j in range(9)] for i in range(9)]
 
 

@@ -1,6 +1,7 @@
 """Tests for the dense complex matrix primitives."""
 
 import decimal
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from qfg.linalg import (
     frobenius_norms,
     herm_eigen,
     hermitian_part,
+    matmul,
     psd_sqrt,
     rank_one_projectors,
     require_hermitian,
@@ -99,6 +101,127 @@ class TestFrobeniusInner:
         rng = np.random.default_rng(800 + d)
         x, a = _stack(rng, (8, d, d)), _stack(rng, (8, d, d))
         self._assert_trace_of_product(dagger(x), a, frobenius_inner(x, a))
+
+
+def _textbook_product(a, b):
+    """c_ij = a_i0 b_0j + a_i1 b_1j of 2 x 2 stacks, each term (ar br - ai bi) + i (ar bi + ai br) in float arithmetic."""
+    ar, ai, br, bi = a.real[..., :, :, None], a.imag[..., :, :, None], b.real[..., None, :, :], b.imag[..., None, :, :]
+    re, im = ar * br - ai * bi, ar * bi + ai * br
+    return (re[..., 0, :] + re[..., 1, :]) + 1j * (im[..., 0, :] + im[..., 1, :])
+
+
+class TestMatmul:
+    """matmul(a, b) is a @ b: 2 x 2 stacks by entry formulas, each row's bits its own; np.matmul's bits at d >= 3."""
+
+    @staticmethod
+    def _pairs(n, seed):
+        """(n,2,2)@(n,2,2), (n,1,2,2)@(n,p,2,2) and (2,2)@(n,2,2) factors of seeded Gaussian draws."""
+        rng = np.random.default_rng(seed)
+        return {
+            "stack": (_stack(rng, (n, 2, 2)), _stack(rng, (n, 2, 2))),
+            "broadcast": (_stack(rng, (n, 1, 2, 2)), _stack(rng, (n, 3, 2, 2))),
+            "one-left": (_stack(rng, (2, 2)), _stack(rng, (n, 2, 2))),
+        }
+
+    @staticmethod
+    def _assert_close(a, b, c):
+        want = np.matmul(a, b)
+        assert c.shape == want.shape and c.dtype == want.dtype
+        assert (frobenius_norms(c - want) <= 4 * EPS * frobenius_norms(a) * frobenius_norms(b)).all()
+
+    @pytest.mark.parametrize("n", [1, 3, 2048])
+    def test_agrees_with_numpy(self, n):
+        for a, b in self._pairs(n, 1000 + n).values():
+            self._assert_close(a, b, matmul(a, b))
+
+    def test_one_matrix(self):
+        rng = np.random.default_rng(1001)
+        a, b = _stack(rng, (2, 2)), _stack(rng, (2, 2))
+        c = matmul(a, b)
+        self._assert_close(a, b, c)
+        assert (c == matmul(a[None], b[None])[0]).all()
+
+    @pytest.mark.parametrize("n", [1, 3, 2048])
+    def test_row_bits_do_not_depend_on_stack_size(self, n):
+        for kind, (a, b) in self._pairs(n, 1100 + n).items():
+            c = matmul(a, b)
+            rows = range(n) if n <= 3 else [*range(7), *np.random.default_rng(n).integers(7, n, size=25)]
+            for i in rows:
+                left = a if kind == "one-left" else a[i]
+                assert (matmul(left, b[i]) == c[i]).all(), (kind, i)
+                assert (matmul(a if kind == "one-left" else a[i : i + 1], b[i : i + 1])[0] == c[i]).all(), (kind, i)
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_row_bits_do_not_depend_on_broadcasting(self, n):
+        # attainability_stack's shapes: k outcomes at each of n rows, (k, n, 2, 2) @ (n, 2, 2)
+        rng = np.random.default_rng(1150 + n)
+        a, b = _stack(rng, (5, n, 2, 2)), _stack(rng, (n, 2, 2))
+        c = matmul(a, b)
+        for j, i in np.ndindex(5, n):
+            assert (matmul(a[j, i], b[i]) == c[j, i]).all(), (j, i)
+            assert (matmul(a[j : j + 1, i : i + 1], b[i : i + 1])[0, 0] == c[j, i]).all(), (j, i)
+            assert (matmul(a[:, i], b[i])[j] == c[j, i]).all(), (j, i)
+
+    def test_row_bits_do_not_depend_on_memory_layout(self):
+        rng = np.random.default_rng(1200)
+        a, big = _stack(rng, (64, 2, 2)), _stack(rng, (64, 2, 4))
+        for b in (big[:, ::-1, ::-2], big[:, :, :2].swapaxes(-1, -2), np.asfortranarray(big[:, :, :2]), dagger(a)):
+            copy = np.ascontiguousarray(b)
+            assert (matmul(a, b) == matmul(a, copy)).all() and (matmul(b, a) == matmul(copy, a)).all()
+
+    def test_sums_the_two_terms_in_order(self):
+        rng = np.random.default_rng(1300)
+        a, b = _stack(rng, (512, 2, 2)), _stack(rng, (512, 2, 2))
+        assert (matmul(a, b) == _textbook_product(a, b)).all()
+
+    def test_diagonal_input_is_exact(self):
+        rng = np.random.default_rng(1400)
+        d1, d2 = _stack(rng, (256, 2)), _stack(rng, (256, 2))
+        a, b = np.zeros((2, 256, 2, 2), dtype=complex)
+        a[:, [0, 1], [0, 1]], b[:, [0, 1], [0, 1]] = d1, d2
+        c = matmul(a, b)
+        assert (c[:, [0, 1], [1, 0]] == 0).all()
+        assert (c[:, [0, 1], [0, 1]] == _textbook_product(a, b)[:, [0, 1], [0, 1]]).all()
+        # a real diagonal is one rounded product per entry, as np.matmul gives it
+        c = matmul(a.real.astype(complex), b.real.astype(complex))
+        assert (c[:, [0, 1], [0, 1]] == d1.real * d2.real).all()
+        assert (c == np.matmul(a.real.astype(complex), b.real.astype(complex))).all()
+
+    def test_real_input_is_exact(self):
+        rng = np.random.default_rng(1500)
+        x, y = rng.normal(size=(2, 256, 2, 2))
+        c = matmul(x.astype(complex), y.astype(complex))
+        assert (c.imag == 0).all()
+        assert (c.real == x[..., :, 0, None] * y[..., None, 0, :] + x[..., :, 1, None] * y[..., None, 1, :]).all()
+        # integer entries: every product and sum is exact, so the result is the exact product
+        i, j = rng.integers(-2**20, 2**20, size=(2, 256, 2, 2)), rng.integers(-2**20, 2**20, size=(2, 256, 2, 2))
+        a, b = i[0] + 1j * i[1], j[0] + 1j * j[1]
+        exact = (i[0] @ j[0] - i[1] @ j[1]) + 1j * (i[0] @ j[1] + i[1] @ j[0])
+        assert (matmul(a, b) == exact).all() and (np.matmul(a, b) == exact).all()
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_larger_dimensions_are_numpy_bits(self, d):
+        rng = np.random.default_rng(1600 + d)
+        for shape_a, shape_b in [((64, d, d), (64, d, d)), ((64, 1, d, d), (64, 3, d, d)), ((d, d), (64, d, d))]:
+            a, b = _stack(rng, shape_a), _stack(rng, shape_b)
+            assert (matmul(a, b) == np.matmul(a, b)).all()
+
+    def test_entries_near_the_float_range(self):
+        # huge x huge rows overflow; huge x tiny, huge x moderate and moderate x huge ones are the
+        # unscaled product times the power of two, which scaling by powers of two leaves exact
+        rng = np.random.default_rng(1700)
+        a, b = _stack(rng, (4, 64, 2, 2)), _stack(rng, (4, 64, 2, 2))
+        ka, kb = np.array([665, 665, 665, 0]), np.array([665, -665, 0, 665])  # 2^665 ~ 1.6e200
+        big_a, big_b = a * 2.0 ** ka[:, None, None, None], b * 2.0 ** kb[:, None, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = matmul(big_a, big_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.matmul(big_a, big_b)
+        assert not np.isfinite(want[0]).any() and not np.isfinite(c[0]).any()
+        assert (np.isfinite(c) <= np.isfinite(want)).all()
+        assert (c[1:] == matmul(a[1:], b[1:]) * 2.0 ** (ka + kb)[1:, None, None, None]).all()
+        self._assert_close(a, b, matmul(a, b))
 
 
 class TestHermEigen:
