@@ -14,12 +14,17 @@ Van Loan, Matrix Computations, section 8.5), and d >= 3 by
 ``np.linalg.eigh``. Every matrix product goes through ``matmul``, which
 multiplies broadcasting stacks in one call: 2 x 2 factors by the entry
 formulas c_ij = a_i0 b_0j + a_i1 b_1j as array operations, not one BLAS call
-per matrix, and d >= 3 by ``np.matmul``. The single-matrix functions are the
-n = 1 case of the stacked ones, so a matrix gives the same bits alone and as a
-row of a stack.
+per matrix, and d >= 3 by ``np.matmul``. A row's max or min over its few
+trailing entries is taken along the contiguous stack axis by ``_reduce_rows``,
+not by numpy's loop per row, and an exactly Hermitian stack answers the
+Hermiticity check with one a == a^dag test. The single-matrix functions are
+the n = 1 case of the stacked ones, so a matrix gives the same bits alone and
+as a row of a stack.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -126,8 +131,33 @@ def frobenius_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(frobenius_inner(a, a).real)
 
 
+def _reduce_rows(ufunc, a: np.ndarray, axes: int = 1, initial=None) -> np.ndarray:
+    """``ufunc.reduce`` of each row of a over its last ``axes`` axes, for ufunc ``np.maximum`` or ``np.minimum``.
+
+    numpy reduces a row's few trailing entries in a loop of its own per row;
+    here they are moved to the front of a contiguous (m, ...) copy and reduced
+    along the stack axis, m - 1 elementwise calls over whole stacks. Max and
+    min do not depend on the order, and a NaN propagates either way, so the
+    value is numpy's ``a.max(axis=...)`` or ``a.min(axis=...)``, and so are
+    its bits, except that a row mixing +0 and -0 may give either zero: the
+    callers pass |x|, or only compare the result. ``initial`` is numpy's too
+    (a row with no entries needs it).
+    """
+    lead = a.shape[: a.ndim - axes]
+    cols = np.moveaxis(a.reshape(*lead, math.prod(a.shape[a.ndim - axes :])), -1, 0)
+    return ufunc.reduce(np.ascontiguousarray(cols), axis=0, initial=initial)
+
+
 def traces(a: np.ndarray) -> np.ndarray:
-    """Trace of each matrix in a stack."""
+    """Trace of each matrix in a stack.
+
+    A 2 x 2 stack is summed as 0 + a_00 + a_11, numpy's own order (its sum
+    starts at +0, which decides the sign of a zero trace), as array operations
+    rather than numpy's loop per matrix; d >= 3 goes to ``ndarray.trace``,
+    whose order from d = 4 on is not a plain left-to-right sum.
+    """
+    if a.shape[-1] == 2:
+        return 0.0 + a[..., 0, 0] + a[..., 1, 1]
     return a.trace(axis1=-2, axis2=-1)
 
 
@@ -137,9 +167,17 @@ def hermitian_part(m) -> np.ndarray:
     The first non-Hermitian row raises NonHermitianInput with its defect.
     Rows are symmetrized as (a + a^dag) / 2, exact on exactly Hermitian rows,
     and halved first where an entry at or above 2^1023 could overflow the sum.
+    An exactly Hermitian stack (a == a^dag entry for entry, as every curve
+    family builds its states) has defect 0 in every row, so one comparison
+    answers the check, and with no entry at or above 2^1023 it returns the
+    same (a + a^dag) / 2. Any other stack is judged row by row on
+    a / max(1, max|a_ij|), whose norms cannot overflow.
     """
     a = as_stack(m)
-    s = np.abs(a).max(axis=(1, 2), initial=1.0)  # norms of a / s cannot overflow
+    ah, mag = dagger(a), np.abs(a)
+    if (a == ah).all() and mag.max(initial=0.0) < 2.0**1023:
+        return (a + ah) / 2
+    s = _reduce_rows(np.maximum, mag, axes=2, initial=1.0)
     b = a / s[:, None, None]
     defect, norm = frobenius_norms(b - dagger(b)), frobenius_norms(b)
     bad = defect > HERMITIAN_RTOL * np.maximum(1.0 / s, norm)
@@ -149,10 +187,10 @@ def hermitian_part(m) -> np.ndarray:
         raise NonHermitianInput(f"Hermiticity defect {defect[i] * s[i]:.3e} exceeds {HERMITIAN_RTOL:.1e} * {scale:.3e}")
     huge = ~(s < 2.0**1023)
     if not huge.any():
-        return (a + dagger(a)) / 2
+        return (a + ah) / 2
     half = a / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(huge[:, None, None], half + dagger(half), (a + dagger(a)) / 2)
+        return np.where(huge[:, None, None], half + dagger(half), (a + ah) / 2)
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -195,7 +233,7 @@ def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     returns it. The sign of each column is a choice, as LAPACK's is.
     """
     f = np.ascontiguousarray(a, dtype=complex).reshape(*a.shape[:-2], 4).view(float)  # re, im of a_00, a_01, a_10, a_11
-    big = np.abs(f).max(axis=-1)
+    big = _reduce_rows(np.maximum, np.abs(f))
     if not np.isfinite(big).all():
         raise NonHermitianInput("matrix contains NaN or Inf entries")
     exp = np.frexp(big)[1]

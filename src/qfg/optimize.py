@@ -34,6 +34,7 @@ from .linalg import (
     DensityOp,
     DensityStack,
     _psd_root,
+    _reduce_rows,
     eigh,
     frobenius_inner,
     frobenius_norms,
@@ -194,7 +195,8 @@ def _degenerate(w: np.ndarray) -> np.ndarray:
     The rule is scale-free, as the eigenbasis is: L and c L agree for c > 0,
     and L = 0 is degenerate.
     """
-    return np.diff(w, axis=1).min(axis=1, initial=np.inf) <= SLD_GAP * np.abs(w).max(axis=1)
+    gap = _reduce_rows(np.minimum, np.diff(w, axis=1), initial=np.inf)
+    return gap <= SLD_GAP * _reduce_rows(np.maximum, np.abs(w))
 
 
 def sld_eigenbasis(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

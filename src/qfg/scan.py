@@ -49,8 +49,11 @@ def scan_rows(scenario: Scenario, thetas: np.ndarray, mode: str, h: float) -> np
         cfi = classical_fisher_stack(rho, drho, scenario.povm.stack[:, None])
     else:
         _, v, degenerate = sld_eigenbasis(ell)
-        outcomes = (eigenprojector(v, i) for i in range(rho.dim))
-        cfi = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
+        if degenerate.all():  # a pure state at d >= 4 always: its SLD has rank 2
+            cfi = np.zeros(len(thetas))
+        else:
+            outcomes = (eigenprojector(v, i) for i in range(rho.dim))
+            cfi = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
     return np.column_stack([thetas, cfi, sphere, transverse, total])
 
 

@@ -40,6 +40,7 @@ from .linalg import (
     DensityOp,
     MAX_DIM,
     DensityStack,
+    _reduce_rows,
     as_stack,
     dagger,
     frobenius_norms,
@@ -374,18 +375,21 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     dr = matmul(matmul(vh, drho), v)
     denom = w[..., :, None] + w[..., None, :]
     support = denom > SUPPORT_CUTOFF
-    mag = np.abs(dr)
-    # roundoff off the support grows with ||drho||_F = ||dr||_F, so the rule is relative to it; that
-    # tolerance is never below SUPPORT_LEAK_TOL, so it is formed only where the bare one is exceeded
-    leak = ~support & (mag > SUPPORT_LEAK_TOL)
-    if leak.any():
-        peak = mag.max(axis=(-2, -1), initial=1.0)  # norms of dr / peak cannot overflow
-        tol = SUPPORT_LEAK_TOL * np.maximum(1.0, peak * frobenius_norms(dr / peak[..., None, None]))
-        leak &= mag > tol[..., None, None]
-    if leak.any():
-        weight = abs(dr[tuple(np.argwhere(leak)[0])])
-        raise SupportMismatch(f"drho has weight {weight:.3e} outside the support of rho")
-    ell = np.divide(2.0 * dr, denom, out=np.zeros_like(dr), where=support)
+    if support.all():  # every rho of full rank: no pair to judge or zero
+        ell = 2.0 * dr / denom
+    else:
+        mag = np.abs(dr)
+        # roundoff off the support grows with ||drho||_F = ||dr||_F, so the rule is relative to it; that
+        # tolerance is never below SUPPORT_LEAK_TOL, so it is formed only where the bare one is exceeded
+        leak = ~support & (mag > SUPPORT_LEAK_TOL)
+        if leak.any():
+            peak = _reduce_rows(np.maximum, mag, axes=2, initial=1.0)  # norms of dr / peak cannot overflow
+            tol = SUPPORT_LEAK_TOL * np.maximum(1.0, peak * frobenius_norms(dr / peak[..., None, None]))
+            leak &= mag > tol[..., None, None]
+        if leak.any():
+            weight = abs(dr[tuple(np.argwhere(leak)[0])])
+            raise SupportMismatch(f"drho has weight {weight:.3e} outside the support of rho")
+        ell = np.divide(2.0 * dr, denom, out=np.zeros_like(dr), where=support)
     out = matmul(matmul(v, ell), vh)
     return (out + dagger(out)) / 2
 

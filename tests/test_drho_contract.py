@@ -10,16 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qfg.fisher
 import qfg.linalg
+import qfg.optimize
 import qfg.sld
 from qfg import cli
 from qfg import scan as scan_module
-from qfg.errors import QfgError
+from qfg.errors import DegenerateSld, QfgError
 from qfg.fisher import classical_fisher, fisher_tensor_general, quantum_fisher
 from qfg.linalg import PAULI_X, PAULI_Z, DensityOp
 from qfg.optimize import attainability_check, maximize_cfi, projector_pair, sld_eigenbasis_povm
 from qfg.scenario import parse_scenario
-from qfg.sld import ANALYTIC, FD, sld_solve
+from qfg.sld import ANALYTIC, FD, differentiate_curve, sld_solve
 
 RHO = DensityOp(np.diag([0.3, 0.7]))
 DRHO = 0.2 * PAULI_X + 0.1 * PAULI_Z
@@ -152,3 +154,23 @@ def test_attainability_check_checks_each_input_once_and_solves_once(monkeypatch)
     eighs = _count_calls(monkeypatch, "eigh")
     attainability_check(RHO, DRHO, np.diag([1.0, 0.0]))
     assert (len(checks), len(solves), len(eighs)) == (2, 1, 1)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_all_degenerate_chunk_measures_no_sld_eigenbasis(monkeypatch, d):
+    # a pure state's SLD, 2 drho, has rank 2, so at d >= 4 every row's spectrum repeats 0: the cfi of
+    # each row is 0 with no eigenprojector formed and no classical sum taken
+    a = [[0.0, 0.3]] + [[0.5 / j, 0.1 * j] for j in range(1, d)]
+    scenario = parse_scenario({"curve": {"family": "pure_qdit_coeffs", "a": a}, "theta0": 0.0})
+    thetas = np.linspace(-0.5, 0.5, 32)
+    projectors = _count_calls(monkeypatch, "eigenprojector", owner=qfg.optimize)
+    sums = _count_calls(monkeypatch, "classical_fisher_stack", owner=qfg.fisher)
+    rows = scan_module.scan_rows(scenario, thetas, ANALYTIC, 1e-5)
+    assert (projectors, sums) == ([], [])
+    for theta, row in zip(thetas, rows):
+        # the one-row path: sld_eigenbasis_povm finds no unique eigenbasis, and the scan prints cfi 0
+        rho = scenario.curve.rho_at(float(theta))
+        with pytest.raises(DegenerateSld):
+            sld_eigenbasis_povm(rho, differentiate_curve(scenario.curve, float(theta)))
+        assert row[1] == 0.0 and not np.signbit(row[1])
+        assert row[4] > 0.0

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qfg.errors import DimensionMismatch, NonHermitianInput, NotNormalized, NotPositiveSemidefinite
+import qfg.linalg
 from qfg.linalg import (
+    HERMITIAN_RTOL,
     IDENTITY2,
     SQRT_RANK_CUTOFF,
     DensityOp,
@@ -21,6 +23,8 @@ from qfg.linalg import (
     PAULI_Y,
     PAULI_Z,
     _psd_root,
+    _reduce_rows,
+    as_stack,
     dagger,
     eigh,
     frobenius_inner,
@@ -31,6 +35,7 @@ from qfg.linalg import (
     psd_sqrt,
     rank_one_projectors,
     require_hermitian,
+    traces,
 )
 from qfg.optimize import SLD_GAP, sld_eigenbasis
 from qfg.scenario import load_scenario
@@ -534,3 +539,148 @@ def test_hermitian_check_survives_huge_entries():
     # halving first would round a subnormal entry; every other row keeps its exactly Hermitian bits
     m = np.array([m[0], [[0.5, 5e-324], [5e-324, 0.5]]])
     assert (hermitian_part(m) == m).all()
+
+
+def _bits(a):
+    """The IEEE bits of a float or complex array, so that equality also tells the signs of zeros apart."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+REDUCTIONS = [(np.maximum, "max"), (np.minimum, "min")]
+
+
+@pytest.mark.parametrize("n", [1, 3, 2048])
+@pytest.mark.parametrize("d", range(2, 9))
+class TestReduceRows:
+    """_reduce_rows(ufunc, a, axes) is numpy's max or min over a's last ``axes`` axes, bit for bit."""
+
+    @staticmethod
+    def _assert_numpys(x, axes, initial=None):
+        for ufunc, method in REDUCTIONS:
+            got = _reduce_rows(ufunc, x, axes, initial)
+            kwargs = {} if initial is None else {"initial": initial}
+            want = getattr(x, method)(axis=tuple(range(-axes, 0)), **kwargs)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert (np.isnan(got) == np.isnan(want)).all()
+            real = ~np.isnan(want)
+            assert (_bits(got[real]) == _bits(want[real])).all()
+
+    def test_rows_of_every_layout(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        self._assert_numpys(rng.normal(size=(n, d)), 1)  # spectra, as _degenerate reads them
+        self._assert_numpys(np.abs(_stack(rng, (n, d, d))), 2)  # |a_ij|, as hermitian_part reads them
+        self._assert_numpys(np.abs(_stack(rng, (n, 3, d, d))), 2, initial=1.0)  # (n, p) directions, as sld_solve_stack
+        self._assert_numpys(np.abs(_stack(rng, (n, 2, 2)).view(float)).reshape(n, 8), 1)  # _eigh2's re, im parts
+        self._assert_numpys(rng.normal(size=(d, 2 * d)).T[:n], 1)  # a strided view
+
+    def test_nan_row_propagates(self, d, n):
+        x = np.abs(_stack(np.random.default_rng(d + n), (n, d, d)))
+        x[n // 2, d - 1, 0] = np.nan
+        self._assert_numpys(x, 2)
+        assert np.isnan(_reduce_rows(np.maximum, x, 2)).sum() == 1
+
+    def test_signed_zeros_keep_their_value(self, d, n):
+        # a row mixing +0 and -0 may give either zero; |x| has no -0, the callers' case
+        x = np.random.default_rng(d * n).choice([0.0, -0.0, 1.0, -1.0], size=(n, d, d))
+        for ufunc, method in REDUCTIONS:
+            assert (_reduce_rows(ufunc, x, 2) == getattr(x, method)(axis=(-2, -1))).all()
+        self._assert_numpys(np.abs(x), 2)
+
+
+def test_reduce_rows_of_empty_stacks_and_rows():
+    # hermitian_part takes a stack of no matrices, and _degenerate the empty gap list of a d = 1 spectrum
+    assert _reduce_rows(np.maximum, np.empty((0, 2, 2)), 2, 1.0).shape == (0,)
+    assert (_reduce_rows(np.maximum, np.empty((3, 0, 0)), 2, 1.0) == 1.0).all()
+    assert (_reduce_rows(np.minimum, np.empty((3, 0)), 1, np.inf) == np.inf).all()
+    assert hermitian_part(np.empty((0, 2, 2))).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_traces_are_ndarray_trace(d):
+    rng = np.random.default_rng(d)
+    zeros = np.zeros((16, d, d), dtype=complex)
+    signs = rng.choice([0.0, -0.0], size=(16, d, 2))
+    diag = np.arange(d)
+    zeros[:, diag, diag] = signs[..., 0] + 1j * signs[..., 1]  # numpy's sum starts at +0: -0 + -0 traces to +0
+    for a in (_stack(rng, (2048, d, d)), _stack(rng, (5, 3, d, d)), zeros, _stack(rng, (d, d))):
+        got, want = traces(a), a.trace(axis1=-2, axis2=-1)
+        assert got.shape == want.shape and (_bits(got) == _bits(want)).all()
+
+
+def _scaled_hermitian_part(m):
+    """``hermitian_part`` judging every stack row by row, as it did before its exact branch: the reference."""
+    a = as_stack(m)
+    s = np.abs(a).max(axis=(1, 2), initial=1.0)
+    b = a / s[:, None, None]
+    defect, norm = frobenius_norms(b - dagger(b)), frobenius_norms(b)
+    bad = defect > HERMITIAN_RTOL * np.maximum(1.0 / s, norm)
+    if bad.any():
+        i = int(np.argmax(bad))
+        scale = max(1.0, norm[i] * s[i])
+        raise NonHermitianInput(f"Hermiticity defect {defect[i] * s[i]:.3e} exceeds {HERMITIAN_RTOL:.1e} * {scale:.3e}")
+    huge = ~(s < 2.0**1023)
+    if not huge.any():
+        return (a + dagger(a)) / 2
+    half = a / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(huge[:, None, None], half + dagger(half), (a + dagger(a)) / 2)
+
+
+def _assert_scaled_answer(m):
+    """hermitian_part(m) is the reference's answer: the same bits, or the same error text."""
+    try:
+        want = _scaled_hermitian_part(m)
+    except NonHermitianInput as exc:
+        with pytest.raises(NonHermitianInput) as got:
+            hermitian_part(m)
+        assert str(got.value) == str(exc)
+        return False
+    got = hermitian_part(m)
+    assert got.shape == want.shape and (_bits(got) == _bits(want)).all()
+    return True
+
+
+def _exact_stacks():
+    rng = np.random.default_rng(7)
+    signed = np.array([[[0.5, 0.0], [-0.0, 0.5]], [[-0.0, complex(0.0, -0.0)], [complex(-0.0, 0.0), 1.0]]])
+    tiny = np.array([[[5e-324, 3e-310 + 5e-324j], [3e-310 - 5e-324j, 0.5]]])
+    huge = np.array([[[0.5, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 0.5]]])
+    edge = np.array([[[2.0**1023, 0], [0, 1.0]], [[np.nextafter(2.0**1023, 0), 0], [0, 1.0]]])
+    return {
+        "draws": _hermitian_stack(rng, (64, 3, 3)),
+        "qubits": _hermitian_stack(rng, (2048, 2, 2)),
+        "d8": _hermitian_stack(rng, (5, 8, 8)),
+        "signed-zeros": signed,
+        "subnormal": tiny,
+        "huge": huge,  # the halving path
+        "huge-and-a-subnormal-row": np.concatenate([huge, tiny]),
+        "huge-and-subnormal-in-a-row": np.array([[[5e-324, 1.7e308], [1.7e308, 5e-324]]]),
+        "at-2^1023": edge,
+        "below-2^1023": edge[1:],
+    }
+
+
+@pytest.mark.parametrize("m", _exact_stacks().values(), ids=_exact_stacks().keys())
+def test_hermitian_part_of_an_exact_stack_is_the_scaled_answer(m):
+    assert (m == dagger(m)).all()
+    assert _assert_scaled_answer(m)
+
+
+def test_exact_stack_is_answered_without_a_norm(monkeypatch):
+    def no_norm(*args):
+        raise AssertionError("an exactly Hermitian stack below 2^1023 needs no Frobenius norm")
+
+    monkeypatch.setattr(qfg.linalg, "frobenius_norms", no_norm)
+    m = _hermitian_stack(np.random.default_rng(3), (2048, 2, 2))
+    assert (hermitian_part(m) == m).all()
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6, 1e300])
+def test_hermitian_part_of_an_inexact_stack_is_the_scaled_answer(factor, scale):
+    # row 2 has the defect ||m - m^dag||_F = 2 |y| = HERMITIAN_RTOL * (1 +- 1e-6) * max(1, ||m||_F); the rest are exact
+    m = _hermitian_stack(np.random.default_rng(11), (5, 3, 3))
+    bound = max(1.0, scale * float(frobenius_norms(m[2])))
+    m *= scale
+    m[2, 0, 0] += 0.5j * HERMITIAN_RTOL * factor * bound
+    assert _assert_scaled_answer(m) == (factor < 1)
