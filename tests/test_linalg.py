@@ -660,7 +660,10 @@ def _exact_stacks():
     }
 
 
-@pytest.mark.parametrize("m", _exact_stacks().values(), ids=_exact_stacks().keys())
+EXACT_STACKS = _exact_stacks()
+
+
+@pytest.mark.parametrize("m", EXACT_STACKS.values(), ids=EXACT_STACKS.keys())
 def test_hermitian_part_of_an_exact_stack_is_the_scaled_answer(m):
     assert (m == dagger(m)).all()
     assert _assert_scaled_answer(m)
