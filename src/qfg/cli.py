@@ -142,7 +142,7 @@ def _cmd_tensor(args) -> int:
         )
     v = _parse_complex_flag(args.v, "--v")
     v2 = _parse_complex_flag(args.v2, "--v2")
-    value = fisher_tensor(point.k, point.z, v, v2)
+    value = fisher_tensor(point.k, point.coord, v, v2, point.chart)  # in the point's own chart
     _emit({"sym": value.sym, "antisym": value.antisym})
     return 0
 

@@ -26,6 +26,7 @@ and (k1-k2)^3. ``_sphere_tensor`` is the one closed form of it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -51,7 +52,7 @@ from .linalg import (
     matmul,
 )
 from .sld import TableCurve, TransverseCurve, require_coefficients, require_direction, sld_solve, sld_solve_stack
-from .states import require_mixing_weight
+from .states import Chart, require_mixing_weight
 
 #: Outcomes with probability at or below this are excluded from classical sums.
 EPS_P = 1e-12
@@ -204,11 +205,20 @@ class QubitQfi(NamedTuple):
     total: float
 
 
-def _sphere_tensor(k: float, z: complex, v: complex, v2: complex) -> complex:
-    """The closed-form Fisher tensor on sphere tangents (v, v2) at (k, z), arguments trusted; k = 0 is the pure family."""
-    z, v, v2 = complex(z), complex(v), complex(v2)
+def _sphere_tensor(k: float, coord: complex, v: complex, v2: complex, chart: Chart = Chart.NORTH) -> complex:
+    """The closed-form Fisher tensor on sphere tangents (v, v2) at (k, coord), arguments trusted; k = 0 is the pure family.
+
+    ``coord`` is z in the north chart and w = 1/z in the south; the tangents are velocities dz in
+    either. The factor (1 + |z|^2)^-2 is taken in the point's own chart: in the south it is
+    |w|^4 / (1 + |w|^2)^2, formed as (|w| / hypot(1, |w|))^4, which underflows to 0 near the pole
+    instead of overflowing where 1/w does, and overflows at no |w|.
+    """
+    coord, v, v2 = complex(coord), complex(v), complex(v2)
     kdiff = 2.0 * k - 1.0
-    pref = 4.0 * kdiff * kdiff / (1.0 + abs(z) ** 2) ** 2
+    if chart is Chart.NORTH:
+        pref = 4.0 * kdiff * kdiff / (1.0 + abs(coord) ** 2) ** 2
+    else:
+        pref = 4.0 * kdiff * kdiff * (abs(coord) / math.hypot(1.0, abs(coord))) ** 4
     ip = v.conjugate() * v2
     return pref * (ip.real + 1j * kdiff * ip.imag)
 
@@ -263,10 +273,10 @@ class FisherTensorValue:
 
 
 @finite_closed_form
-def fisher_tensor(k: float, z: complex, v: complex, v2: complex) -> FisherTensorValue:
-    """Closed-form Fisher tensor on sphere tangents (v, v2) at (k, z)."""
+def fisher_tensor(k: float, coord: complex, v: complex, v2: complex, chart: Chart = Chart.NORTH) -> FisherTensorValue:
+    """Closed-form Fisher tensor on sphere tangents (v, v2) at (k, coord): coord is z, or w = 1/z in the south chart; v, v2 are dz."""
     require_mixing_weight(k)
-    return FisherTensorValue(_sphere_tensor(k, z, v, v2))
+    return FisherTensorValue(_sphere_tensor(k, coord, v, v2, chart))
 
 
 def fisher_tensor_general(rho: DensityOp, drho1, drho2) -> FisherTensorValue:

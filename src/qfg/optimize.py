@@ -42,7 +42,7 @@ from .linalg import (
     rank_one_projectors,
     require_hermitian,
 )
-from .sld import require_coefficients, require_direction, sld_solve, sld_solve_stack
+from .sld import SUPPORT_CUTOFF, require_coefficients, require_direction, sld_solve, sld_solve_stack
 
 #: SLD spectra with a gap at or below this fraction of their largest |eigenvalue| have no unique eigenbasis.
 SLD_GAP = 1e-10
@@ -197,6 +197,21 @@ def _degenerate(w: np.ndarray) -> np.ndarray:
     """
     gap = _reduce_rows(np.minimum, np.diff(w, axis=1), initial=np.inf)
     return gap <= SLD_GAP * _reduce_rows(np.maximum, np.abs(w))
+
+
+def degenerate_by_rank(w_rho: np.ndarray) -> np.ndarray:
+    """The rows of an (n, d) stack of rho's ascending spectra whose SLD ``_degenerate`` flags by rho's rank alone.
+
+    Such a row's eigenvalue at index (d + 1) // 2 is off the support (2 lam <= SUPPORT_CUTOFF), so
+    rho's kernel has dimension z >= (d + 2) / 2, and every eigenvalue pair in it is off the support:
+    ``sld_solve_stack`` leaves the SLD's z x z kernel block exactly 0. L then has rank at most
+    2 (d - z), and its eigenvalue 0 repeats at least 2 z - d >= 2 times; the computed gap there is
+    roundoff, about d eps ||L||, far below SLD_GAP max|w|. A pure state at d >= 4 is such a row
+    (its SLD 2 drho has rank 2); no row at d <= 3 is, where that index lies on the support.
+    One column comparison, with no per-row count.
+    """
+    d = w_rho.shape[1]
+    return 2.0 * w_rho[:, min((d + 1) // 2, d - 1)] <= SUPPORT_CUTOFF  # d = 1 reads its one eigenvalue, 1
 
 
 def sld_eigenbasis(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

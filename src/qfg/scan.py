@@ -4,7 +4,10 @@ A scan evaluates the grid in chunks of at most CHUNK_ROWS thetas. Each chunk
 is one pass over stacked ``(n, d, d)`` arrays: rho and drho along the curve,
 the SLD, the QFI and its (sphere, transverse) split, and the classical Fisher
 information of the scenario's POVM or, without one, of the SLD eigenbasis (0
-where the SLD spectrum is degenerate). The curve gives matrices and a state
+where the SLD spectrum is degenerate). A chunk whose states' rank makes every
+SLD degenerate (``optimize.degenerate_by_rank``: rho's kernel is over half the
+dimension, where L is 0, so L's eigenvalue 0 repeats; every pure chunk at
+d >= 4) writes its 0 with no SLD eigensolve. The curve gives matrices and a state
 is checked where it is used: a chunk checks the states rho(theta), once, and
 nothing else, as neither a finite-difference drho nor a table's split, which
 reads the spectra of the curve's matrices at theta +- h, builds a state. The
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import QfgError
 from .fisher import classical_fisher_stack, qfi_split, quantum_fisher_of_sld
-from .optimize import eigenprojector, sld_eigenbasis
+from .optimize import degenerate_by_rank, eigenprojector, sld_eigenbasis
 from .scenario import Scenario
 from .sld import differentiate_stack, sld_solve_stack
 
@@ -47,13 +50,12 @@ def scan_rows(scenario: Scenario, thetas: np.ndarray, mode: str, h: float) -> np
     sphere, transverse = qfi_split(curve, rho, thetas, h, total)
     if scenario.povm is not None:
         cfi = classical_fisher_stack(rho, drho, scenario.povm.stack[:, None])
+    elif degenerate_by_rank(rho.eigenvalues).all():  # every pure chunk at d >= 4
+        cfi = np.zeros(len(thetas))
     else:
         _, v, degenerate = sld_eigenbasis(ell)
-        if degenerate.all():  # a pure state at d >= 4 always: its SLD has rank 2
-            cfi = np.zeros(len(thetas))
-        else:
-            outcomes = (eigenprojector(v, i) for i in range(rho.dim))
-            cfi = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
+        outcomes = (eigenprojector(v, i) for i in range(rho.dim))
+        cfi = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
     return np.column_stack([thetas, cfi, sphere, transverse, total])
 
 

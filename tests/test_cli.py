@@ -459,17 +459,30 @@ class TestBoundaryInput:
             ["optimize"],
             ["tensor", "--v", "1,0", "--v2", "0,1"],
         )),
-        *(({"family": "transverse_curve", "chart": "south", "z": [w, 0],
-            "path": {"type": "linear", "k0": 0.25, "rate": 0.1}},
-           ["tensor", "--v", "1,0", "--v2", "0,1"]) for w in (1e-300, 1e-320)),
-    ], ids=["north-z0-1e200-eval", "north-z0-1e200-scan", "north-z0-1e200-optimize", "north-z0-1e200-tensor",
-            "south-w-1e-300-tensor", "south-w-1e-320-tensor"])
+    ], ids=["north-z0-1e200-eval", "north-z0-1e200-scan", "north-z0-1e200-optimize", "north-z0-1e200-tensor"])
     def test_overflowing_chart_point_is_non_finite_in_every_command(self, tmp_path, curve, command):
-        # |z|^2 overflows where rho(theta) is formed, for every command alike; the tensor's north
-        # closed form overflows at z = 1/w = 1e300, and 1/w itself at w = 1e-320
+        # |z|^2 overflows where rho(theta) is formed, for every command alike
         path = write_scenario(tmp_path, {"curve": curve, "theta0": 0.0})
         code, out, err = run_cli(command[0], "--scenario", path, *command[1:])
         assert (code, out, error_kind(err)) == (3, "", "non-finite-result")
+
+    def test_south_chart_tensor_is_taken_in_the_points_own_chart(self, tmp_path):
+        # the factor (1 + |z|^2)^-2 is |w|^4 / (1 + |w|^2)^2 at w = 1/z, with no 1/w formed: near the
+        # pole the tensor underflows to 0, and elsewhere it is the north-chart value at z = 1/w
+        def tensor(coord, chart):
+            curve = {"family": "transverse_curve", "chart": chart, "z": [coord.real, coord.imag],
+                     "path": {"type": "linear", "k0": 0.25, "rate": 0.1}}
+            path = write_scenario(tmp_path, {"curve": curve, "theta0": 0.0})
+            code, out, err = run_cli("tensor", "--scenario", path, "--v", "1,0.5", "--v2", "0.3,-1")
+            assert (code, err) == (0, "")
+            return json.loads(out)
+
+        for w in (1e-300, 1e-320):
+            assert tensor(complex(w), "south") == {"sym": 0, "antisym": 0}
+        for w in (0.5, 0.3 + 0.4j, 1e-3, 1e200):
+            south, north = tensor(w, "south"), tensor(1 / w, "north")
+            for part in ("sym", "antisym"):
+                assert south[part] == pytest.approx(north[part], rel=1e-11)
 
     @pytest.mark.parametrize("command", [
         ["eval", "--quantity", "qfi"],

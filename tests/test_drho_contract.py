@@ -156,17 +156,33 @@ def test_attainability_check_checks_each_input_once_and_solves_once(monkeypatch)
     assert (len(checks), len(solves), len(eighs)) == (2, 1, 1)
 
 
+def _pure_curve(d):
+    return {"family": "pure_qdit_coeffs", "a": [[0.0, 0.3]] + [[0.5 / j, 0.1 * j] for j in range(1, d)]}
+
+
+def _table_curve(spectra):
+    """Two samples U diag(w) U^dag at theta 0 and 1, in one seeded frame U: they share their support."""
+    d = len(spectra[0])
+    rng = np.random.default_rng(d)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    samples = []
+    for theta, w in zip((0.0, 1.0), spectra):
+        m = (u * w) @ u.conj().T
+        samples.append({"theta": theta, "rho": [[[x.real, x.imag] for x in row] for row in (m + m.conj().T) / 2]})
+    return {"family": "table", "samples": samples}
+
+
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_all_degenerate_chunk_measures_no_sld_eigenbasis(monkeypatch, d):
-    # a pure state's SLD, 2 drho, has rank 2, so at d >= 4 every row's spectrum repeats 0: the cfi of
-    # each row is 0 with no eigenprojector formed and no classical sum taken
-    a = [[0.0, 0.3]] + [[0.5 / j, 0.1 * j] for j in range(1, d)]
-    scenario = parse_scenario({"curve": {"family": "pure_qdit_coeffs", "a": a}, "theta0": 0.0})
+    # a pure state's SLD, 2 drho, has rank 2, so at d >= 4 every row's spectrum repeats 0: rho's rank
+    # says so, and the cfi of each row is 0 with no SLD eigensolve, no eigenprojector and no classical sum
+    scenario = parse_scenario({"curve": _pure_curve(d), "theta0": 0.0})
     thetas = np.linspace(-0.5, 0.5, 32)
+    eigensolves = _count_calls(monkeypatch, "sld_eigenbasis", owner=qfg.optimize)
     projectors = _count_calls(monkeypatch, "eigenprojector", owner=qfg.optimize)
     sums = _count_calls(monkeypatch, "classical_fisher_stack", owner=qfg.fisher)
     rows = scan_module.scan_rows(scenario, thetas, ANALYTIC, 1e-5)
-    assert (projectors, sums) == ([], [])
+    assert (eigensolves, projectors, sums) == ([], [], [])
     for theta, row in zip(thetas, rows):
         # the one-row path: sld_eigenbasis_povm finds no unique eigenbasis, and the scan prints cfi 0
         rho = scenario.curve.rho_at(float(theta))
@@ -174,3 +190,29 @@ def test_all_degenerate_chunk_measures_no_sld_eigenbasis(monkeypatch, d):
             sld_eigenbasis_povm(rho, differentiate_curve(scenario.curve, float(theta)))
         assert row[1] == 0.0 and not np.signbit(row[1])
         assert row[4] > 0.0
+
+
+@pytest.mark.parametrize("curve, mode, eigensolves", [
+    (_table_curve([[0.3, 0.7, 0, 0, 0, 0], [0.6, 0.4, 0, 0, 0, 0]]), FD, 0),
+    (_pure_curve(3), ANALYTIC, 1),
+    (_table_curve([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]]), FD, 1),
+], ids=["rank-2-table-d6", "pure-d3", "full-rank-table-d4"])
+def test_rank_decides_whether_a_chunk_solves_for_the_sld_eigenbasis(monkeypatch, curve, mode, eigensolves):
+    # a rank-2 state at d = 6 leaves a 4-dimensional kernel, on which its SLD is 0: that eigenvalue
+    # repeats, so the chunk needs no eigensolve; at d = 3 and at full rank rho's rank decides nothing
+    scenario = parse_scenario({"curve": curve, "theta0": 0.5})
+    thetas = np.linspace(0.1, 0.9, 17)
+    calls = _count_calls(monkeypatch, "sld_eigenbasis", owner=qfg.optimize)
+    rows = scan_module.scan_rows(scenario, thetas, mode, 1e-5)
+    assert len(calls) == eigensolves
+    assert (rows[:, 1] > 0.0).any() == bool(eigensolves)
+    for theta, row in zip(thetas, rows):
+        # every row is the one-theta chain: the SLD eigenbasis measurement, or cfi +0 where it is not unique
+        rho = scenario.curve.rho_at(float(theta))
+        drho = differentiate_curve(scenario.curve, float(theta), mode, 1e-5)
+        try:
+            cfi = classical_fisher(rho, drho, sld_eigenbasis_povm(rho, drho))
+        except DegenerateSld:
+            assert eigensolves == 0
+            cfi = 0.0
+        assert row[1] == cfi and np.signbit(row[1]) == np.signbit(cfi)

@@ -12,19 +12,23 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfg import cli, fisher, optimize
 from qfg.errors import DegenerateSld, InvalidPovm, NotAPovm
 from qfg.fisher import EPS_P, POVM_TOL, Povm, classical_fisher, pure_qdit_fisher
-from qfg.linalg import DensityOp
+from qfg.linalg import DensityOp, DensityStack, eigh
 from qfg.optimize import (
+    _degenerate,
     attainability_check,
+    degenerate_by_rank,
     maximize_cfi,
     reach_check_pure,
     sld_eigenbasis,
     sld_eigenbasis_povm,
 )
-from qfg.sld import PureQditCoeffs, assemble_drho, differentiate_curve, sld_solve
+from qfg.sld import PureQditCoeffs, assemble_drho, differentiate_curve, sld_solve, sld_solve_stack
 from qfg.states import qubit_point, rho_of_kz
 
 EDGE_PROBABILITIES = [1e-16, 1e-13, 1e-12, 1e-11]
@@ -143,6 +147,44 @@ def test_pure_qdit_degeneracy_is_speed_invariant(speed):
     assert sld_eigenbasis(ell[None])[2][0]
     with pytest.raises(DegenerateSld):
         sld_eigenbasis_povm(rho, drho)
+
+
+@st.composite
+def _rank_r_stacks(draw):
+    """States of support rank r at d = 1..8, each in its own random frame, and tangents on them.
+
+    A tangent couples support and kernel but puts no weight on kernel x kernel; the rows are
+    scaled by 10^e for drawn e in [-150, 150], and the last row's drho is 0.
+    """
+    d = draw(st.integers(1, 8))
+    r = draw(st.integers(1, d))
+    exponents = draw(st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rhos, drhos = [], []
+    for scale in [10.0**e for e in exponents] + [0.0]:
+        u = _unitary(rng, d)
+        w = np.zeros(d)
+        w[:r] = rng.uniform(0.05, 1.0, r)
+        w /= w.sum()
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        g[r:, r:] = 0.0
+        g = g + g.conj().T
+        g[:r, :r] -= np.trace(g).real / r * np.eye(r)
+        rho, drho = (u * w) @ u.conj().T, scale * (u @ g @ u.conj().T)
+        rhos.append((rho + rho.conj().T) / 2)
+        drhos.append((drho + drho.conj().T) / 2)
+    return d, r, DensityStack(np.array(rhos)), np.array(drhos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rank_r_stacks())
+def test_rank_decides_sld_degeneracy_only_where_the_gap_rule_agrees(case):
+    # rank r <= (d - 2) / 2 leaves a kernel of z >= (d + 2) / 2 on which the SLD is 0, so its 0 repeats
+    # 2 z - d >= 2 times; at d <= 3 and at every larger rank, rho's rank decides nothing
+    d, r, rho, drho = case
+    flagged = degenerate_by_rank(rho.eigenvalues)
+    assert (flagged == (2 * r + 2 <= d)).all()
+    assert _degenerate(eigh(sld_solve_stack(rho, drho))[0])[flagged].all()
 
 
 def _run_cli(*argv):
