@@ -11,13 +11,15 @@ Every eigendecomposition goes through ``eigh``, which decomposes a whole
 stack in one call: a 2 x 2 stack in closed form as array operations, by the
 formulas of LAPACK's ``dlaev2`` (LAPACK Users' Guide, 3rd ed., 1999; Golub &
 Van Loan, Matrix Computations, section 8.5), and d >= 3 by
-``np.linalg.eigh``. Every matrix product goes through ``matmul``, which
-multiplies broadcasting stacks in one call: 2 x 2 factors by the entry
-formulas c_ij = a_i0 b_0j + a_i1 b_1j as array operations, not one BLAS call
-per matrix, and d >= 3 by ``np.matmul``. A row's max or min over its few
-trailing entries is taken along the contiguous stack axis by ``_reduce_rows``,
-not by numpy's loop per row, and an exactly Hermitian stack answers the
-Hermiticity check with one a == a^dag test. The single-matrix functions are
+``np.linalg.eigh``. The one state built without it is a pure one: its
+eigenpairs are known by construction, and ``DensityStack.from_eigenpairs``
+takes them from ``states``' Householder lift of psi. Every matrix product
+goes through ``matmul``, which multiplies broadcasting stacks in one call:
+2 x 2 factors by the entry formulas c_ij = a_i0 b_0j + a_i1 b_1j as array
+operations, not one BLAS call per matrix, and d >= 3 by ``np.matmul``. A
+row's max or min over its few trailing entries is taken along the contiguous
+stack axis by ``_reduce_rows``, not by numpy's loop per row, and an exactly
+Hermitian stack answers the Hermiticity check with one a == a^dag test. The single-matrix functions are
 the n = 1 case of the stacked ones, so a matrix gives the same bits alone and
 as a row of a stack.
 """
@@ -323,19 +325,38 @@ class DensityStack:
     """n density operators of one dimension as an (n, d, d) stack.
 
     Every row is checked to be Hermitian, of unit trace and positive
-    semidefinite, each check once per row as an array operation, and the
-    eigendecomposition of the whole stack is one batched ``eigh``. A failing
-    row raises the error the matrix alone would raise; among several failing
-    rows, the check listed first reports first. Instances are immutable.
+    semidefinite, each check once per row as an array operation. The
+    eigendecomposition of the whole stack is one batched ``eigh``, unless the
+    eigenpairs are known by construction (``from_eigenpairs``: the Householder
+    lift of a pure state, ``states.pure_projector_stack``), and the PSD check
+    reads whichever eigenvalues the stack holds. A failing row raises the error
+    the matrix alone would raise; among several failing rows, the check listed
+    first reports first. Instances are immutable.
     """
 
     def __init__(self, matrices):
+        self._check_rows(matrices, eigh)
+
+    @classmethod
+    def from_eigenpairs(cls, matrices, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityStack":
+        """The stack of ``matrices`` with the given ascending eigenvalues (n, d) and unitary eigenvectors (n, d, d).
+
+        The rows are checked as ``DensityStack(matrices)`` checks them, the PSD
+        floor on the given eigenvalues; only the eigensolve is skipped, so the
+        eigenpairs are trusted to decompose the exactly symmetrized matrices.
+        """
+        stack = object.__new__(cls)
+        stack._check_rows(matrices, lambda m: (eigenvalues, eigenvectors))
+        return stack
+
+    def _check_rows(self, matrices, eigenpairs) -> None:
+        """Check every row, taking its eigenpairs from ``eigenpairs(m)`` of the symmetrized stack m, and hold them."""
         m = hermitian_part(matrices)
         bad = np.abs(traces(m).real - 1.0) > TRACE_TOL
         if bad.any():
             tr = float(np.trace(m[int(np.argmax(bad))]).real)
             raise NotNormalized(f"trace {tr!r} differs from 1 by more than 1e-9")
-        w, v = eigh(m)
+        w, v = eigenpairs(m)
         low = w[:, 0] < PSD_EIGENVALUE_FLOOR
         if low.any():
             raise NotPositiveSemidefinite(

@@ -7,8 +7,11 @@ information of the scenario's POVM or, without one, of the SLD eigenbasis (0
 where the SLD spectrum is degenerate). A chunk whose states' rank makes every
 SLD degenerate (``optimize.degenerate_by_rank``: rho's kernel is over half the
 dimension, where L is 0, so L's eigenvalue 0 repeats; every pure chunk at
-d >= 4) writes its 0 with no SLD eigensolve. The curve gives matrices and a state
-is checked where it is used: a chunk checks the states rho(theta), once, and
+d >= 4) writes its 0 with no SLD eigensolve. A pure chunk's states take
+their eigenpairs from the Householder lift of psi
+(``states.pure_projector_stack``), with no eigensolve; every other chunk's
+come from one batched ``eigh``. The curve gives matrices and a state is
+checked where it is used: a chunk checks the states rho(theta), once, and
 nothing else, as neither a finite-difference drho nor a table's split, which
 reads the spectra of the curve's matrices at theta +- h, builds a state. The
 single-theta functions of the package are the one-row case of the same

@@ -15,6 +15,9 @@ circle; ``GreatCirclePure`` is its d = 2 case.
 
 A curve gives matrices: ``rho_matrices`` runs the family's own guards and
 returns rho(theta) unchecked; ``rho_stack`` checks them where a state is used.
+A pure flow's ``rho_stack`` builds its states from the amplitudes
+(``states.pure_projector_stack``), so their eigenpairs are the Householder
+lift of psi, not an eigensolve.
 A finite difference takes the matrices at theta +- h and builds no state: a
 closed form is a state by construction, and a table's samples are checked once,
 when it is built, so each interpolated matrix mixes checked states.
@@ -54,6 +57,7 @@ from .states import (
     PureState,
     QubitPoint,
     chart_matrices,
+    pure_projector_stack,
     require_finite_coords,
     require_mixing_weight,
     require_normalized,
@@ -95,7 +99,8 @@ class _StackedCurve:
 
     Each family defines ``rho_matrices``, its unchecked (n, d, d) matrices of
     rho(theta), and ``drho_stack``, the exact derivatives; ``rho_stack`` checks
-    the matrices as one DensityStack. The one-theta methods (``rho_at``,
+    the matrices as one DensityStack (a pure flow's with the eigenpairs of its
+    amplitudes). The one-theta methods (``rho_at``,
     ``point_at``, ``state_at``) are their one-row case.
     """
 
@@ -219,6 +224,9 @@ class PureQditCoeffs(_StackedCurve):
 
     def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
         return rank_one_projectors(self._amplitudes(thetas))
+
+    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
+        return pure_projector_stack(self._amplitudes(thetas))
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
         left = matmul(self._generator, self.rho_matrices(thetas))

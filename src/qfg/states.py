@@ -139,13 +139,57 @@ class S3Point:
 
 
 def pure_projector(psi: PureState) -> DensityOp:
-    """Rank-one projector |psi><psi|."""
+    """Rank-one projector |psi><psi|, with its eigenpairs from the Householder lift of psi (no eigensolve)."""
     return pure_projector_stack(psi.amplitudes[None])[0]
 
 
 def pure_projector_stack(amps: np.ndarray) -> DensityStack:
-    """Projectors |psi><psi| of the rows of an (n, d) array of normalized amplitudes."""
-    return DensityStack(rank_one_projectors(amps))
+    """Projectors |psi><psi| of the rows of an (n, d) array of normalized amplitudes.
+
+    Each row is checked as ``DensityStack`` checks it, but its eigenpairs are
+    not solved for: they are the spectrum (0, ..., 0, 1) and the Householder
+    lift of psi (``_householder_lift``), a unitary with psi's direction as its
+    last column.
+    """
+    return DensityStack.from_eigenpairs(rank_one_projectors(amps), *_householder_lift(amps))
+
+
+def _householder_lift(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of |psi><psi| for the unit rows psi of an (n, d) array: w = (0, ..., 0, 1) and a unitary V.
+
+    V is the Householder reflection H = I - u u^dag / (1 + |psi_k|), u = psi
+    + (psi_k / |psi_k|) e_k, with its columns k and d - 1 swapped: H's column
+    k is -(psi_k / |psi_k|)^* psi. The pivot k is the first component of
+    largest modulus, at least 1/sqrt(d), so the phase psi_k / |psi_k| is
+    exact to roundoff and u does not cancel, whatever components are zero or
+    subnormal. The work runs along the stack axis, on (d, n) and (d, d, n)
+    arrays, and each entry of V is the same real arithmetic in every row, so
+    a row's bits are its own, whatever the stack size.
+    """
+    n, d = amps.shape
+    a = np.ascontiguousarray(amps.T)
+    mag = np.abs(a)
+    k = np.argmax(mag, axis=0)
+    at_k, top = np.arange(d)[:, None] == k, mag.max(axis=0)
+    # u_k = psi_k + psi_k / |psi_k|, in real arithmetic
+    pr, pi = np.choose(k, a.real), np.choose(k, a.imag)
+    ukr, uki = pr + pr / top, pi + pi / top
+    ur, ui = np.where(at_k, ukr, a.real), np.where(at_k, uki, a.imag)
+    # t = u^dag / -(1 + |psi_k|) with its components k and d - 1 swapped: V = P + u t for the swap P
+    c = 1.0 + top
+    tr, ti = ur / -c, ui / c
+    tr, ti = np.where(at_k, tr[-1], tr), np.where(at_k, ti[-1], ti)
+    tr[-1], ti[-1] = ukr / -c, uki / c
+    unit = np.eye(d)
+    swap = np.where(at_k[None], unit[-1][:, None, None], unit[:, :, None])
+    swap[:, -1] = at_k
+    ur, ui = ur[:, None], ui[:, None]
+    v = np.empty((n, d, d), dtype=complex)
+    v.real[...] = (swap + (ur * tr - ui * ti)).transpose(2, 0, 1)
+    v.imag[...] = (ur * ti + ui * tr).transpose(2, 0, 1)
+    w = np.zeros((n, d))
+    w[:, -1] = 1.0
+    return w, v
 
 
 @finite_closed_form

@@ -107,7 +107,18 @@ def suite_sld_residual() -> list[Check]:
     ell = sld_solve_stack(rho, drho)
     m = rho.matrices
     worst = float(frobenius_norms((m @ ell + ell @ m) / 2 - drho).max())
-    return [_bound("sld-residual over 500 scenarios", worst, 1e-10)]
+    checks = [_bound("sld-residual over 500 scenarios", worst, 1e-10)]
+
+    worst = 0.0
+    for d in range(2, 9):  # one stack of pure flows per d, rho's eigenpairs from the Householder lift
+        a = rng.normal(size=d) + 1j * rng.normal(size=d)
+        a[0] = 1j * rng.normal()
+        curve, thetas = PureQditCoeffs(a=tuple(a)), rng.uniform(-math.pi, math.pi, size=50)
+        rho, drho = curve.rho_stack(thetas), curve.drho_stack(thetas)
+        ell, m = sld_solve_stack(rho, drho), rho.matrices
+        worst = max(worst, float(frobenius_norms((m @ ell + ell @ m) / 2 - drho).max()))
+    checks.append(_bound("pure-flow sld-residual at d = 2..8 over 350 thetas", worst, 1e-10))
+    return checks
 
 
 def suite_bound_chain() -> list[Check]:

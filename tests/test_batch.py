@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfg import cli
@@ -228,8 +228,14 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+SUBNORMAL_THETA = -2.225073858507e-311
+
+
 @settings(max_examples=60, deadline=None)
 @given(scenarios(), st.integers(1, 30))
+# a pure flow whose first row is psi = (1, ~1e-311): the lift of |psi><psi| pivots on its largest component
+@example(({"curve": {"family": "pure_qdit_coeffs", "a": [[0.0, 0.0], [0.689, -0.724]]}, "theta0": SUBNORMAL_THETA},
+          SUBNORMAL_THETA, 0.5), 3)
 def test_scan_csv_equals_traced_replay(case, count):
     payload, lo, hi = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -80,15 +80,21 @@ def test_analytic_scan_chunk_checks_once(monkeypatch):
 
 
 def _count_states(monkeypatch):
-    """The row counts of the DensityStacks constructed from now on (every module shares the class)."""
-    original = qfg.linalg.DensityStack.__init__
+    """The row counts of the DensityStacks built from now on, by either constructor (every module shares the class)."""
+    stack = qfg.linalg.DensityStack
+    original, lifted = stack.__init__, stack.from_eigenpairs
     built = []
 
     def counted(self, matrices):
         built.append(len(matrices))
         original(self, matrices)
 
-    monkeypatch.setattr(qfg.linalg.DensityStack, "__init__", counted)
+    def counted_lift(cls, matrices, eigenvalues, eigenvectors):
+        built.append(len(matrices))
+        return lifted(matrices, eigenvalues, eigenvectors)
+
+    monkeypatch.setattr(stack, "__init__", counted)
+    monkeypatch.setattr(stack, "from_eigenpairs", classmethod(counted_lift))
     return built
 
 

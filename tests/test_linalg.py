@@ -521,6 +521,43 @@ class TestDensityOp:
             rho.matrix[0, 0] = 9.0
 
 
+class TestFromEigenpairs:
+    """``DensityStack.from_eigenpairs`` checks its rows as ``DensityStack`` does and skips only the eigensolve."""
+
+    @staticmethod
+    def _pairs(rho):
+        return tuple(np.array(x) for x in eigh(np.asarray(rho, dtype=complex)))
+
+    def test_holds_the_given_eigenpairs(self):
+        rho = np.array([np.diag([0.25, 0.75]), [[0.5, 0.1j], [-0.1j, 0.5]]], dtype=complex)
+        w, v = self._pairs(rho)
+        stack = DensityStack.from_eigenpairs(rho, w, v)
+        assert (stack.matrices == DensityStack(rho).matrices).all()
+        assert stack.eigenvalues is w and stack.eigenvectors is v
+        for a in (stack.matrices, stack.eigenvalues, stack.eigenvectors):
+            assert not a.flags.writeable
+        assert (stack[1].eigenvectors == v[1]).all()
+
+    @pytest.mark.parametrize("rho, error", [
+        (np.array([[0.5, 0.4], [0.1, 0.5]]), NonHermitianInput),
+        (np.diag([0.5, 0.6]), NotNormalized),
+        (np.diag([1.2, -0.2]), NotPositiveSemidefinite),
+    ], ids=["non-hermitian", "trace", "psd"])
+    def test_rows_are_checked_as_the_constructor_checks_them(self, rho, error):
+        # the eigenvalues of the PSD check are the given ones, here eigh's of the symmetrized matrices
+        rows = np.array([np.eye(2) / 2, rho], dtype=complex)
+        with pytest.raises(error) as lifted:
+            DensityStack.from_eigenpairs(rows, *self._pairs((rows + dagger(rows)) / 2))
+        with pytest.raises(error) as solved:
+            DensityStack(rows)
+        assert str(lifted.value) == str(solved.value)
+
+    def test_psd_floor_reads_the_given_eigenvalues(self):
+        rho = np.eye(2, dtype=complex)[None] / 2
+        with pytest.raises(NotPositiveSemidefinite, match="-1.000e-09"):
+            DensityStack.from_eigenpairs(rho, np.array([[-1e-9, 1.0]]), np.eye(2, dtype=complex)[None])
+
+
 def test_require_hermitian_symmetrizes():
     m = np.array([[1.0, 1 + 1e-14j], [1 - 1e-14j, 2.0]])
     out = require_hermitian(m)

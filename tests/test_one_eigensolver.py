@@ -7,6 +7,12 @@ solvers ``eigh``/``eigvalsh``: as an attribute (``np.linalg.eigh``, or
 through an alias of ``numpy.linalg``) or as a name imported from
 ``numpy.linalg``. Other ``numpy.linalg`` routines, such as ``verify``'s
 ``qr``, stay allowed.
+
+The one way around the eigensolver is ``DensityStack.from_eigenpairs``,
+which trusts the eigenpairs it is given; only ``states.py`` may call it,
+for the Householder lift of a pure state. So eigenpairs enter a state only
+through ``eigh`` or that lift, and every other module is checked for a
+reference to ``from_eigenpairs``, as an attribute or an imported name.
 """
 
 import ast
@@ -43,6 +49,20 @@ def solver_references(source: str) -> list[str]:
     return [f"line {line}: {text}" for line, text in sorted(found)]
 
 
+LIFT = "from_eigenpairs"
+
+
+def lift_references(source: str) -> list[str]:
+    """Each reference to ``from_eigenpairs``, as 'line n: text'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == LIFT:
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name.split(".")[-1] == LIFT]
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
 def test_checker_flags_every_route_to_lapack():
     source = (
         "import numpy as np\n"
@@ -73,3 +93,29 @@ def test_linalg_holds_the_lapack_call():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_calls_no_other_eigensolver(path):
     assert solver_references(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_every_reference_to_the_unchecked_eigenpairs():
+    source = (
+        "from .linalg import DensityStack, from_eigenpairs\n"
+        "from qfg import linalg\n"
+        "s = DensityStack.from_eigenpairs(m, w, v)\n"
+        "make = linalg.DensityStack.from_eigenpairs\n"
+        "s = DensityStack(m)\n"
+        "def from_eigenpairs(m):\n"
+        "    return eigh(m)\n"
+    )
+    assert lift_references(source) == [
+        "line 1: import from_eigenpairs",
+        "line 3: DensityStack.from_eigenpairs",
+        "line 4: linalg.DensityStack.from_eigenpairs",
+    ]
+
+
+def test_states_holds_the_lift():
+    assert lift_references((SRC / "states.py").read_text(encoding="utf-8")) != []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "states.py"), ids=lambda p: p.name)
+def test_module_takes_eigenpairs_only_from_the_eigensolver(path):
+    assert lift_references(path.read_text(encoding="utf-8")) == []
