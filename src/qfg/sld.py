@@ -100,8 +100,8 @@ class _StackedCurve:
     Each family defines ``rho_matrices``, its unchecked (n, d, d) matrices of
     rho(theta), and ``drho_stack``, the exact derivatives; ``rho_stack`` checks
     the matrices as one DensityStack (a pure flow's with the eigenpairs of its
-    amplitudes). The one-theta methods (``rho_at``,
-    ``point_at``, ``state_at``) are their one-row case.
+    amplitudes). The one-theta methods (``rho_at``, ``point_at``,
+    ``state_at``) are their one-row case.
     """
 
     @property
