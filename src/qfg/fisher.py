@@ -174,24 +174,26 @@ def quantum_fisher(rho: DensityOp, drho) -> float:
     return float(quantum_fisher_of_sld(rho.stack, sld_solve(rho, drho)[None])[0])
 
 
-def qfi_split(curve, rho: DensityStack, thetas: np.ndarray, h: float, total: np.ndarray):
+def qfi_split(curve, rho: DensityStack, thetas: np.ndarray, stepped: np.ndarray, h: float, total: np.ndarray):
     """Split each QFI value along a curve into (sphere, transverse) parts.
 
-    ``rho`` holds the checked states rho(theta); the split checks no state.
+    ``rho`` holds the checked states rho(theta) and ``stepped`` the curve's
+    matrices at theta + h then theta - h, both from the chunk's one walk
+    (``sld.walk_curve``); the split checks no state and walks no curve.
     Transverse curves are all transverse (the closed form dk^2 / (k (1-k))),
     and every family but a table is all sphere. A tabulated curve takes its
     transverse share from the drift of the smallest eigenvalue k between
-    rho(theta +- h), read from the spectra of the curve's matrices there:
-    each is an exactly Hermitian convex combination of checked samples. At
-    d >= 3 that share is the qubit-style term of the smallest eigenvalue
-    alone, not the sum of dlam_i^2 / lam_i.
+    rho(theta +- h), read from the spectra of ``stepped``: each is an exactly
+    Hermitian convex combination of checked samples. At d >= 3 that share is
+    the qubit-style term of the smallest eigenvalue alone, not the sum of
+    dlam_i^2 / lam_i.
     """
     if isinstance(curve, TransverseCurve):
         return np.zeros_like(total), _transverse_qfi(curve.k_at(thetas), curve.rate)
     if not isinstance(curve, TableCurve):
         return total, np.zeros_like(total)
     k = rho.eigenvalues[:, 0]
-    hi, lo = np.split(eigh(curve.rho_matrices(np.concatenate([thetas + h, thetas - h])))[0][:, 0], 2)
+    hi, lo = np.split(eigh(stepped)[0][:, 0], 2)
     dk = (hi - lo) / (2 * h)
     ok = (0.0 < k) & (k <= 0.5)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -10,11 +10,20 @@ dimension, where L is 0, so L's eigenvalue 0 repeats; every pure chunk at
 d >= 4) writes its 0 with no SLD eigensolve. A pure chunk's states take
 their eigenpairs from the Householder lift of psi
 (``states.pure_projector_stack``), with no eigensolve; every other chunk's
-come from one batched ``eigh``. The curve gives matrices and a state is
-checked where it is used: a chunk checks the states rho(theta), once, and
-nothing else, as neither a finite-difference drho nor a table's split, which
-reads the spectra of the curve's matrices at theta +- h, builds a state. The
-single-theta functions of the package are the one-row case of the same
+come from one batched ``eigh``.
+
+A chunk walks its curve once (``sld.walk_curve``): the family's formula is
+evaluated at theta and, where a stage reads them, at theta + h and theta - h,
+in one call. That walk feeds every stage that reads the curve:
+
+* the states rho(theta), checked once, and no other state;
+* drho: a pure flow's analytic tangent is A rho - rho A of those states, the
+  finite difference reads the unchecked matrices at theta +- h;
+* the QFI split (``fisher.qfi_split``): a table's reads the spectra of the
+  matrices at theta +- h, in either mode, from the same walk.
+
+The curve decides what its walk holds; this module has no branch by family.
+The single-theta functions of the package are the one-row case of the same
 kernels, so every row equals, bit for bit, what those functions give for its
 theta.
 """
@@ -29,7 +38,7 @@ from .errors import QfgError
 from .fisher import classical_fisher_stack, qfi_split, quantum_fisher_of_sld
 from .optimize import degenerate_by_rank, eigenprojector, sld_eigenbasis
 from .scenario import Scenario
-from .sld import differentiate_stack, sld_solve_stack
+from .sld import sld_solve_stack, walk_curve
 
 #: Rows per chunk; bounds the arrays a scan holds at once.
 CHUNK_ROWS = 2048
@@ -46,11 +55,10 @@ def theta_grid(lo: float, hi: float, count: int, start: int, stop: int) -> np.nd
 def scan_rows(scenario: Scenario, thetas: np.ndarray, mode: str, h: float) -> np.ndarray:
     """The rows (theta, cfi, qfi_sphere, qfi_transverse, qfi_total) at each theta."""
     curve = scenario.curve
-    rho = curve.rho_stack(thetas)
-    drho = differentiate_stack(curve, thetas, mode, h)
+    rho, drho, stepped = walk_curve(curve, thetas, mode, h)
     ell = sld_solve_stack(rho, drho)
     total = quantum_fisher_of_sld(rho, ell)
-    sphere, transverse = qfi_split(curve, rho, thetas, h, total)
+    sphere, transverse = qfi_split(curve, rho, thetas, stepped, h, total)
     if scenario.povm is not None:
         cfi = classical_fisher_stack(rho, drho, scenario.povm.stack[:, None])
     elif degenerate_by_rank(rho.eigenvalues).all():  # every pure chunk at d >= 4

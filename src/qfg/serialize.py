@@ -45,10 +45,41 @@ def matrix_to_json(matrix) -> list:
     return [[complex_to_json(complex(entry)) for entry in row] for row in m]
 
 
+_PLAIN_NUMBERS = {int, float}
+
+
+def _numbers_array(data, dim: int) -> np.ndarray | None:
+    """The (dim, dim) complex matrix of ``dim`` rows of ``dim`` [re, im] pairs of plain JSON numbers, or None.
+
+    One pass checks the shape and that every number is an exact ``int`` or
+    ``float`` (no bool, string or null); one ``np.array`` converts them all,
+    as ``float`` converts each, and one check judges finiteness. Anything else,
+    an integer beyond the float range included, gives None.
+    """
+    if not all(type(row) is list and len(row) == dim for row in data):
+        return None
+    if not all(type(pair) is list and len(pair) == 2 for row in data for pair in row):
+        return None
+    if not {type(x) for row in data for pair in row for x in pair} <= _PLAIN_NUMBERS:
+        return None
+    try:
+        pairs = np.array(data, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex)[..., 0]  # each [re, im] pair is one complex128, bit for bit
+
+
 def matrix_from_json(data, path: str = "matrix") -> np.ndarray:
+    """A square matrix from its nested [re, im] pairs; a malformed entry raises ParseError with its path."""
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: expected a non-empty nested array")
     dim = len(data)
+    out = _numbers_array(data, dim)
+    if out is not None:
+        return out
+    # the per-entry checks name the first malformed entry
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != dim:

@@ -21,6 +21,10 @@ lift of psi, not an eigensolve.
 A finite difference takes the matrices at theta +- h and builds no state: a
 closed form is a state by construction, and a table's samples are checked once,
 when it is built, so each interpolated matrix mixes checked states.
+A scan chunk walks its curve once (``walk_curve``): one evaluation of the
+family's formula at theta, theta + h and theta - h gives the checked states,
+the matrices of the finite difference and those of a table's QFI split, and a
+pure flow's tangent is A rho - rho A of the checked states themselves.
 """
 
 from __future__ import annotations
@@ -94,23 +98,39 @@ def _guard_rank2(k, thetas: np.ndarray):
         )
 
 
+_NO_THETAS = np.empty(0)
+
+
 class _StackedCurve:
     """Base of the curve families, which evaluate a vector of thetas at once.
 
     Each family defines ``rho_matrices``, its unchecked (n, d, d) matrices of
-    rho(theta), and ``drho_stack``, the exact derivatives; ``rho_stack`` checks
-    the matrices as one DensityStack (a pure flow's with the eigenpairs of its
-    amplitudes). The one-theta methods (``rho_at``, ``point_at``,
+    rho(theta), and ``drho_stack``, the exact derivatives. ``walk`` evaluates
+    the family's formula once at the thetas of the states and at further
+    thetas: it checks the states' matrices as one DensityStack (a pure flow's
+    with the eigenpairs of its amplitudes) and returns the other matrices
+    unchecked; ``rho_stack`` is its walk with no further theta. ``drho_along``
+    is the exact derivative given rho(theta)'s matrices, which only a pure
+    flow reads. The one-theta methods (``rho_at``, ``point_at``,
     ``state_at``) are their one-row case.
     """
 
     @property
     def dim(self) -> int:
         """The dimension d of rho(theta), read from the (0, d, d) matrices of no theta."""
-        return self.rho_matrices(np.empty(0)).shape[-1]
+        return self.rho_matrices(_NO_THETAS).shape[-1]
+
+    def walk(self, thetas: np.ndarray, steps: np.ndarray) -> tuple[DensityStack, np.ndarray]:
+        """The checked states rho(thetas) and the unchecked matrices rho(steps), from one evaluation at both."""
+        m = self.rho_matrices(np.concatenate([thetas, steps]))
+        return DensityStack(m[: len(thetas)]), m[len(thetas) :]
 
     def rho_stack(self, thetas: np.ndarray) -> DensityStack:
-        return DensityStack(self.rho_matrices(thetas))
+        return self.walk(thetas, _NO_THETAS)[0]
+
+    def drho_along(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """The exact derivatives at thetas, where ``rho`` holds the matrices rho(thetas)."""
+        return self.drho_stack(thetas)
 
     def rho_at(self, theta: float) -> DensityOp:
         return self.rho_stack(_thetas(theta))[0]
@@ -172,7 +192,8 @@ class TransverseCurve(_StackedCurve):
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
         self._weights(thetas)  # the rank guard of rho_matrices
-        return self.rate * chart_matrices(1.0, -1.0, np.full(len(thetas), self.coord, dtype=complex), self.chart)
+        unit = chart_matrices(1.0, -1.0, np.array([self.coord], dtype=complex), self.chart)  # the same at every theta
+        return np.broadcast_to(self.rate * unit, (len(thetas), 2, 2))
 
 
 def require_coefficients(a) -> np.ndarray:
@@ -195,7 +216,8 @@ class PureQditCoeffs(_StackedCurve):
     flow psi(theta) = exp(theta A) e1, A anti-Hermitian with A e1 = a: the great
     circle through e1 and a' turned by the phase b. With w = sqrt(b^2 + 4 |a'|^2),
     psi = e^{i b theta/2} [(cos(w theta/2) + i (b/w) sin(w theta/2)) e1 + (2/w) sin(w theta/2) a'],
-    O(d) per theta; drho = A rho - rho A, exactly 0 on a phase-only flow (a' = 0).
+    O(d) per theta; drho = A rho - rho A of the matrices rho(theta), exactly 0 on
+    a phase-only flow (a' = 0).
     """
 
     a: tuple[complex, ...]
@@ -225,11 +247,16 @@ class PureQditCoeffs(_StackedCurve):
     def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
         return rank_one_projectors(self._amplitudes(thetas))
 
-    def rho_stack(self, thetas: np.ndarray) -> DensityStack:
-        return pure_projector_stack(self._amplitudes(thetas))
+    def walk(self, thetas: np.ndarray, steps: np.ndarray) -> tuple[DensityStack, np.ndarray]:
+        """One flow of the amplitudes at both: the states take their eigenpairs from them, the other rows are projectors."""
+        amps = self._amplitudes(np.concatenate([thetas, steps]))
+        return pure_projector_stack(amps[: len(thetas)]), rank_one_projectors(amps[len(thetas) :])
 
     def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        left = matmul(self._generator, self.rho_matrices(thetas))
+        return self.drho_along(thetas, self.rho_matrices(thetas))
+
+    def drho_along(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        left = matmul(self._generator, rho)
         return left + dagger(left)  # A rho - rho A: rho A = -(A rho)^dag, as A^dag = -A and rho = rho^dag exactly
 
 
@@ -315,33 +342,80 @@ class TableCurve(_StackedCurve):
         return (self._samples[j + 1] - self._samples[j]) / (knots[j + 1] - knots[j])[:, None, None]
 
 
+def _step_thetas(thetas: np.ndarray, h: float) -> np.ndarray:
+    """theta + h, then theta - h: the points of a central difference."""
+    if not (h > 0):
+        raise DomainError(f"finite-difference step h={h!r} must be positive")
+    steps = np.concatenate([thetas + h, thetas - h])  # one walk of the curve; a row's bits are its own
+    if not np.isfinite(steps).all():
+        raise OverflowError("theta +- h")  # finite_closed_form reports it as NonFiniteResult
+    return steps
+
+
+def _require_mode(mode: str):
+    if mode not in (ANALYTIC, FD):
+        raise DomainError(f"unknown differentiation mode {mode!r}")
+
+
+def _central_difference(stepped: np.ndarray, h: float) -> np.ndarray:
+    """(rho(theta + h) - rho(theta - h)) / 2h from the matrices at theta + h, then theta - h."""
+    plus, minus = np.split(stepped, 2)
+    return (plus - minus) / (2 * h)
+
+
+def _directions(drho: np.ndarray) -> np.ndarray:
+    """drho made exactly Hermitian, and traceless by projection."""
+    drho = (drho + dagger(drho)) / 2
+    dim = drho.shape[1]
+    return drho - (traces(drho).real / dim)[:, None, None] * np.eye(dim)
+
+
 @finite_closed_form
 def differentiate_stack(curve, thetas: np.ndarray, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """d rho / d theta at each of a vector of thetas, closed-form or central finite difference.
 
     Returns an (n, d, d) stack of exactly Hermitian matrices, made traceless
     by projection: every family is unit-trace, a table by its load check, so
-    the trace is roundoff and is not judged. Neither mode builds a state: the finite difference is taken between the
-    curve's matrices ``rho_matrices`` at theta + h and theta - h, which pass
-    the family's own guards. A theta +- h or a drho that overflows (in the
-    curve's formula, the difference quotient or the symmetrization) raises
-    NonFiniteResult.
+    the trace is roundoff and is not judged. Neither mode builds a state: the
+    closed form reads the curve's unchecked matrices rho(theta) where it needs
+    them (a pure flow's A rho - rho A), and the finite difference is taken
+    between the curve's matrices ``rho_matrices`` at theta + h and theta - h,
+    which pass the family's own guards. A scan chunk takes the same
+    derivative from its one walk of the curve instead (``walk_curve``). A
+    theta +- h or a drho that overflows (in the curve's formula, the
+    difference quotient or the symmetrization) raises NonFiniteResult.
     """
+    _require_mode(mode)
     if mode == ANALYTIC:
-        drho = curve.drho_stack(thetas)
-    elif mode == FD:
-        if not (h > 0):
-            raise DomainError(f"finite-difference step h={h!r} must be positive")
-        shifted = np.concatenate([thetas + h, thetas - h])  # one walk of the curve; a row's bits are its own
-        if not np.isfinite(shifted).all():
-            raise OverflowError("theta +- h")  # finite_closed_form reports it as NonFiniteResult
-        plus, minus = np.split(curve.rho_matrices(shifted), 2)
-        drho = (plus - minus) / (2 * h)
-    else:
-        raise DomainError(f"unknown differentiation mode {mode!r}")
-    drho = (drho + dagger(drho)) / 2
-    dim = drho.shape[1]
-    return drho - (traces(drho).real / dim)[:, None, None] * np.eye(dim)
+        return _directions(curve.drho_stack(thetas))
+    return _directions(_central_difference(curve.rho_matrices(_step_thetas(thetas, h)), h))
+
+
+@finite_closed_form
+def walk_curve(curve, thetas: np.ndarray, mode: str, h: float) -> tuple[DensityStack, np.ndarray, np.ndarray]:
+    """A scan chunk's one walk of its curve: (rho, drho, stepped) at a vector of thetas.
+
+    One evaluation of the family's formula (``walk``) at theta and, where a
+    stage reads them, at theta + h and theta - h feeds every stage:
+
+    * ``rho``, the checked states rho(theta);
+    * ``drho``, as ``differentiate_stack`` gives it, bit for bit: the closed
+      form reads the matrices of ``rho`` (a pure flow's A rho - rho A, as
+      ``hermitian_part`` returns its exactly Hermitian projectors unchanged),
+      and the finite difference reads ``stepped``;
+    * ``stepped``, the unchecked matrices rho(theta + h) then rho(theta - h),
+      (2n, d, d), which a finite difference and a table's QFI split
+      (``fisher.qfi_split``, in either mode) read; (0, d, d) where neither does.
+
+    A theta +- h or a drho that overflows raises NonFiniteResult, as in
+    ``differentiate_stack``.
+    """
+    _require_mode(mode)
+    # a table's split reads its spectra at theta +- h in either mode
+    steps = _step_thetas(thetas, h) if mode == FD or isinstance(curve, TableCurve) else _NO_THETAS
+    rho, stepped = curve.walk(thetas, steps)
+    drho = curve.drho_along(thetas, rho.matrices) if mode == ANALYTIC else _central_difference(stepped, h)
+    return rho, _directions(drho), stepped
 
 
 def differentiate_curve(curve, theta: float, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:

@@ -43,7 +43,15 @@ from qfg.optimize import (
     sld_eigenbasis_povm,
 )
 from qfg.scenario import parse_scenario
-from qfg.sld import FD, GreatCirclePure, differentiate_curve, differentiate_stack, sld_solve, sld_solve_stack
+from qfg.sld import (
+    FD,
+    GreatCirclePure,
+    differentiate_curve,
+    differentiate_stack,
+    sld_solve,
+    sld_solve_stack,
+    walk_curve,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -125,9 +133,13 @@ def test_rows_equal_single_theta_calls(case, n, data):
     thetas = np.linspace(lo, hi, n)
     rho = curve.rho_stack(thetas)
     drho = differentiate_stack(curve, thetas, mode, h)
+    # a scan chunk's one walk gives the same states and drho, bit for bit
+    walked, walked_drho, stepped = walk_curve(curve, thetas, mode, h)
+    assert (walked.matrices == rho.matrices).all() and (walked.eigenvalues == rho.eigenvalues).all()
+    assert (walked.eigenvectors == rho.eigenvectors).all() and (walked_drho == drho).all()
     ell = sld_solve_stack(rho, drho)
     qfi = quantum_fisher_of_sld(rho, ell)
-    sphere, transverse = qfi_split(curve, rho, thetas, h, qfi)
+    sphere, transverse = qfi_split(curve, rho, thetas, stepped, h, qfi)
     _, v, degenerate = sld_eigenbasis(ell)
     outcomes = [eigenprojector(v, j) for j in range(rho.dim)]
     cfi_sld = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
@@ -152,7 +164,8 @@ def test_rows_equal_single_theta_calls(case, n, data):
         assert (sld_solve(single, d1) == ell[i]).all()
         assert quantum_fisher(single, d1) == qfi[i] == max(tensor[i, 0, 0].real, 0.0)
         assert fisher_tensor_general(single, d1, d2[i]).value == tensor[i, 0, 1]
-        split = qfi_split(curve, single.stack, np.array([theta]), h, np.array([qfi[i]]))
+        one = np.array([theta])
+        split = qfi_split(curve, single.stack, one, walk_curve(curve, one, mode, h)[2], h, np.array([qfi[i]]))
         assert (split[0][0], split[1][0]) == (sphere[i], transverse[i])
         try:
             cfi = classical_fisher(single, d1, sld_eigenbasis_povm(single, d1))

@@ -126,6 +126,24 @@ def test_scan_chunk_builds_each_state_once(monkeypatch, family, mode):
     assert (built, len(checks)) == ([len(thetas)], 1)
 
 
+@pytest.mark.parametrize("family, mode", [(family, mode) for family in CURVES for mode in (ANALYTIC, FD)])
+def test_scan_chunk_walks_its_curve_once(monkeypatch, family, mode):
+    # one evaluation of the family's formula feeds the states, drho and the split: a pure flow's tangent
+    # is A rho - rho A of the chunk's states, and a table walks theta and theta +- h together in either mode
+    scenario = parse_scenario({"curve": CURVES[family], "theta0": 0.0})
+    thetas = np.linspace(0.2, 0.8, 64)
+    scan_module.scan_rows(scenario, thetas, mode, 1e-5)  # warm: the curve's cached properties
+    flows = _count_calls(monkeypatch, "_pure_flow", owner=qfg.sld)
+    table_walk = qfg.sld.TableCurve.rho_matrices
+    walks = []
+    monkeypatch.setattr(qfg.sld.TableCurve, "rho_matrices",
+                        lambda curve, ts: walks.append(len(ts)) or table_walk(curve, ts))
+    scan_module.scan_rows(scenario, thetas, mode, 1e-5)
+    pure = family in ("great_circle_pure", "pure_qdit_coeffs")
+    assert len(flows) == pure
+    assert walks == ([3 * len(thetas)] if family == "table" else [])
+
+
 def test_eval_qfi_builds_the_state_once(monkeypatch, capsys):
     built = _count_states(monkeypatch)
     assert cli.main(["eval", "--scenario", str(FIXTURES / "qdit_d3.json"), "--quantity", "qfi"]) == 0

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfg.serialize import dumps_canonical, format_float, format_rows
+from qfg.errors import ParseError
+from qfg.serialize import complex_from_json, dumps_canonical, format_float, format_rows, matrix_from_json
 
 
 @settings(max_examples=200, deadline=None)
@@ -35,3 +36,55 @@ def test_negative_zero_and_non_finite():
     assert format_rows(np.array([[-0.0, 1.5]])) == "0,1.5\n"
     with pytest.raises(ValueError, match="non-finite"):
         format_rows(np.array([[1.0, np.nan]]))
+
+
+def _entry_by_entry(data):
+    """The reference conversion: each [re, im] pair through ``complex_from_json``."""
+    return np.array([[complex_from_json(pair) for pair in row] for row in data], dtype=complex)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # signed zeros and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**53 + 1, -(2**63) - 1, 2**64 + 1, 10**300, -(10**308)]),  # rounded as float() rounds them
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_matrix_from_json_equals_the_entry_by_entry_conversion(data):
+    assert _same_bits(matrix_from_json(data), _entry_by_entry(data))
+
+
+def test_pairs_that_are_not_lists_take_the_entry_by_entry_path():
+    data = [[(0.5, -0.0), [1, 2]], [[1, -2], (0.5, 5e-324)]]
+    assert _same_bits(matrix_from_json(data), _entry_by_entry(data))
+
+
+@pytest.mark.parametrize("data, detail", [
+    ([[[True, 0.0]]], "m[0][0][0]: expected a finite number, got True"),
+    ([[[0.5, False]]], "m[0][0][1]: expected a finite number, got False"),
+    ([[[1, 0], [0, 0]], [[0, 0], ["1", 0]]], "m[1][1][0]: expected a finite number, got '1'"),
+    ([[[1, None]]], "m[0][0][1]: expected a finite number, got None"),
+    ([[[1, 0], [0, 0]], [[10**400, 0], [1, 0]]], f"m[1][0][0]: expected a finite number, got {10**400!r}"),
+    ([[[2**1024, 0]]], f"m[0][0][0]: expected a finite number, got {2**1024!r}"),
+    ([[[1, 0], [0, 0]], [[0, 0]]], "m[1]: expected a row of length 2"),
+    ([[[1, 0]], [[0, 0], [1, 0]]], "m[0]: expected a row of length 2"),
+    ([[[1, 0], [0, 0]], "row"], "m[1]: expected a row of length 2"),
+    ([[[1, 0, 0]]], "m[0][0]: expected a [re, im] pair, got [1, 0, 0]"),
+    ([[[1.0]]], "m[0][0]: expected a [re, im] pair, got [1.0]"),
+    ([[[1.0, float("nan")]]], "m[0][0][1]: expected a finite number, got nan"),
+    ([[[float("-inf"), 0.0]]], "m[0][0][0]: expected a finite number, got -inf"),
+    ([], "m: expected a non-empty nested array"),
+    ({"re": 1}, "m: expected a non-empty nested array"),
+])
+def test_malformed_matrix_names_its_first_bad_entry(data, detail):
+    with pytest.raises(ParseError) as info:
+        matrix_from_json(data, "m")
+    assert str(info.value) == detail

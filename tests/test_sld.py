@@ -257,6 +257,16 @@ class TestTangentDir:
     def test_transverse_allowed_at_infinity(self):
         assert np.array_equal(TransverseCurve(k0=0.25).drho_stack(np.array([0.0])), np.diag([1, -1])[None])
 
+    @pytest.mark.parametrize("chart", list(Chart))
+    def test_transverse_drho_is_one_matrix_at_every_theta(self, chart):
+        # rate times the (1, -1) chart matrix of the fixed point, the same bits in each row as the row's own
+        curve = TransverseCurve(k0=0.1, rate=0.3, coord=0.4 - 1.7j, chart=chart)
+        thetas = np.linspace(0.0, 1.0, 2000)
+        row = curve.rate * chart_matrices(1.0, -1.0, np.array([curve.coord]), chart)[0]
+        assert (curve.drho_stack(thetas) == row).all()
+        with pytest.raises(DomainError, match="leaves"):  # the rank guard: k(2) = 0.7
+            curve.drho_stack(np.array([0.5, 2.0]))
+
     def test_transverse_half_is_the_chart_matrix(self):
         # d rho / dk is the (1, -1) chart matrix, bit for bit, in every qubit drho
         rng = np.random.default_rng(29)
