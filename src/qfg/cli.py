@@ -27,7 +27,7 @@ from .fisher import (
 from .scan import COLUMNS, scan
 from .scenario import Options, Scenario, load_scenario
 from .serialize import dumps_canonical, format_rows, matrix_to_json
-from .sld import SphereCurve, TransverseCurve, differentiate_curve, sld_solve
+from .sld import SphereCurve, TransverseCurve, sld_solve, walk_curve
 from .optimize import maximize_cfi
 
 
@@ -62,9 +62,8 @@ def _require_curve(scenario: Scenario):
 def _state_and_direction(scenario: Scenario, args):
     curve = _require_curve(scenario)
     opts = _effective_options(scenario, args)
-    rho = curve.rho_at(scenario.theta0)
-    drho = differentiate_curve(curve, scenario.theta0, mode=opts.mode, h=opts.fd_step)
-    return rho, drho
+    rho, drho, _ = walk_curve(curve, np.array([scenario.theta0]), opts.mode, opts.fd_step)
+    return rho[0], drho[0]
 
 
 def _emit(obj):

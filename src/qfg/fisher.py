@@ -184,7 +184,8 @@ def qfi_split(curve, rho: DensityStack, thetas: np.ndarray, stepped: np.ndarray,
     and every family but a table is all sphere. A tabulated curve takes its
     transverse share from the drift of the smallest eigenvalue k between
     rho(theta +- h), read from the spectra of ``stepped``: each is an exactly
-    Hermitian convex combination of checked samples. At d >= 3 that share is
+    Hermitian combination of checked samples, convex on the table and, for a
+    step past an end, on the line of the end segment. At d >= 3 that share is
     the qubit-style term of the smallest eigenvalue alone, not the sum of
     dlam_i^2 / lam_i.
     """

@@ -12,15 +12,19 @@ their eigenpairs from the Householder lift of psi
 (``states.pure_projector_stack``), with no eigensolve; every other chunk's
 come from one batched ``eigh``.
 
-A chunk walks its curve once (``sld.walk_curve``): the family's formula is
-evaluated at theta and, where a stage reads them, at theta + h and theta - h,
-in one call. That walk feeds every stage that reads the curve:
+A chunk walks its curve once (``sld.walk_curve``, the one place that forms
+drho): the family's formula is evaluated at theta and, where a stage reads
+them, at theta + h and theta - h, in one call. That walk feeds every stage
+that reads the curve:
 
-* the states rho(theta), checked once, and no other state;
-* drho: a pure flow's analytic tangent is A rho - rho A of those states, the
-  finite difference reads the unchecked matrices at theta +- h;
+* the states rho(theta), checked once, and no other state; a table's states
+  must lie on the table;
+* drho: the family's exact derivative (a pure flow's is A rho - rho A of
+  those states), or the finite difference of the unchecked matrices at
+  theta +- h;
 * the QFI split (``fisher.qfi_split``): a table's reads the spectra of the
-  matrices at theta +- h, in either mode, from the same walk.
+  matrices at theta +- h, in either mode, from the same walk; a step past a
+  table's end follows the end segment, so a scan reaches both end points.
 
 The curve decides what its walk holds; this module has no branch by family.
 The single-theta functions of the package are the one-row case of the same

@@ -14,17 +14,19 @@ Every pure family is one closed-form flow, ``PureQditCoeffs``, a turned great
 circle; ``GreatCirclePure`` is its d = 2 case.
 
 A curve gives matrices: ``rho_matrices`` runs the family's own guards and
-returns rho(theta) unchecked; ``rho_stack`` checks them where a state is used.
-A pure flow's ``rho_stack`` builds its states from the amplitudes
+returns rho(theta) unchecked; a walk checks them where a state is used.
+A pure flow's walk builds its states from the amplitudes
 (``states.pure_projector_stack``), so their eigenpairs are the Householder
 lift of psi, not an eigensolve.
-A finite difference takes the matrices at theta +- h and builds no state: a
-closed form is a state by construction, and a table's samples are checked once,
-when it is built, so each interpolated matrix mixes checked states.
-A scan chunk walks its curve once (``walk_curve``): one evaluation of the
-family's formula at theta, theta + h and theta - h gives the checked states,
-the matrices of the finite difference and those of a table's QFI split, and a
-pure flow's tangent is A rho - rho A of the checked states themselves.
+Every drho comes from one place, ``walk_curve``: one evaluation of the
+family's formula at theta and, where a stage reads them, at theta + h and
+theta - h gives the checked states, drho and the matrices of a table's QFI
+split. The exact derivative is the family's ``drho_stack`` (a pure flow's is
+A rho - rho A of the checked states themselves); a finite difference takes
+the matrices at theta +- h and builds no state: a closed form is a state by
+construction, and a table's samples are checked once, when it is built, so
+each interpolated matrix mixes checked states. ``differentiate_curve`` is one
+row of the walk.
 """
 
 from __future__ import annotations
@@ -105,14 +107,14 @@ class _StackedCurve:
     """Base of the curve families, which evaluate a vector of thetas at once.
 
     Each family defines ``rho_matrices``, its unchecked (n, d, d) matrices of
-    rho(theta), and ``drho_stack``, the exact derivatives. ``walk`` evaluates
-    the family's formula once at the thetas of the states and at further
-    thetas: it checks the states' matrices as one DensityStack (a pure flow's
-    with the eigenpairs of its amplitudes) and returns the other matrices
-    unchecked; ``rho_stack`` is its walk with no further theta. ``drho_along``
-    is the exact derivative given rho(theta)'s matrices, which only a pure
-    flow reads. The one-theta methods (``rho_at``, ``point_at``,
-    ``state_at``) are their one-row case.
+    rho(theta), and ``drho_stack(thetas, rho)``, the exact derivatives, where
+    ``rho`` holds the matrices rho(thetas) that the walk already made; only a
+    pure flow reads them. ``walk`` evaluates the family's formula once at the
+    thetas of the states and at further thetas: it checks the states'
+    matrices as one DensityStack (a pure flow's with the eigenpairs of its
+    amplitudes) and returns the other matrices unchecked; ``rho_stack`` is its
+    walk with no further theta. The one-theta methods (``rho_at``,
+    ``point_at``, ``state_at``) are their one-row case.
     """
 
     @property
@@ -127,10 +129,6 @@ class _StackedCurve:
 
     def rho_stack(self, thetas: np.ndarray) -> DensityStack:
         return self.walk(thetas, _NO_THETAS)[0]
-
-    def drho_along(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """The exact derivatives at thetas, where ``rho`` holds the matrices rho(thetas)."""
-        return self.drho_stack(thetas)
 
     def rho_at(self, theta: float) -> DensityOp:
         return self.rho_stack(_thetas(theta))[0]
@@ -157,7 +155,7 @@ class SphereCurve(_StackedCurve):
     def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
         return chart_matrices(self.k, 1.0 - self.k, self._coords(thetas), Chart.NORTH)
 
-    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
+    def drho_stack(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
         return _sphere_drho_stack(self.k, self._coords(thetas), self.velocity)
 
 
@@ -190,8 +188,7 @@ class TransverseCurve(_StackedCurve):
         k = self._weights(thetas)
         return chart_matrices(k, 1.0 - k, np.full(len(thetas), self.coord, dtype=complex), self.chart)
 
-    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        self._weights(thetas)  # the rank guard of rho_matrices
+    def drho_stack(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
         unit = chart_matrices(1.0, -1.0, np.array([self.coord], dtype=complex), self.chart)  # the same at every theta
         return np.broadcast_to(self.rate * unit, (len(thetas), 2, 2))
 
@@ -252,10 +249,7 @@ class PureQditCoeffs(_StackedCurve):
         amps = self._amplitudes(np.concatenate([thetas, steps]))
         return pure_projector_stack(amps[: len(thetas)]), rank_one_projectors(amps[len(thetas) :])
 
-    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
-        return self.drho_along(thetas, self.rho_matrices(thetas))
-
-    def drho_along(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    def drho_stack(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
         left = matmul(self._generator, rho)
         return left + dagger(left)  # A rho - rho A: rho A = -(A rho)^dag, as A^dag = -A and rho = rho^dag exactly
 
@@ -288,32 +282,38 @@ class GreatCirclePure(PureQditCoeffs):
 
 @dataclass(frozen=True)
 class TableCurve(_StackedCurve):
-    """Curve tabulated as (theta_j, rho_j) samples, checked as one DensityStack when built; linearly interpolated, so drho is a segment's slope.
+    """Curve tabulated as (theta_j, rho_j) samples, linearly interpolated, so drho is a segment's slope.
 
-    At an interior knot drho is the slope of the segment to its right; a
-    central finite difference there straddles the knot and gives the mean
-    of the two slopes instead.
+    The samples are checked as one DensityStack when the curve is built;
+    ``thetas`` (m,) and the checked ``rhos`` (m, d, d) are then held as
+    read-only arrays, so they stay the checked samples and an argument check
+    reads each in one ``isfinite`` (``errors.finite_closed_form``). A table's
+    states lie on the table: its walk raises TableResolutionError for a state
+    theta off it. A step theta +- h past an end follows the end segment, so
+    the end points have a finite difference and a QFI split. At an interior
+    knot drho is the slope of the segment to its right; a central finite
+    difference there straddles the knot and gives the mean of the two slopes
+    instead.
     """
 
-    thetas: tuple[float, ...]
-    rhos: tuple
+    thetas: np.ndarray
+    rhos: np.ndarray
 
     def __post_init__(self):
-        if len(self.thetas) != len(self.rhos):
+        thetas = np.array(self.thetas, dtype=float)
+        if len(thetas) != len(self.rhos):
             raise DomainError("table thetas and rhos differ in length")
-        if len(self.thetas) < 2:
+        if len(thetas) < 2:
             raise TableResolutionError("tabulated curve needs at least 2 samples")
-        if not all(b > a for a, b in zip(self.thetas, self.thetas[1:])):
+        if not (thetas[1:] > thetas[:-1]).all():
             raise DomainError("table thetas must be strictly increasing")
-        self._samples  # checks the samples on construction
-
-    @cached_property
-    def _samples(self) -> np.ndarray:
         try:
             stack = as_stack(self.rhos)
         except ValueError:
             raise DimensionMismatch("table samples differ in dimension") from None
-        return DensityStack(stack).matrices
+        for name, value in (("thetas", thetas), ("rhos", DensityStack(stack).matrices)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def require_in_range(self, thetas: np.ndarray):
         """Raise TableResolutionError for the first theta outside the tabulated range."""
@@ -325,21 +325,24 @@ class TableCurve(_StackedCurve):
                 f"theta={theta!r} outside the tabulated range [{ts[0]}, {ts[-1]}]"
             )
 
-    def _segments(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The knots and the segment j of each theta; the last knot is on the last segment."""
+    def walk(self, thetas: np.ndarray, steps: np.ndarray) -> tuple[DensityStack, np.ndarray]:
+        """The base walk, for states on the table; a step may leave it along an end segment."""
         self.require_in_range(thetas)
-        knots = np.asarray(self.thetas)
-        return knots, np.minimum(np.searchsorted(knots, thetas, side="right") - 1, len(knots) - 2)
+        return super().walk(thetas, steps)
+
+    def _segments(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The knots and the segment j in [0, m - 2] of each theta: the last knot and a theta past an end take the end one."""
+        knots = self.thetas
+        return knots, np.clip(np.searchsorted(knots, thetas, side="right") - 1, 0, len(knots) - 2)
 
     def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
         knots, j = self._segments(thetas)
         frac = ((thetas - knots[j]) / (knots[j + 1] - knots[j]))[:, None, None]
-        samples = self._samples
-        return (1.0 - frac) * samples[j] + frac * samples[j + 1]
+        return (1.0 - frac) * self.rhos[j] + frac * self.rhos[j + 1]
 
-    def drho_stack(self, thetas: np.ndarray) -> np.ndarray:
+    def drho_stack(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
         knots, j = self._segments(thetas)
-        return (self._samples[j + 1] - self._samples[j]) / (knots[j + 1] - knots[j])[:, None, None]
+        return (self.rhos[j + 1] - self.rhos[j]) / (knots[j + 1] - knots[j])[:, None, None]
 
 
 def _step_thetas(thetas: np.ndarray, h: float) -> np.ndarray:
@@ -371,56 +374,38 @@ def _directions(drho: np.ndarray) -> np.ndarray:
 
 
 @finite_closed_form
-def differentiate_stack(curve, thetas: np.ndarray, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """d rho / d theta at each of a vector of thetas, closed-form or central finite difference.
-
-    Returns an (n, d, d) stack of exactly Hermitian matrices, made traceless
-    by projection: every family is unit-trace, a table by its load check, so
-    the trace is roundoff and is not judged. Neither mode builds a state: the
-    closed form reads the curve's unchecked matrices rho(theta) where it needs
-    them (a pure flow's A rho - rho A), and the finite difference is taken
-    between the curve's matrices ``rho_matrices`` at theta + h and theta - h,
-    which pass the family's own guards. A scan chunk takes the same
-    derivative from its one walk of the curve instead (``walk_curve``). A
-    theta +- h or a drho that overflows (in the curve's formula, the
-    difference quotient or the symmetrization) raises NonFiniteResult.
-    """
-    _require_mode(mode)
-    if mode == ANALYTIC:
-        return _directions(curve.drho_stack(thetas))
-    return _directions(_central_difference(curve.rho_matrices(_step_thetas(thetas, h)), h))
-
-
-@finite_closed_form
 def walk_curve(curve, thetas: np.ndarray, mode: str, h: float) -> tuple[DensityStack, np.ndarray, np.ndarray]:
-    """A scan chunk's one walk of its curve: (rho, drho, stepped) at a vector of thetas.
+    """The one walk of a curve at a vector of thetas, and the one place that forms drho: (rho, drho, stepped).
 
     One evaluation of the family's formula (``walk``) at theta and, where a
     stage reads them, at theta + h and theta - h feeds every stage:
 
-    * ``rho``, the checked states rho(theta);
-    * ``drho``, as ``differentiate_stack`` gives it, bit for bit: the closed
-      form reads the matrices of ``rho`` (a pure flow's A rho - rho A, as
-      ``hermitian_part`` returns its exactly Hermitian projectors unchanged),
-      and the finite difference reads ``stepped``;
+    * ``rho``, the checked states rho(theta); a table's must lie on it;
+    * ``drho``, d rho / d theta, closed-form or the central finite difference,
+      as an (n, d, d) stack of exactly Hermitian matrices made traceless by
+      projection: every family is unit-trace, a table by its load check, so
+      the trace is roundoff and is not judged. The closed form is the
+      family's ``drho_stack``, which reads the matrices of ``rho`` (a pure
+      flow's A rho - rho A); the finite difference reads ``stepped``;
     * ``stepped``, the unchecked matrices rho(theta + h) then rho(theta - h),
       (2n, d, d), which a finite difference and a table's QFI split
-      (``fisher.qfi_split``, in either mode) read; (0, d, d) where neither does.
+      (``fisher.qfi_split``, in either mode) read; (0, d, d) where neither
+      does. A step past a table's end follows the end segment.
 
-    A theta +- h or a drho that overflows raises NonFiniteResult, as in
-    ``differentiate_stack``.
+    A theta +- h or a drho that overflows (in the curve's formula, the
+    difference quotient or the symmetrization) raises NonFiniteResult.
     """
     _require_mode(mode)
     # a table's split reads its spectra at theta +- h in either mode
     steps = _step_thetas(thetas, h) if mode == FD or isinstance(curve, TableCurve) else _NO_THETAS
     rho, stepped = curve.walk(thetas, steps)
-    drho = curve.drho_along(thetas, rho.matrices) if mode == ANALYTIC else _central_difference(stepped, h)
+    drho = curve.drho_stack(thetas, rho.matrices) if mode == ANALYTIC else _central_difference(stepped, h)
     return rho, _directions(drho), stepped
 
 
 def differentiate_curve(curve, theta: float, mode: str = ANALYTIC, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """d rho / d theta along a curve, closed-form or central finite difference."""
-    return differentiate_stack(curve, _thetas(theta), mode, h)[0]
+    """d rho / d theta along a curve at one theta: one row of ``walk_curve``, which checks its state too."""
+    return walk_curve(curve, _thetas(theta), mode, h)[1][0]
 
 
 def require_direction(drho, dim: int) -> np.ndarray:
@@ -442,7 +427,7 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
 
     ``drho`` is (n, d, d), or (n, p, d, d) for p directions at each rho.
     Trusts ``drho`` to be valid row by row (see ``require_direction``), as
-    ``differentiate_stack`` returns it. In each rho's eigenbasis L_ij = 2 drho_ij /
+    ``walk_curve`` returns it. In each rho's eigenbasis L_ij = 2 drho_ij /
     (lam_i + lam_j) on the support; both changes of basis, V^dag drho V and
     V L V^dag, are ``linalg.matmul`` products, entry formulas on a qubit
     stack. Entries over eigenvalue pairs outside the

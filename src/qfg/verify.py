@@ -45,14 +45,15 @@ from .optimize import (
 )
 from .sld import (
     ANALYTIC,
+    DEFAULT_FD_STEP,
     FD,
     GreatCirclePure,
     PureQditCoeffs,
     SphereCurve,
     assemble_drho_stack,
     differentiate_curve,
-    differentiate_stack,
     sld_solve_stack,
+    walk_curve,
 )
 from .states import Chart, pure_projector_stack, qubit_point, rho_of_kz_stack, s3_tangent, unitary_of_z
 
@@ -114,7 +115,7 @@ def suite_sld_residual() -> list[Check]:
         a = rng.normal(size=d) + 1j * rng.normal(size=d)
         a[0] = 1j * rng.normal()
         curve, thetas = PureQditCoeffs(a=tuple(a)), rng.uniform(-math.pi, math.pi, size=50)
-        rho, drho = curve.rho_stack(thetas), curve.drho_stack(thetas)
+        rho, drho, _ = walk_curve(curve, thetas, ANALYTIC, DEFAULT_FD_STEP)
         ell, m = sld_solve_stack(rho, drho), rho.matrices
         worst = max(worst, float(frobenius_norms((m @ ell + ell @ m) / 2 - drho).max()))
     checks.append(_bound("pure-flow sld-residual at d = 2..8 over 350 thetas", worst, 1e-10))
@@ -262,10 +263,9 @@ def _optimizer_scenarios() -> tuple[DensityStack, np.ndarray]:
     # sphere and mixing directions together (the last 6): only there does the optimal axis leave w
     draws = [draw(False, True) for _ in range(7)] + [draw(True, False) for _ in range(6)]
     rho, drho = _qubit_stacks(*_columns(draws + [draw(True, True) for _ in range(6)]))
-    gc = GreatCirclePure()
     thetas = np.linspace(0.3, math.pi - 0.3, 7)
-    rho = DensityStack(np.concatenate([gc.rho_matrices(thetas), rho.matrices]))
-    return rho, np.concatenate([differentiate_stack(gc, thetas), drho])
+    gc_rho, gc_drho, _ = walk_curve(GreatCirclePure(), thetas, ANALYTIC, DEFAULT_FD_STEP)
+    return DensityStack(np.concatenate([gc_rho.matrices, rho.matrices])), np.concatenate([gc_drho, drho])
 
 
 def suite_optimizer_attainment() -> list[Check]:
@@ -276,10 +276,10 @@ def suite_optimizer_attainment() -> list[Check]:
     _, v, degenerate = sld_eigenbasis(ell)  # the measurement ``qfg scan`` takes without a POVM
     basis = classical_fisher_stack(rho, drho, (eigenprojector(v, i) for i in range(rho.dim)))
     basis = np.where(degenerate, 0.0, basis)
-    gc = GreatCirclePure()
     thetas = np.linspace(0.05, math.pi - 0.05, 50)
-    rhos = DensityStack(np.concatenate([rho.matrices, gc.rho_matrices(thetas)]))
-    drhos = np.concatenate([drho, differentiate_stack(gc, thetas)])
+    gc_rho, gc_drho, _ = walk_curve(GreatCirclePure(), thetas, ANALYTIC, DEFAULT_FD_STEP)
+    rhos = DensityStack(np.concatenate([rho.matrices, gc_rho.matrices]))
+    drhos = np.concatenate([drho, gc_drho])
     results = [maximize_cfi(rhos[i], drhos[i]) for i in range(len(rhos))]
     closed = np.array([result.value for result in results])
     worst_dev = max(math.asin(min(1.0, abs(float(result.axis[1])))) for result in results[n:])
@@ -319,9 +319,8 @@ def suite_attainability_soundness() -> list[Check]:
         _bound("attaining measurements give classical = quantum", float(gap[keep].max(initial=0.0)), 1e-7),
     ]
 
-    gc = GreatCirclePure()
-    rho = gc.rho_at(math.pi / 3)
-    drho = differentiate_curve(gc, math.pi / 3)
+    rho, drho, _ = walk_curve(GreatCirclePure(), np.array([math.pi / 3]), ANALYTIC, DEFAULT_FD_STEP)
+    rho, drho = rho[0], drho[0]
     pair = Povm([(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2])
     reports = [attainability_check(rho, drho, m) for m in pair]
     cfi = classical_fisher(rho, drho, pair)

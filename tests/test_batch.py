@@ -47,7 +47,6 @@ from qfg.sld import (
     FD,
     GreatCirclePure,
     differentiate_curve,
-    differentiate_stack,
     sld_solve,
     sld_solve_stack,
     walk_curve,
@@ -131,12 +130,11 @@ def test_rows_equal_single_theta_calls(case, n, data):
     scenario = parse_scenario(payload)
     curve, mode, h = scenario.curve, scenario.options.mode, scenario.options.fd_step
     thetas = np.linspace(lo, hi, n)
-    rho = curve.rho_stack(thetas)
-    drho = differentiate_stack(curve, thetas, mode, h)
-    # a scan chunk's one walk gives the same states and drho, bit for bit
-    walked, walked_drho, stepped = walk_curve(curve, thetas, mode, h)
-    assert (walked.matrices == rho.matrices).all() and (walked.eigenvalues == rho.eigenvalues).all()
-    assert (walked.eigenvectors == rho.eigenvectors).all() and (walked_drho == drho).all()
+    rho, drho, stepped = walk_curve(curve, thetas, mode, h)
+    # the walk's states are those of rho_stack, the walk with no step, bit for bit
+    states = curve.rho_stack(thetas)
+    assert (states.matrices == rho.matrices).all() and (states.eigenvalues == rho.eigenvalues).all()
+    assert (states.eigenvectors == rho.eigenvectors).all()
     ell = sld_solve_stack(rho, drho)
     qfi = quantum_fisher_of_sld(rho, ell)
     sphere, transverse = qfi_split(curve, rho, thetas, stepped, h, qfi)
@@ -206,7 +204,7 @@ def _attainability_rows(d):
     if d == 2:
         gc = GreatCirclePure()
         rho.append(gc.rho_matrices(np.array([math.pi / 3]))[0])
-        drho.append(differentiate_stack(gc, np.array([math.pi / 3]))[0])
+        drho.append(differentiate_curve(gc, math.pi / 3))
         extra += [(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2]
     rho, drho = DensityStack(np.array(rho)), np.array(drho)
     drho = (drho + dagger(drho)) / 2

@@ -173,7 +173,7 @@ class TestErrorMapping:
         assert code == 3 and error_kind(err) == "domain"
 
     def test_table_resolution_exit_3(self, tmp_path):
-        # theta0 is on the table, but the finite difference leaves it at theta0 + h
+        # theta0 is on the table, but the scan's last state theta = 1.5 is not (a step theta +- h may leave it)
         rho = [[[0.75, 0], [0, 0]], [[0, 0], [0.25, 0]]]
         bad = tmp_path / "table.json"
         bad.write_text(json.dumps({
@@ -183,7 +183,7 @@ class TestErrorMapping:
             "theta0": 1.0,
             "options": {"mode": "fd"},
         }))
-        code, _, err = run_cli("eval", "--scenario", str(bad), "--quantity", "qfi")
+        code, _, err = run_cli("scan", "--scenario", str(bad), "--range", "0.5:1.5:3")
         assert code == 3 and error_kind(err) == "table-resolution"
 
     def test_dimension_unsupported_exit_3(self):
@@ -248,14 +248,13 @@ class TestScanErrors:
             "domain",
             "mixing weight k(theta=0.3) = 0.55 leaves [1e-09, 1/2]; rank-2 curves must keep their rank",
         ),
-        # theta = 1.5 leaves the table first, but row theta = 1 fails earlier at theta + h
+        # a state off the table fails; row theta = 1 steps past the end along the end segment and passes
         (TABLE, ["--range", "0.5:1.5:3"], "table-resolution",
-         "theta=1.00001 outside the tabulated range [0.0, 1.0]"),
-        (TABLE, ["--range", "0:1:5"], "table-resolution",
-         "theta=-1e-05 outside the tabulated range [0.0, 1.0]"),
-        # in either mode the split reads the table at theta +- h
+         "theta=1.5 outside the tabulated range [0.0, 1.0]"),
+        (TABLE, ["--range=-0.5:0.5:3"], "table-resolution",
+         "theta=-0.5 outside the tabulated range [0.0, 1.0]"),
         (TABLE, ["--range", "0.5:1.5:3", "--mode", "analytic"], "table-resolution",
-         "theta=1.00001 outside the tabulated range [0.0, 1.0]"),
+         "theta=1.5 outside the tabulated range [0.0, 1.0]"),
         # the qfi rate^2 / (k (1 - k)) overflows: the row fails when it is formatted, before the header
         (RATE_1E200, ["--range", "0:0:1"], "non-finite-result", "non-finite value inf cannot be serialized"),
     ])
@@ -277,9 +276,9 @@ class TestScanErrors:
         monkeypatch.setattr(scan, "CHUNK_ROWS", 4)
         path = write_scenario(tmp_path, TABLE)
         code, out, err = run_cli("scan", "--scenario", path, "--range", "0.5:1.5:11")
-        assert code == 3 and json.loads(err)["error"]["detail"].startswith("theta=1.00001 ")
+        assert code == 3 and json.loads(err)["error"]["detail"].startswith("theta=1.1 ")
         _, head, _ = run_cli("scan", "--scenario", path, "--range", "0.5:0.9:5")
-        # rows 0.5 .. 0.8 form the first chunk; the second chunk fails at theta = 1
+        # rows 0.5 .. 0.8 form the first chunk; the second chunk fails at theta = 1.1, the first state off the table
         assert out == "".join(head.splitlines(keepends=True)[:5])
 
     def test_error_detail_with_control_characters_is_json(self, tmp_path):
@@ -337,6 +336,59 @@ def test_table_knot_takes_the_right_slope_analytic_and_the_mean_slope_fd():
     assert analytic["0.5"][2] == fd["0.5"][2] == "0.161155808965"  # qfi_transverse
     for theta in ("0.4", "0.6"):  # inside a segment the two modes agree
         assert np.allclose(np.array(analytic[theta], float), np.array(fd[theta], float), rtol=0, atol=1e-9)
+
+class TestTableEnds:
+    """A table's states lie on it, but a step theta +- h past an end follows the end segment."""
+
+    TABLES = {"two-sample": TABLE, "table_d3": json.loads((FIXTURES / "table_d3.json").read_text())}
+    # the rows at 0.25, 0.5 and 0.75 of the parent code, which failed the whole 0:1:5 scan at its end rows
+    INTERIOR = {
+        ("two-sample", "analytic"): "0.25,0.441195274496,0.131180124269,0.310015150227,0.441195274496\n"
+                                    "0.5,0.414412532637,0.310588235374,0.103824297263,0.414412532637\n"
+                                    "0.75,0.411458198315,0.370526315831,0.0409318824836,0.411458198315\n",
+        ("two-sample", "fd"): "0.25,0.441195274498,0.131180124271,0.310015150227,0.441195274498\n"
+                              "0.5,0.414412532638,0.310588235375,0.103824297263,0.414412532638\n"
+                              "0.75,0.411458198319,0.370526315835,0.0409318824836,0.411458198319\n",
+        ("table_d3", "analytic"): "0.25,0.579129255983,0.570810096045,0.00831915993748,0.579129255983\n"
+                                  "0.5,0.945102413703,0.783946604738,0.161155808965,0.945102413703\n"
+                                  "0.75,0.856149492503,0.748707055985,0.107442436517,0.856149492503\n",
+        ("table_d3", "fd"): "0.25,0.579129255984,0.570810096047,0.00831915993748,0.579129255984\n"
+                            "0.5,0.460470651831,0.299314842866,0.161155808965,0.460470651831\n"
+                            "0.75,0.85614949249,0.748707055973,0.107442436517,0.85614949249\n",
+    }
+    # analytic eval at an end needs no step, so it printed these at the parent too
+    END_QFI = {("two-sample", 0.0): "0.502278481013", ("two-sample", 1.0): "0.431304347826",
+               ("table_d3", 0.0): "0.693173308323", ("table_d3", 1.0): "0.933770060957"}
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_scan_reaches_both_ends_in_both_modes(self, tmp_path, table):
+        path = write_scenario(tmp_path, self.TABLES[table])
+        rows = {}
+        for mode in ("analytic", "fd"):
+            code, out, err = run_cli("scan", "--scenario", path, "--range", "0:1:5", "--mode", mode)
+            assert code == 0, err
+            lines = out.splitlines(keepends=True)
+            assert "".join(lines[2:5]) == self.INTERIOR[table, mode]
+            rows[mode] = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        for end in (0, -1):  # the end segment's slope, exact or as a central difference along it
+            assert np.allclose(rows["fd"][end], rows["analytic"][end], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    @pytest.mark.parametrize("theta0", [0.0, 1.0])
+    @pytest.mark.parametrize("table", TABLES)
+    def test_eval_and_optimize_at_an_end(self, tmp_path, table, theta0, mode):
+        path = write_scenario(tmp_path, dict(self.TABLES[table], theta0=theta0))
+        code, out, err = run_cli("eval", "--scenario", path, "--quantity", "qfi", "--mode", mode)
+        assert code == 0, err
+        qfi = json.loads(out)["qfi"]
+        assert qfi == pytest.approx(float(self.END_QFI[table, theta0]), rel=1e-9)
+        if mode == "analytic":
+            assert out == f'{{"qfi": {self.END_QFI[table, theta0]}}}\n'
+        if table == "two-sample":  # the projective optimizer takes qubits
+            code, out, err = run_cli("optimize", "--scenario", path, "--mode", mode)
+            assert code == 0, err
+            assert json.loads(out)["cfi"] == pytest.approx(qfi, rel=1e-9)
+
 
 NINE = [[[1 / 9 if i == j else 0, 0] for j in range(9)] for i in range(9)]
 

@@ -4,6 +4,7 @@ A valid drho at a d-dimensional rho is a finite square matrix, Hermitian
 within HERMITIAN_RTOL, of dimension d and traceless (``sld.require_direction``).
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -148,6 +149,24 @@ def test_eval_qfi_builds_the_state_once(monkeypatch, capsys):
     built = _count_states(monkeypatch)
     assert cli.main(["eval", "--scenario", str(FIXTURES / "qdit_d3.json"), "--quantity", "qfi"]) == 0
     assert built == [1]
+
+
+@pytest.mark.parametrize("command", ["eval", "optimize"])
+@pytest.mark.parametrize("family, mode", [(family, mode) for family in CURVES for mode in (ANALYTIC, FD)])
+def test_command_walks_its_curve_once(monkeypatch, tmp_path, capsys, command, family, mode):
+    # rho and drho at theta0 come from one walk: one flow of a pure family, one call of any other family's
+    # matrices (at theta0 and, in fd mode or for a table, at theta0 +- h)
+    payload = {"curve": CURVES[family], "theta0": 0.5}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    flows = _count_calls(monkeypatch, "_pure_flow", owner=qfg.sld)
+    family_class = type(parse_scenario(payload).curve)
+    evaluate, walks = family_class.rho_matrices, []
+    monkeypatch.setattr(family_class, "rho_matrices", lambda curve, ts: walks.append(len(ts)) or evaluate(curve, ts))
+    argv = [command, "--scenario", str(path), "--mode", mode] + (["--quantity", "qfi"] if command == "eval" else [])
+    # the projective optimizer takes qubits only, so it fails on the d = 3 flow after its walk
+    assert cli.main(argv) == (3 if (command, family) == ("optimize", "pure_qdit_coeffs") else 0)
+    assert len(flows) + len(walks) == 1
 
 
 def test_optimize_checks_drho_once_and_solves_once(monkeypatch, capsys):

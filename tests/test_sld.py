@@ -33,8 +33,14 @@ from qfg.sld import (
     differentiate_curve,
     sld_solve,
     sld_transverse,
+    walk_curve,
 )
 from qfg.states import Chart, chart_matrices, qubit_point, rho_of_kz, unitary_of_z
+
+
+def exact_drho(curve, thetas):
+    """The family's exact derivatives at thetas, given the matrices rho(thetas) as a walk gives them."""
+    return curve.drho_stack(thetas, curve.rho_matrices(thetas))
 
 
 class TestDifferentiateCurve:
@@ -55,7 +61,7 @@ class TestDifferentiateCurve:
             north = TransverseCurve(k0, rate, z, Chart.NORTH)
             south = TransverseCurve(k0, rate, 1 / z, Chart.SOUTH)
             assert np.allclose(north.rho_stack(thetas).matrices, south.rho_stack(thetas).matrices, rtol=0, atol=1e-12)
-            assert np.allclose(north.drho_stack(thetas), south.drho_stack(thetas), rtol=0, atol=1e-12)
+            assert np.allclose(exact_drho(north, thetas), exact_drho(south, thetas), rtol=0, atol=1e-12)
 
     def test_constant_curve(self):
         curve = SphereCurve(k=0.25, z0=0.5, velocity=0)
@@ -129,13 +135,57 @@ class TestTableCurve:
         # 0.27 lies on segment 3; a knot takes the segment to its right, the last knot the last segment
         for theta, j in ((0.27, 3), (ts[3], 3), (ts[-1], len(ts) - 2)):
             slope = (rhos[j + 1] - rhos[j]) / (ts[j + 1] - ts[j])
-            assert (curve.drho_stack(np.array([theta]))[0] == slope).all()
+            assert (exact_drho(curve, np.array([theta]))[0] == slope).all()
         fd = differentiate_curve(curve, 0.27, mode=FD, h=1e-3)
         assert np.linalg.norm(differentiate_curve(curve, 0.27, mode=ANALYTIC) - fd) <= 1e-6
 
     def test_out_of_range(self):
         with pytest.raises(TableResolutionError):
             self._table().rho_at(0.9)
+
+    @pytest.mark.parametrize("mode", [ANALYTIC, FD])
+    def test_step_past_an_end_follows_the_end_segment(self, mode):
+        # the states lie on the table; theta +- h at an end is on the end segment's line, so fd gives its slope
+        curve = self._table()
+        ts, rhos = curve.thetas, curve.rhos
+        ends = np.array([ts[0], ts[-1]])
+        rho, drho, stepped = walk_curve(curve, ends, mode, 1e-3)
+        slopes = [(rhos[1] - rhos[0]) / (ts[1] - ts[0]), (rhos[-1] - rhos[-2]) / (ts[-1] - ts[-2])]
+        assert np.allclose(drho, slopes, rtol=0, atol=1e-12)
+        below, above = ts[0] - 1e-3, ts[-1] + 1e-3
+        expected = [rhos[0] - 1e-3 * slopes[0], rhos[-1] + 1e-3 * slopes[1]]
+        assert np.allclose(stepped[[2, 1]], expected, rtol=0, atol=1e-15)
+        assert np.allclose(curve.rho_matrices(np.array([below, above])), stepped[[2, 1]], rtol=0, atol=0)
+        with pytest.raises(TableResolutionError):
+            walk_curve(curve, np.array([ts[0], above]), mode, 1e-3)
+
+    def test_samples_are_held_as_read_only_arrays(self):
+        curve = self._table()
+        assert curve.thetas.shape == (7,) and curve.rhos.shape == (7, 2, 2)
+        for field in (curve.thetas, curve.rhos):
+            with pytest.raises(ValueError):
+                field[0] = 0.0
+
+    def test_argument_check_does_not_grow_with_the_samples(self, monkeypatch):
+        # the walk's finiteness check reads each field of a table in one isfinite, at any sample count
+        import qfg.errors
+
+        original, checked = qfg.errors._finite, []
+
+        def counted(x):
+            checked.append(type(x))
+            return original(x)
+
+        monkeypatch.setattr(qfg.errors, "_finite", counted)
+        counts = []
+        for m in (2, 200):
+            knots = np.linspace(0.0, 1.0, m)
+            curve = TableCurve(thetas=tuple(knots), rhos=tuple(np.diag([0.3 + 0.1 * t, 0.7 - 0.1 * t]) for t in knots))
+            checked.clear()
+            walk_curve(curve, np.linspace(0.1, 0.9, 50), FD, 1e-5)
+            counts.append(checked.count(np.ndarray))
+        # the arguments: the table's thetas and rhos and the walk's thetas; the results: drho and stepped
+        assert counts[0] == counts[1] == 5
 
     def test_samples_checked_at_construction(self):
         # an interpolated state close to theta = 1 is valid, so only a check of the samples rejects it there
@@ -255,7 +305,7 @@ class TestTangentDir:
             assert np.linalg.norm(commutator - assemble_drho(k, z, 0.0, v)) <= 1e-10
 
     def test_transverse_allowed_at_infinity(self):
-        assert np.array_equal(TransverseCurve(k0=0.25).drho_stack(np.array([0.0])), np.diag([1, -1])[None])
+        assert np.array_equal(exact_drho(TransverseCurve(k0=0.25), np.array([0.0])), np.diag([1, -1])[None])
 
     @pytest.mark.parametrize("chart", list(Chart))
     def test_transverse_drho_is_one_matrix_at_every_theta(self, chart):
@@ -263,9 +313,9 @@ class TestTangentDir:
         curve = TransverseCurve(k0=0.1, rate=0.3, coord=0.4 - 1.7j, chart=chart)
         thetas = np.linspace(0.0, 1.0, 2000)
         row = curve.rate * chart_matrices(1.0, -1.0, np.array([curve.coord]), chart)[0]
-        assert (curve.drho_stack(thetas) == row).all()
-        with pytest.raises(DomainError, match="leaves"):  # the rank guard: k(2) = 0.7
-            curve.drho_stack(np.array([0.5, 2.0]))
+        assert (exact_drho(curve, thetas) == row).all()
+        with pytest.raises(DomainError, match="leaves"):  # the walk's rank guard: k(2) = 0.7
+            walk_curve(curve, np.array([0.5, 2.0]), ANALYTIC, 1e-5)
 
     def test_transverse_half_is_the_chart_matrix(self):
         # d rho / dk is the (1, -1) chart matrix, bit for bit, in every qubit drho
@@ -415,7 +465,7 @@ def test_great_circle_is_the_pure_flow_of_its_phase():
 def test_phase_only_flow_has_exactly_zero_drho():
     curve = PureQditCoeffs(a=(0.4j, 0))
     thetas = np.linspace(-3.0, 3.0, 13)
-    assert not curve.drho_stack(thetas).any()
+    assert not exact_drho(curve, thetas).any()
     assert quantum_fisher(curve.rho_at(0.7), differentiate_curve(curve, 0.7)) == 0.0
 
 
