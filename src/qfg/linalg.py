@@ -11,9 +11,10 @@ Every eigendecomposition goes through ``eigh``, which decomposes a whole
 stack in one call: a 2 x 2 stack in closed form as array operations, by the
 formulas of LAPACK's ``dlaev2`` (LAPACK Users' Guide, 3rd ed., 1999; Golub &
 Van Loan, Matrix Computations, section 8.5), and d >= 3 by
-``np.linalg.eigh``. The one state built without it is a pure one: its
-eigenpairs are known by construction, and ``DensityStack.from_eigenpairs``
-takes them from ``states``' Householder lift of psi. Every matrix product
+``np.linalg.eigh``. The states built without it are those whose eigenpairs
+are known by construction, which ``DensityStack.from_eigenpairs`` takes from
+``states``: a pure one's, from the Householder lift of psi, and a mixed
+qubit chart point's, (k, 1 - k) and the columns of U(z). Every matrix product
 goes through ``matmul``, which multiplies broadcasting stacks in one call:
 2 x 2 factors by the entry formulas c_ij = a_i0 b_0j + a_i1 b_1j as array
 operations, not one BLAS call per matrix, and d >= 3 by ``np.matmul``. A
@@ -84,9 +85,25 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def rank_one_projectors(vecs: np.ndarray) -> np.ndarray:
-    """The exactly Hermitian projectors |v><v| of the rows v of an (n, d) array of unit vectors."""
-    p = vecs[:, :, None] * vecs.conj()[:, None, :]
-    return (p + dagger(p)) / 2
+    """The exactly Hermitian projectors |v><v| of the rows v of an (n, d) array of unit vectors.
+
+    Entry ij is (p_ij + p_ji^*) / 2 for p_ij = v_i v_j^*. A qubit stack forms
+    its four entries as products along the stack axis, each an array
+    operation over the n rows; the broadcast outer product of d >= 3 runs a
+    loop of d entries per row, which on a 2 x 2 stack of thousands costs
+    about twice as much. Each entry is the same complex product and sum
+    either way, so the bits are the same.
+    """
+    if vecs.shape[1] != 2:
+        p = vecs[:, :, None] * vecs.conj()[:, None, :]
+        return (p + dagger(p)) / 2
+    cols = (vecs[:, 0], vecs[:, 1])
+    p = [[x * y.conj() for y in cols] for x in cols]
+    m = np.empty((len(vecs), 2, 2), dtype=complex)
+    for i in (0, 1):
+        for j in (0, 1):
+            m[:, i, j] = (p[i][j] + p[j][i].conj()) / 2
+    return m
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,7 +345,8 @@ class DensityStack:
     semidefinite, each check once per row as an array operation. The
     eigendecomposition of the whole stack is one batched ``eigh``, unless the
     eigenpairs are known by construction (``from_eigenpairs``: the Householder
-    lift of a pure state, ``states.pure_projector_stack``), and the PSD check
+    lift of a pure state, ``states.pure_projector_stack``, and the chart point
+    of a mixed qubit, ``states.chart_states``), and the PSD check
     reads whichever eigenvalues the stack holds. A failing row raises the error
     the matrix alone would raise; among several failing rows, the check listed
     first reports first. Instances are immutable.

@@ -9,8 +9,9 @@ SLD degenerate (``optimize.degenerate_by_rank``: rho's kernel is over half the
 dimension, where L is 0, so L's eigenvalue 0 repeats; every pure chunk at
 d >= 4) writes its 0 with no SLD eigensolve. A pure chunk's states take
 their eigenpairs from the Householder lift of psi
-(``states.pure_projector_stack``), with no eigensolve; every other chunk's
-come from one batched ``eigh``.
+(``states.pure_projector_stack``), and a sphere or transverse chunk's from
+its chart points (``states.chart_states``), with no eigensolve; a table
+chunk's come from one batched ``eigh``.
 
 A chunk walks its curve once (``sld.walk_curve``, the one place that forms
 drho): the family's formula is evaluated at theta and, where a stage reads

@@ -100,12 +100,19 @@ def format_float(x: float) -> str:
 
 
 def format_rows(rows) -> str:
-    """CSV lines of a 2-d float array, each value written as ``format_float`` writes it."""
+    """CSV lines of a 2-d float array, each value written as ``format_float`` writes it.
+
+    A column whose every value is +-0, which ``format_float`` writes as
+    ``0``, is written as that text, with no value formatted.
+    """
     rows = np.asarray(rows, dtype=float)
     bad = ~np.isfinite(rows)
     if bad.any():
         format_float(rows[bad][0])  # raises
-    line = ",".join([_FLOAT_FORMAT] * rows.shape[1]) + "\n"
+    keep = rows.any(axis=0).tolist()
+    line = ",".join([_FLOAT_FORMAT if k else "0" for k in keep]) + "\n"
+    if not all(keep):
+        rows = rows[:, keep]
     return (line * len(rows)) % tuple((rows + 0.0).ravel().tolist())
 
 

@@ -17,7 +17,9 @@ A curve gives matrices: ``rho_matrices`` runs the family's own guards and
 returns rho(theta) unchecked; a walk checks them where a state is used.
 A pure flow's walk builds its states from the amplitudes
 (``states.pure_projector_stack``), so their eigenpairs are the Householder
-lift of psi, not an eigensolve.
+lift of psi, not an eigensolve; a sphere or transverse curve's from its chart
+points (``states.chart_states``): the eigenvalues (k, 1 - k) and the columns of
+U. Only a table's states are solved by ``eigh``.
 Every drho comes from one place, ``walk_curve``: one evaluation of the
 family's formula at theta and, where a stage reads them, at theta + h and
 theta - h gives the checked states, drho and the matrices of a table's QFI
@@ -63,6 +65,7 @@ from .states import (
     PureState,
     QubitPoint,
     chart_matrices,
+    chart_states,
     pure_projector_stack,
     require_finite_coords,
     require_mixing_weight,
@@ -111,7 +114,8 @@ class _StackedCurve:
     ``rho`` holds the matrices rho(thetas) that the walk already made; only a
     pure flow reads them. ``walk`` evaluates the family's formula once at the
     thetas of the states and at further thetas: it checks the states'
-    matrices as one DensityStack (a pure flow's with the eigenpairs of its
+    matrices as one DensityStack (``_states``: a chart curve's with the
+    eigenpairs of its chart points, a pure flow's with those of its
     amplitudes) and returns the other matrices unchecked; ``rho_stack`` is its
     walk with no further theta. The one-theta methods (``rho_at``,
     ``point_at``, ``state_at``) are their one-row case.
@@ -125,7 +129,11 @@ class _StackedCurve:
     def walk(self, thetas: np.ndarray, steps: np.ndarray) -> tuple[DensityStack, np.ndarray]:
         """The checked states rho(thetas) and the unchecked matrices rho(steps), from one evaluation at both."""
         m = self.rho_matrices(np.concatenate([thetas, steps]))
-        return DensityStack(m[: len(thetas)]), m[len(thetas) :]
+        return self._states(thetas, m[: len(thetas)]), m[len(thetas) :]
+
+    def _states(self, thetas: np.ndarray, m: np.ndarray) -> DensityStack:
+        """The checked states of the matrices m = rho(thetas)."""
+        return DensityStack(m)
 
     def rho_stack(self, thetas: np.ndarray) -> DensityStack:
         return self.walk(thetas, _NO_THETAS)[0]
@@ -154,6 +162,10 @@ class SphereCurve(_StackedCurve):
 
     def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
         return chart_matrices(self.k, 1.0 - self.k, self._coords(thetas), Chart.NORTH)
+
+    def _states(self, thetas: np.ndarray, m: np.ndarray) -> DensityStack:
+        # the coordinates that rho_matrices checked
+        return chart_states(m, self.k, self.z0 + self.velocity * thetas, Chart.NORTH)
 
     def drho_stack(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
         return _sphere_drho_stack(self.k, self._coords(thetas), self.velocity)
@@ -187,6 +199,10 @@ class TransverseCurve(_StackedCurve):
     def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
         k = self._weights(thetas)
         return chart_matrices(k, 1.0 - k, np.full(len(thetas), self.coord, dtype=complex), self.chart)
+
+    def _states(self, thetas: np.ndarray, m: np.ndarray) -> DensityStack:
+        # the weights that rho_matrices checked
+        return chart_states(m, self.k_at(thetas), np.full(len(thetas), self.coord, dtype=complex), self.chart)
 
     def drho_stack(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
         unit = chart_matrices(1.0, -1.0, np.array([self.coord], dtype=complex), self.chart)  # the same at every theta

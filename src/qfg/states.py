@@ -8,6 +8,12 @@ some chart. The gauge of the unitary lift U(z) is fixed by taking both column
 phases to zero, with chi := 0 at z = 0. ``chart_matrices`` is the one place
 that forms U diag(k1, k2) U^dag in either chart: rho with weights (k, 1-k),
 the transverse tangent d rho / dk with (1, -1).
+
+Two builders give states whose eigenpairs are known by construction, with no
+eigensolve: ``pure_projector_stack`` (a pure state, from the Householder lift
+of psi) and ``chart_states`` (a mixed qubit's chart point: the eigenvalues
+(k, 1 - k) and the columns of U). Every other state is solved by
+``linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -192,6 +198,46 @@ def _householder_lift(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def chart_states(matrices: np.ndarray, k, coord: np.ndarray, chart: Chart) -> DensityStack:
+    """The states ``chart_matrices(k, 1 - k, coord, chart)`` of n points of one chart, given as ``matrices``.
+
+    Each row is checked as ``DensityStack`` checks it, but its eigenpairs are
+    not solved for: they are the chart point's own (``_chart_eigenpairs``).
+    ``k`` is an array of n weights or one weight for all points.
+    """
+    return DensityStack.from_eigenpairs(matrices, *_chart_eigenpairs(k, coord, chart))
+
+
+def _chart_eigenpairs(k, coord: np.ndarray, chart: Chart) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of U diag(k, 1 - k) U^dag at n points of one chart: w = (k, 1 - k) and V, U's columns.
+
+    U(c) = [[|c|, e], [-e^*, |c|]] / sqrt(1 + |c|^2), e = c / |c| (1 at c = 0),
+    is ``unitary_of_z`` at c = z in the north chart. The south chart at w is
+    the north formula at (1 - k, k, c = -w^*), so there V is U(c) with its
+    columns swapped. w is ascending because k <= 1/2. The phase e is read from
+    c scaled by the power of two of |c|, so a subnormal c keeps a unit phase.
+    sqrt(1 + |c|^2) is formed as written: |c|^2 is finite, as
+    ``chart_matrices`` formed it for the same points. The work runs on a
+    contiguous copy of c, and each entry of V is the same arithmetic in every
+    row, so a row's bits are its own, whatever the stack size or layout.
+    """
+    c = np.ascontiguousarray(-coord.conj() if chart is Chart.SOUTH else coord, dtype=complex)
+    n = len(c)
+    mag = np.abs(c)
+    u = np.ldexp(c.view(float).reshape(n, 2), -np.frexp(mag)[1][:, None])  # re, im of c at |c| ~ 1
+    unit = np.abs(u.view(complex)[:, 0])
+    origin = unit == 0  # e := 1
+    s = np.sqrt(1.0 + mag * mag)
+    a, er, ei = mag / s, (u[:, 0] + origin) / (unit + origin) / s, u[:, 1] / (unit + origin) / s
+    p = 0 if chart is Chart.NORTH else 1  # U's first column holds k in the north chart, 1 - k in the south
+    v = np.zeros((n, 2, 2), dtype=complex)
+    v.real[:, 0, p], v.real[:, 1, p], v.imag[:, 1, p] = a, -er, ei
+    v.real[:, 0, 1 - p], v.imag[:, 0, 1 - p], v.real[:, 1, 1 - p] = er, ei, a
+    w = np.empty((n, 2))
+    w[:, 0], w[:, 1] = k, 1.0 - k
+    return w, v
+
+
 @finite_closed_form
 def unitary_of_z(z: complex) -> np.ndarray:
     """Gauge-fixed unitary lift U(z) of a sphere point, with chi := 0 at z = 0.
@@ -220,8 +266,9 @@ def rho_of_kz_stack(k, coord: np.ndarray, chart: Chart) -> DensityStack:
     ``k`` is an array of n weights or one weight for all points; the points
     must be valid, as QubitPoint checks them. A coordinate whose |coord|^2
     overflows the float range raises NonFiniteResult, once for the stack.
+    The eigenpairs are the points' own (``chart_states``), not an eigensolve.
     """
-    return DensityStack(chart_matrices(k, 1.0 - k, coord, chart))
+    return chart_states(chart_matrices(k, 1.0 - k, coord, chart), k, coord, chart)
 
 
 @finite_closed_form

@@ -632,6 +632,50 @@ def test_reduce_rows_of_empty_stacks_and_rows():
     assert hermitian_part(np.empty((0, 2, 2))).shape == (0, 2, 2)
 
 
+def _broadcast_projectors(vecs):
+    """The projectors of the general form: the broadcast outer product v v^dag, then (p + p^dag) / 2."""
+    p = vecs[:, :, None] * vecs.conj()[:, None, :]
+    return (p + dagger(p)) / 2
+
+
+@pytest.mark.parametrize("n", [1, 3, 2048])
+class TestRankOneProjectors:
+    """A qubit stack's projectors are formed by entry products along the stack axis, with the broadcast form's bits."""
+
+    @staticmethod
+    def _vectors(n, seed):
+        """n Gaussian rows at d = 2, normalized, with zero, signed-zero, subnormal and huge components among them."""
+        rng = np.random.default_rng(seed)
+        vecs = _stack(rng, (n, 2))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        for rows, col, value in [(slice(1, None, 7), 0, 0.0), (slice(2, None, 7), 1, complex(-0.0, -0.0)),
+                                 (slice(3, None, 7), 1, 3e-310 - 2e-320j), (slice(4, None, 7), 0, 1e-320j),
+                                 (slice(5, None, 7), 0, 1e200 + 3e199j), (slice(6, None, 7), 1, -1.7e154)]:
+            vecs[rows, col] = value
+        if n > 1:
+            vecs[-1] = [complex(0.0, -0.0), 0.0]
+        return vecs
+
+    def test_bits_are_the_broadcast_forms(self, n):
+        vecs = self._vectors(n, 3000 + n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _broadcast_projectors(vecs)
+            for layout in (vecs, np.asfortranarray(vecs), np.ascontiguousarray(vecs.T).T):
+                got = rank_one_projectors(layout)
+                assert got.shape == (n, 2, 2) and got.flags.c_contiguous
+                assert (_bits(got) == _bits(want)).all()
+
+    def test_rows_are_exactly_hermitian_and_their_own(self, n):
+        vecs = self._vectors(n, 3100 + n)
+        vecs = vecs[(np.abs(vecs) <= 1.0).all(axis=1)]  # no huge component: rows of norm at most 1
+        p = rank_one_projectors(vecs)
+        assert (p == dagger(p)).all() and (p.imag[:, [0, 1], [0, 1]] == 0).all()
+        tr = traces(p).real  # |v|^2, so p p = tr p
+        assert (frobenius_norms(matmul(p, p) - tr[:, None, None] * p) <= 4 * EPS * tr).all()
+        for i in range(0, len(vecs), 97):
+            assert (_bits(rank_one_projectors(vecs[i : i + 1])[0]) == _bits(p[i])).all()
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 def test_traces_are_ndarray_trace(d):
     rng = np.random.default_rng(d)

@@ -9,10 +9,14 @@ through an alias of ``numpy.linalg``) or as a name imported from
 ``qr``, stay allowed.
 
 The one way around the eigensolver is ``DensityStack.from_eigenpairs``,
-which trusts the eigenpairs it is given; only ``states.py`` may call it,
-for the Householder lift of a pure state. So eigenpairs enter a state only
-through ``eigh`` or that lift, and every other module is checked for a
-reference to ``from_eigenpairs``, as an attribute or an imported name.
+which trusts the eigenpairs it is given. Only two builders of ``states.py``
+may call it, each for states whose eigenpairs are known by construction:
+``pure_projector_stack``, the Householder lift of a pure state, and
+``chart_states``, the chart point (k, coord) of a mixed qubit, whose
+eigenvalues are (k, 1 - k) and whose eigenvectors are the columns of U(coord).
+So eigenpairs enter a state only through ``eigh`` or those two builders:
+every other module is checked for a reference to ``from_eigenpairs``, as an
+attribute or an imported name, and ``states.py`` for one outside them.
 """
 
 import ast
@@ -119,3 +123,42 @@ def test_states_holds_the_lift():
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "states.py"), ids=lambda p: p.name)
 def test_module_takes_eigenpairs_only_from_the_eigensolver(path):
     assert lift_references(path.read_text(encoding="utf-8")) == []
+
+
+#: The functions of ``states.py`` that may take eigenpairs without an eigensolve.
+BUILDERS = {"pure_projector_stack", "chart_states"}
+
+
+def lift_callers(source: str) -> list[str]:
+    """The top-level functions and classes of a module that reference ``from_eigenpairs``; "<module>" for other code."""
+    callers = []
+    for node in ast.parse(source).body:
+        if lift_references(ast.unparse(node)):
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            callers.append(node.name if defines else "<module>")
+    return callers
+
+
+def test_checker_flags_a_third_builder():
+    source = (
+        "from .linalg import DensityStack, eigh\n"
+        "def pure_projector_stack(amps):\n"
+        "    return DensityStack.from_eigenpairs(m, w, v)\n"
+        "def chart_states(m, k, coord, chart):\n"
+        "    return DensityStack.from_eigenpairs(m, *pairs)\n"
+        "def rho_of_kz_stack(k, coord, chart):\n"
+        "    return chart_states(m, k, coord, chart)\n"
+        "def mixed_state(m):\n"
+        "    return DensityStack.from_eigenpairs(m, *eigh(m))\n"
+        "class Curve:\n"
+        "    def walk(self, m):\n"
+        "        make = DensityStack.from_eigenpairs\n"
+        "stack = DensityStack.from_eigenpairs(m, w, v)\n"
+    )
+    callers = lift_callers(source)
+    assert callers == ["pure_projector_stack", "chart_states", "mixed_state", "Curve", "<module>"]
+    assert set(callers) != BUILDERS
+
+
+def test_states_takes_eigenpairs_only_in_its_two_builders():
+    assert set(lift_callers((SRC / "states.py").read_text(encoding="utf-8"))) == BUILDERS

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfg.errors import ParseError
+from qfg.errors import NonFiniteResult, ParseError
 from qfg.serialize import complex_from_json, dumps_canonical, format_float, format_rows, matrix_from_json
 
 
@@ -36,6 +36,32 @@ def test_negative_zero_and_non_finite():
     assert format_rows(np.array([[-0.0, 1.5]])) == "0,1.5\n"
     with pytest.raises(ValueError, match="non-finite"):
         format_rows(np.array([[1.0, np.nan]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2e-300, 1e300]), min_size=4, max_size=4),
+                min_size=0, max_size=12),
+       st.sets(st.integers(0, 3)))
+def test_zero_columns_are_written_as_format_float_writes_them(rows, zero_columns):
+    # a column of +-0 alone is written as the text 0; mixed columns and the other values are formatted
+    array = np.array(rows, dtype=float).reshape(len(rows), 4)
+    array[:, sorted(zero_columns)] *= 0.0
+    expected = "".join(",".join(format_float(x) for x in row) + "\n" for row in array)
+    assert format_rows(array) == expected
+
+
+def test_all_zero_rows_and_no_rows():
+    assert format_rows(np.array([[0.0, -0.0], [-0.0, -0.0]])) == "0,0\n0,0\n"
+    assert format_rows(np.zeros((0, 3))) == ""
+    assert format_rows(np.array([[-0.0, 0.25, 0.0], [0.0, -0.0, -0.0]])) == "0,0.25,0\n0,0,0\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_raises_beside_zero_columns(bad):
+    rows = np.zeros((3, 4))
+    rows[1, 2], rows[:, 3] = bad, 1.0
+    with pytest.raises(NonFiniteResult, match=f"non-finite value {float(bad)!r} cannot be serialized"):
+        format_rows(rows)
 
 
 def _entry_by_entry(data):

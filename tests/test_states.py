@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import qfg.linalg
 from qfg.errors import ChartSingularity, DomainError, NonFiniteResult, NotNormalized
 from qfg.linalg import dagger, eigh, frobenius_norms, matmul
-from qfg.sld import PureQditCoeffs
+from qfg.sld import FD, RANK_GUARD, PureQditCoeffs, SphereCurve, TransverseCurve, walk_curve
 from qfg.states import (
     Chart,
     PureState,
@@ -21,6 +22,7 @@ from qfg.states import (
     qubit_point,
     require_normalized,
     rho_of_kz,
+    rho_of_kz_stack,
     s3_embed,
     s3_tangent,
     spherical_tangent,
@@ -113,6 +115,92 @@ def test_lift_of_the_flow_at_a_subnormal_theta():
     assert np.isfinite(rho.eigenvectors).all() and (rho.eigenvalues == [0.0, 1.0]).all()
     assert (rho.eigenvectors == pure_projector(curve.state_at(theta)).eigenvectors).all()
     assert np.linalg.norm(rho.matrix @ rho.eigenvectors - rho.eigenvectors * rho.eigenvalues) <= 4 * EPS
+
+
+def _chart_points(rng, n):
+    """n weights and coordinates: random ones with |coord| from 1e-300 to 1e150, and the edge cases among them."""
+    k = rng.uniform(RANK_GUARD, 0.5, size=n)
+    coord = 10.0 ** rng.uniform(-300, 150, size=n) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=n))
+    edges = [(0.5, 0j), (RANK_GUARD, 0j), (RANK_GUARD, 1e150), (0.25, complex(-0.0, -0.0)),
+             (0.5, 1.7 - 0.3j), (RANK_GUARD * (1 + 2 * EPS), -1e150j), (0.3, 1e-320), (0.3, 3e-320 - 1e-321j),
+             (0.2, -5e-324j), (0.4, 1.0), (0.1, 1e-300 + 1e-300j), (0.45, 2.5e-308 + 0j)]
+    for i, (ki, ci) in enumerate(edges[:n]):
+        k[i * n // len(edges)], coord[i * n // len(edges)] = ki, ci
+    return k, coord
+
+
+@pytest.mark.parametrize("n", [1, 3, 2048])
+@pytest.mark.parametrize("chart", list(Chart), ids=lambda c: c.value)
+class TestChartEigenpairs:
+    """``rho_of_kz_stack`` takes rho's eigenpairs from the chart point: (k, 1 - k) and the columns of U(coord)."""
+
+    def test_eigenpairs_decompose_the_state(self, chart, n):
+        k, coord = _chart_points(np.random.default_rng(300 + n), n)
+        stack = rho_of_kz_stack(k, coord, chart)
+        rho, w, v = stack.matrices, stack.eigenvalues, stack.eigenvectors
+        assert (w[:, 0] == k).all() and (w[:, 1] == 1.0 - k).all()
+        assert np.isfinite(v).all() and v.flags.c_contiguous
+        assert frobenius_norms(matmul(rho, v) - v * w[:, None, :]).max() <= 8 * EPS
+        assert frobenius_norms(matmul(dagger(v), v) - np.eye(2)).max() <= 8 * EPS
+        assert np.abs(w - eigh(rho)[0]).max() <= 8 * EPS
+
+    def test_columns_are_the_unitary_lift(self, chart, n):
+        # V is U(z), with its columns swapped in the south chart, where U(w) is taken at -w*
+        k, coord = _chart_points(np.random.default_rng(400 + n), n)
+        v = rho_of_kz_stack(k, coord, chart).eigenvectors
+        for i in range(0, n, 97):
+            u = unitary_of_z(coord[i] if chart is Chart.NORTH else -coord[i].conjugate())
+            want = u if chart is Chart.NORTH else u[:, ::-1]
+            assert np.abs(v[i] - want).max() <= 2 * EPS, coord[i]
+
+    def test_row_bits_are_their_own(self, chart, n):
+        k, coord = _chart_points(np.random.default_rng(500 + n), n)
+        stack = rho_of_kz_stack(k, coord, chart)
+        strided = rho_of_kz_stack(k, np.repeat(coord, 2)[::2], chart)
+        for i in range(0, n, 97):
+            row = rho_of_kz(QubitPoint(k[i], coord[i], chart))
+            for a, b in ((row.eigenvectors, stack.eigenvectors[i]), (row.eigenvalues, stack.eigenvalues[i])):
+                assert (a.view(np.uint64) == b.view(np.uint64)).all()
+        assert (strided.eigenvectors.view(np.uint64) == stack.eigenvectors.view(np.uint64)).all()
+
+
+def test_chart_eigenpairs_at_the_poles_and_the_origin():
+    # rho is diagonal at z = 0 and at the south-chart origin w = 0: V is a signed permutation
+    north, south = rho_of_kz(QubitPoint(0.25, 0j)), rho_of_kz(QubitPoint(0.25, 0j, Chart.SOUTH))
+    assert (north.matrix == np.diag([0.75, 0.25])).all() and (north.eigenvectors == [[0, 1], [-1, 0]]).all()
+    assert (south.matrix == np.diag([0.25, 0.75])).all() and (south.eigenvectors == [[1, 0], [0, -1]]).all()
+    assert (north.eigenvalues == [0.25, 0.75]).all() and (south.eigenvalues == [0.25, 0.75]).all()
+
+
+@pytest.mark.parametrize("w", [1e-320, 3e-320 - 1e-321j, -5e-324j])
+def test_chart_eigenpairs_of_a_subnormal_south_point(w):
+    # the phase of a subnormal coordinate is read at |w| ~ 1, so it has unit modulus to roundoff
+    rho = rho_of_kz(QubitPoint(0.2, w, Chart.SOUTH))
+    v = rho.eigenvectors
+    w = complex(w)
+    c = complex(math.ldexp(-w.real, 1070), math.ldexp(w.imag, 1070))  # exactly 2^1070 (-w*), |c| ~ 1
+    phase = c / abs(c)
+    assert np.abs(v - [[phase, 0], [0, -phase.conjugate()]]).max() <= 2 * EPS
+    assert np.linalg.norm(rho.matrix @ v - v * rho.eigenvalues) <= 4 * EPS
+
+
+@pytest.mark.parametrize("curve", [
+    SphereCurve(0.25, 0.3 + 0.2j, 1.0 - 0.5j),
+    SphereCurve(RANK_GUARD, -1e100j, 1e99),
+    TransverseCurve(0.1, 0.3, 0.5 + 0.5j, Chart.NORTH),
+    TransverseCurve(0.25, 0.2, 1e-320, Chart.SOUTH),
+    TransverseCurve(0.45, -0.2),
+], ids=["sphere", "sphere-far", "transverse-north", "transverse-subnormal-south", "transverse-pole"])
+def test_chart_curves_walk_without_an_eigensolve(monkeypatch, curve):
+    # the walked states are rho_of_kz's at the curve's points, bit for bit
+    thetas = np.linspace(-0.2, 0.8, 64)
+    monkeypatch.setattr(qfg.linalg, "eigh", lambda m: pytest.fail("eigensolve of a chart state"))
+    rho = walk_curve(curve, thetas, FD, 1e-5)[0]
+    for i in range(0, len(thetas), 9):
+        row = rho_of_kz(curve.point_at(thetas[i]))
+        for a, b in ((row.matrix, rho.matrices[i]), (row.eigenvectors, rho.eigenvectors[i]),
+                     (row.eigenvalues, rho.eigenvalues[i])):
+            assert (a.view(np.uint64) == b.view(np.uint64)).all()
 
 
 class TestUnitaryOfZ:
