@@ -9,7 +9,12 @@ fit of complex c with an explicit residual and a reality check on c.
 
 For a qubit the projective pair of largest classical Fisher information is
 the eigenbasis of the SLD (Braunstein & Caves, PRL 72, 3439, 1994), so
-``maximize_cfi`` takes its axis in closed form from the SLD's Bloch vector.
+``maximize_cfi_stack`` takes each row's axis in closed form from the SLD's
+Bloch vector, with no eigensolve. It is the one qubit bound-attaining
+measurement: ``maximize_cfi`` is its one checked row, ``sld_eigenbasis_povm``
+returns its pair at d = 2, and ``sld_eigenbasis_cfi`` gives a no-POVM qubit
+scan chunk its CFI. At d >= 3 the SLD eigenbasis comes from ``eigh``
+(``sld_eigenbasis``).
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .errors import (
 )
 from .fisher import EPS_P, Povm, classical_fisher_stack, quantum_fisher_of_sld
 from .linalg import (
-    IDENTITY2,
     PAULIS,
     DensityOp,
     DensityStack,
@@ -232,15 +236,40 @@ def eigenprojector(v: np.ndarray, i: int) -> np.ndarray:
 
 
 def sld_eigenbasis_povm(rho: DensityOp, drho) -> Povm:
-    """Rank-one eigenprojectors of the SLD; the bound-attaining measurement."""
-    w, v, degenerate = sld_eigenbasis(sld_solve(rho, drho)[None])
+    """Rank-one eigenprojectors of the SLD; the bound-attaining measurement.
+
+    A qubit's are the pair P(+-n) on the SLD's Bloch axis, as
+    ``maximize_cfi_stack`` builds it, with no eigensolve; d >= 3 takes the
+    eigenvectors of ``sld_eigenbasis``. A degenerate SLD raises DegenerateSld.
+    """
+    drho = require_direction(drho, rho.dim)
+    ell = sld_solve_stack(rho.stack, drho[None])
+    if rho.dim == 2:
+        _, outcomes, _, degenerate = maximize_cfi_stack(rho.stack, drho[None], ell)
+    else:
+        _, v, degenerate = sld_eigenbasis(ell)
+        outcomes = np.array([eigenprojector(v, i) for i in range(rho.dim)])
     if degenerate[0]:
-        raise DegenerateSld(f"SLD spectrum {w[0]} has a relative gap at or below {SLD_GAP:g}")
-    return Povm.of_projectors(np.array([eigenprojector(v, i)[0] for i in range(rho.dim)]))
+        raise DegenerateSld(f"the SLD spectrum has a relative gap at or below {SLD_GAP:g}")
+    return Povm.of_projectors(outcomes[:, 0])
 
 
-def _bloch(m: np.ndarray) -> np.ndarray:
-    return frobenius_inner(np.array(PAULIS), m).real
+def sld_eigenbasis_cfi(rho: DensityStack, drho: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """The classical Fisher information of each row's SLD eigenbasis measurement, +0 where it is not unique.
+
+    ``ell`` is rho's exactly Hermitian SLD stack. A qubit stack measures the
+    pairs of ``maximize_cfi_stack``; a stack whose every row's rank makes its
+    SLD degenerate (``degenerate_by_rank``) is 0 with no eigensolve; any other
+    stack measures the eigenprojectors of ``sld_eigenbasis``.
+    """
+    if rho.dim == 2:
+        _, _, cfi, degenerate = maximize_cfi_stack(rho, drho, ell)
+    elif degenerate_by_rank(rho.eigenvalues).all():  # every pure stack at d >= 4
+        return np.zeros(len(rho))
+    else:
+        _, v, degenerate = sld_eigenbasis(ell)
+        cfi = classical_fisher_stack(rho, drho, (eigenprojector(v, i) for i in range(rho.dim)))
+    return np.where(degenerate, 0.0, cfi)
 
 
 def bloch_vector(matrix) -> np.ndarray:
@@ -248,16 +277,25 @@ def bloch_vector(matrix) -> np.ndarray:
     matrix = require_hermitian(matrix)
     if matrix.shape != (2, 2):
         raise DimensionUnsupported(f"Bloch vectors are defined for 2x2 matrices, not {matrix.shape}")
-    return _bloch(matrix)
+    return frobenius_inner(np.array(PAULIS), matrix).real
 
 
 def pair_outcomes(axes) -> np.ndarray:
     """Projectors P(n), P(-n) of each unit Bloch axis n of an (..., 3) array, as (2, ..., 2, 2).
 
-    An (n, 3) array of axes gives the per-row outcomes of ``classical_fisher_stack``.
+    P(+-n) = (I +- n.sigma) / 2 is formed entry by entry as array operations,
+    each entry one rounding at most, so a row's bits are its own whatever the
+    stack size. An (n, 3) array of axes gives the per-row outcomes of
+    ``classical_fisher_stack``.
     """
-    ns = np.tensordot(np.asarray(axes, dtype=float), np.array(PAULIS), axes=1)
-    return np.array([(IDENTITY2 + ns) / 2, (IDENTITY2 - ns) / 2])
+    n = np.asarray(axes, dtype=float)
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    pair = np.zeros((2, *n.shape[:-1], 2, 2), dtype=complex)
+    for p, sign in zip(pair, (1.0, -1.0)):
+        p.real[..., 0, 0], p.real[..., 1, 1] = (1 + sign * nz) / 2, (1 - sign * nz) / 2
+        p.real[..., 0, 1] = p.real[..., 1, 0] = sign * nx / 2
+        p.imag[..., 0, 1], p.imag[..., 1, 0] = -sign * ny / 2, sign * ny / 2
+    return pair
 
 
 def projector_pair(axis) -> Povm:
@@ -285,29 +323,51 @@ class OptimizeResult:
     degenerate: bool
 
 
-def maximize_cfi(rho: DensityOp, drho) -> OptimizeResult:
-    """The projective qubit pair of largest classical Fisher information.
+def maximize_cfi_stack(rho: DensityStack, drho: np.ndarray, ell: np.ndarray):
+    """The projective pair of largest classical Fisher information at each row of qubit stacks.
 
+    Returns (axes (n, 3), outcomes (2, n, 2, 2), cfi (n,), degenerate (n,)).
     For rho = (I + s.sigma)/2 and drho = w.sigma/2 the pair along a unit axis n
     has CFI (n.w)^2 / (1 - (n.s)^2), largest at the Bloch axis of the SLD,
-    l = w + s (s.w) / (1 - |s|^2), where it equals the QFI. The SLD
-    a I + l.sigma has the spectrum a -+ |l|, judged by the rule of
-    ``sld_eigenbasis`` without an eigendecomposition. A degenerate SLD (a
-    vanishing drho, the degenerate mixing point included) sets the flag and
-    measures along z, where a vanishing drho gives value 0; a drho leaving
-    the support of rho raises SupportMismatch, as in ``quantum_fisher``.
-    ``qfi`` is ``quantum_fisher(rho, drho)``, taken from the same SLD, so
-    drho is checked once and the SLD solved once.
+    l = w + s (s.w) / (1 - |s|^2), where it equals the QFI. ``ell`` is rho's
+    exactly Hermitian SLD stack a I + l.sigma, so a and l are read from its
+    entries; its spectrum a -+ |l| is judged by ``_degenerate``, the rule of
+    ``sld_eigenbasis``, without an eigendecomposition. A degenerate row (a
+    vanishing drho, the degenerate mixing point included) is measured along z.
+    The outcomes are ``pair_outcomes`` of the axes and the CFI is
+    ``classical_fisher_stack``'s, so a row's bits are its own whatever the
+    stack size.
+    """
+    f = np.ascontiguousarray(ell).reshape(len(ell), 4).view(float)  # re, im of l_00, l_01, l_10, l_11
+    a = (f[:, 0] + f[:, 6]) / 2
+    l = np.stack([f[:, 4], f[:, 5], (f[:, 0] - f[:, 6]) / 2], axis=1)
+    # |l| as np.linalg.norm takes it, one dot per row, of l scaled by the power of two of its largest
+    # entry: the same bits where l.l neither overflows nor underflows, and a scale-free rule where it would
+    exp = np.frexp(_reduce_rows(np.maximum, np.abs(l)))[1]
+    scaled = np.ldexp(l, -exp[:, None])
+    norm = np.sqrt(np.vecdot(scaled, scaled))
+    radius = np.ldexp(norm, exp)
+    degenerate = _degenerate(np.stack([a - radius, a + radius], axis=1))
+    axes = np.zeros_like(l)
+    axes[:, 2] = 1.0
+    np.divide(scaled, norm[:, None], out=axes, where=~degenerate[:, None])
+    outcomes = pair_outcomes(axes)
+    return axes, outcomes, classical_fisher_stack(rho, drho, outcomes), degenerate
+
+
+def maximize_cfi(rho: DensityOp, drho) -> OptimizeResult:
+    """The projective qubit pair of largest classical Fisher information: one checked row of ``maximize_cfi_stack``.
+
+    A degenerate SLD sets the flag and measures along z, where a vanishing
+    drho gives value 0; a drho leaving the support of rho raises
+    SupportMismatch, as in ``quantum_fisher``. ``qfi`` is
+    ``quantum_fisher(rho, drho)``, taken from the same SLD, so drho is checked
+    once and the SLD solved once.
     """
     if rho.dim != 2:
         raise DimensionUnsupported("the projective optimizer supports qubits only")
-    drho = require_direction(drho, 2)
-    ell = sld_solve_stack(rho.stack, drho[None])[0]
-    a, l = ell.trace().real / 2, _bloch(ell) / 2
-    radius = float(np.linalg.norm(l))
-    degenerate = bool(_degenerate(np.array([[a - radius, a + radius]]))[0])
-    axis = np.array([0.0, 0.0, 1.0]) if degenerate else l / radius
-    povm = Povm.of_projectors(pair_outcomes(axis))
-    value = float(classical_fisher_stack(rho.stack, drho[None], povm.stack[:, None])[0])
-    qfi = float(quantum_fisher_of_sld(rho.stack, ell[None])[0])
-    return OptimizeResult(povm, value, qfi, axis, degenerate)
+    drho = require_direction(drho, 2)[None]
+    ell = sld_solve_stack(rho.stack, drho)
+    axes, outcomes, value, degenerate = maximize_cfi_stack(rho.stack, drho, ell)
+    qfi = float(quantum_fisher_of_sld(rho.stack, ell)[0])
+    return OptimizeResult(Povm.of_projectors(outcomes[:, 0]), float(value[0]), qfi, axes[0], bool(degenerate[0]))

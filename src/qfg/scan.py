@@ -4,14 +4,17 @@ A scan evaluates the grid in chunks of at most CHUNK_ROWS thetas. Each chunk
 is one pass over stacked ``(n, d, d)`` arrays: rho and drho along the curve,
 the SLD, the QFI and its (sphere, transverse) split, and the classical Fisher
 information of the scenario's POVM or, without one, of the SLD eigenbasis (0
-where the SLD spectrum is degenerate). A chunk whose states' rank makes every
-SLD degenerate (``optimize.degenerate_by_rank``: rho's kernel is over half the
-dimension, where L is 0, so L's eigenvalue 0 repeats; every pure chunk at
-d >= 4) writes its 0 with no SLD eigensolve. A pure chunk's states take
-their eigenpairs from the Householder lift of psi
+where the SLD spectrum is degenerate; ``optimize.sld_eigenbasis_cfi``). A
+qubit chunk measures the pair on each SLD's Bloch axis
+(``optimize.maximize_cfi_stack``), with no SLD eigensolve; so does a chunk
+whose states' rank makes every SLD degenerate (``optimize.degenerate_by_rank``:
+rho's kernel is over half the dimension, where L is 0, so L's eigenvalue 0
+repeats; every pure chunk at d >= 4), which writes its 0. A pure chunk's
+states take their eigenpairs from the Householder lift of psi
 (``states.pure_projector_stack``), and a sphere or transverse chunk's from
 its chart points (``states.chart_states``), with no eigensolve; a table
-chunk's come from one batched ``eigh``.
+chunk's come from one batched ``eigh``. So a no-POVM sphere, transverse or
+pure qubit chunk makes no eigensolve at all.
 
 A chunk walks its curve once (``sld.walk_curve``, the one place that forms
 drho): the family's formula is evaluated at theta and, where a stage reads
@@ -27,7 +30,8 @@ that reads the curve:
   matrices at theta +- h, in either mode, from the same walk; a step past a
   table's end follows the end segment, so a scan reaches both end points.
 
-The curve decides what its walk holds; this module has no branch by family.
+The curve decides what its walk holds, and ``optimize`` how a dimension is
+measured; this module has no branch by family or dimension.
 The single-theta functions of the package are the one-row case of the same
 kernels, so every row equals, bit for bit, what those functions give for its
 theta.
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import QfgError
 from .fisher import classical_fisher_stack, qfi_split, quantum_fisher_of_sld
-from .optimize import degenerate_by_rank, eigenprojector, sld_eigenbasis
+from .optimize import sld_eigenbasis_cfi
 from .scenario import Scenario
 from .sld import sld_solve_stack, walk_curve
 
@@ -66,12 +70,8 @@ def scan_rows(scenario: Scenario, thetas: np.ndarray, mode: str, h: float) -> np
     sphere, transverse = qfi_split(curve, rho, thetas, stepped, h, total)
     if scenario.povm is not None:
         cfi = classical_fisher_stack(rho, drho, scenario.povm.stack[:, None])
-    elif degenerate_by_rank(rho.eigenvalues).all():  # every pure chunk at d >= 4
-        cfi = np.zeros(len(thetas))
     else:
-        _, v, degenerate = sld_eigenbasis(ell)
-        outcomes = (eigenprojector(v, i) for i in range(rho.dim))
-        cfi = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
+        cfi = sld_eigenbasis_cfi(rho, drho, ell)
     return np.column_stack([thetas, cfi, sphere, transverse, total])
 
 

@@ -90,6 +90,7 @@ def matrix_from_json(data, path: str = "matrix") -> np.ndarray:
 
 
 _FLOAT_FORMAT = "%.12g"
+_FLOAT_FORMAT_BYTES = _FLOAT_FORMAT.encode("ascii")
 
 
 def format_float(x: float) -> str:
@@ -103,17 +104,19 @@ def format_rows(rows) -> str:
     """CSV lines of a 2-d float array, each value written as ``format_float`` writes it.
 
     A column whose every value is +-0, which ``format_float`` writes as
-    ``0``, is written as that text, with no value formatted.
+    ``0``, is written as that text, with no value formatted. The lines are
+    formatted as bytes, whose ``%`` writes a float as ``str``'s does, and
+    decoded once.
     """
     rows = np.asarray(rows, dtype=float)
     bad = ~np.isfinite(rows)
     if bad.any():
         format_float(rows[bad][0])  # raises
     keep = rows.any(axis=0).tolist()
-    line = ",".join([_FLOAT_FORMAT if k else "0" for k in keep]) + "\n"
+    line = b",".join([_FLOAT_FORMAT_BYTES if k else b"0" for k in keep]) + b"\n"
     if not all(keep):
         rows = rows[:, keep]
-    return (line * len(rows)) % tuple((rows + 0.0).ravel().tolist())
+    return ((line * len(rows)) % tuple((rows + 0.0).ravel().tolist())).decode("ascii")
 
 
 def dumps_canonical(obj) -> str:

@@ -37,11 +37,11 @@ from .linalg import PAULI_Y, DensityStack, dagger, frobenius_norms, rank_one_pro
 from .optimize import (
     attainability_check,
     attainability_stack,
-    eigenprojector,
     fibonacci_sphere,
-    maximize_cfi,
+    maximize_cfi_stack,
     pair_outcomes,
     sld_eigenbasis,
+    sld_eigenbasis_cfi,
 )
 from .sld import (
     ANALYTIC,
@@ -273,16 +273,13 @@ def suite_optimizer_attainment() -> list[Check]:
     n = len(rho)
     ell = sld_solve_stack(rho, drho)
     qfi = quantum_fisher_of_sld(rho, ell)
-    _, v, degenerate = sld_eigenbasis(ell)  # the measurement ``qfg scan`` takes without a POVM
-    basis = classical_fisher_stack(rho, drho, (eigenprojector(v, i) for i in range(rho.dim)))
-    basis = np.where(degenerate, 0.0, basis)
+    basis = sld_eigenbasis_cfi(rho, drho, ell)  # the measurement ``qfg scan`` takes without a POVM
     thetas = np.linspace(0.05, math.pi - 0.05, 50)
     gc_rho, gc_drho, _ = walk_curve(GreatCirclePure(), thetas, ANALYTIC, DEFAULT_FD_STEP)
     rhos = DensityStack(np.concatenate([rho.matrices, gc_rho.matrices]))
     drhos = np.concatenate([drho, gc_drho])
-    results = [maximize_cfi(rhos[i], drhos[i]) for i in range(len(rhos))]
-    closed = np.array([result.value for result in results])
-    worst_dev = max(math.asin(min(1.0, abs(float(result.axis[1])))) for result in results[n:])
+    axes, _, closed, _ = maximize_cfi_stack(rhos, drhos, sld_solve_stack(rhos, drhos))
+    worst_dev = float(np.arcsin(np.minimum(1.0, np.abs(axes[n:, 1]))).max())
     # independent of the SLD: every axis of a Fibonacci grid, in one stacked pass
     outcomes = pair_outcomes(fibonacci_sphere(1024))[:, :, None]
     best = classical_fisher_stack(rhos, drhos, outcomes).max(axis=0)

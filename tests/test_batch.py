@@ -40,6 +40,7 @@ from qfg.optimize import (
     attainability_stack,
     eigenprojector,
     sld_eigenbasis,
+    sld_eigenbasis_cfi,
     sld_eigenbasis_povm,
 )
 from qfg.scenario import parse_scenario
@@ -138,9 +139,7 @@ def test_rows_equal_single_theta_calls(case, n, data):
     ell = sld_solve_stack(rho, drho)
     qfi = quantum_fisher_of_sld(rho, ell)
     sphere, transverse = qfi_split(curve, rho, thetas, stepped, h, qfi)
-    _, v, degenerate = sld_eigenbasis(ell)
-    outcomes = [eigenprojector(v, j) for j in range(rho.dim)]
-    cfi_sld = np.where(degenerate, 0.0, classical_fisher_stack(rho, drho, outcomes))
+    cfi_sld = sld_eigenbasis_cfi(rho, drho, ell)  # a qubit's from maximize_cfi_stack, d >= 3 from the eigenbasis
     povm = scenario.povm
     cfi_povm = None if povm is None else classical_fisher_stack(rho, drho, povm.stack[:, None])
     # a second direction at every row: i[G, rho] for a Hermitian G stays in the support of rho

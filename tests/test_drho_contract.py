@@ -215,6 +215,29 @@ def _table_curve(spectra):
     return {"family": "table", "samples": samples}
 
 
+@pytest.mark.parametrize("mode", [ANALYTIC, FD])
+@pytest.mark.parametrize("curve, eigensolves", [
+    (CURVES["sphere_curve"], 0),
+    ({"family": "sphere_curve", "k": 0.4, "path": {"type": "linear", "z0": [-3, 2], "velocity": [5, -1]}}, 0),
+    (CURVES["transverse_curve"], 0),
+    ({"family": "transverse_curve", "z": [0.3, -2], "chart": "south",
+      "path": {"type": "linear", "k0": 0.2, "rate": 0.2}}, 0),
+    ({"family": "transverse_curve", "path": {"type": "linear", "k0": 0.45, "rate": -0.2}}, 0),
+    (CURVES["great_circle_pure"], 0),
+    (CURVES["table"], 2),
+], ids=["sphere", "sphere-far", "transverse-north", "transverse-south", "transverse-pole", "great-circle", "table"])
+def test_no_povm_qubit_chunk_solves_no_sld_eigenproblem(monkeypatch, curve, eigensolves, mode):
+    # a qubit chunk measures along its SLDs' Bloch axes, with no eigensolve: a chart or pure chunk calls
+    # eigh for nothing, a d = 2 table twice, for its states and for the spectra of its split at theta +- h
+    scenario = parse_scenario({"curve": curve, "theta0": 0.5})
+    thetas = np.linspace(0.1, 0.9, 33)
+    scan_module.scan_rows(scenario, thetas, mode, 1e-5)  # warm: the curve's cached properties
+    calls = _count_calls(monkeypatch, "eigh")
+    rows = scan_module.scan_rows(scenario, thetas, mode, 1e-5)
+    assert len(calls) == eigensolves
+    assert (rows[:, 1] > 0.0).all()
+
+
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_all_degenerate_chunk_measures_no_sld_eigenbasis(monkeypatch, d):
     # a pure state's SLD, 2 drho, has rank 2, so at d >= 4 every row's spectrum repeats 0: rho's rank

@@ -20,18 +20,31 @@ from qfg.fisher import (
 )
 from qfg.linalg import DensityOp, DensityStack, PAULI_X, PAULI_Y, PAULI_Z
 from qfg.optimize import (
+    SLD_GAP,
     attainability_check,
     bloch_vector,
+    eigenprojector,
     fibonacci_sphere,
     maximize_cfi,
+    maximize_cfi_stack,
     mixed_conditions_check,
     pair_outcomes,
     projector_pair,
     reach_check_pure,
+    sld_eigenbasis,
     sld_eigenbasis_povm,
 )
-from qfg.sld import RANK_GUARD, GreatCirclePure, TransverseCurve, assemble_drho, differentiate_curve
-from qfg.states import Chart, qubit_point, rho_of_kz
+from qfg.sld import (
+    ANALYTIC,
+    RANK_GUARD,
+    GreatCirclePure,
+    TransverseCurve,
+    assemble_drho,
+    differentiate_curve,
+    sld_solve_stack,
+    walk_curve,
+)
+from qfg.states import Chart, qubit_point, rho_of_kz, rho_of_kz_stack
 
 
 class TestPovmValidate:
@@ -322,6 +335,74 @@ class TestMaximizeCfi:
         drho = assemble_drho(0.3, 1 + 0.5j, 0.2, 0.7 - 0.3j)
         result = maximize_cfi(rho, drho)
         assert result.value == classical_fisher(rho, drho, result.povm)
+
+
+def _oracle_rows():
+    """Qubit (rho, drho) stacks: random chart points of both charts, k = 1/2 among them, pure great circles,
+    a south-chart transverse walk, and zero directions at the first rows of each chart."""
+    rng = np.random.default_rng(58)
+    n = 40
+    k = rng.uniform(0.01, 0.5, n)
+    k[:4] = 0.5
+    z = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3, n)
+    g = rng.normal(size=(2 * n, 2, 2)) + 1j * rng.normal(size=(2 * n, 2, 2))
+    g = (g + g.conj().swapaxes(1, 2)) / 2
+    g -= np.trace(g, axis1=1, axis2=2)[:, None, None] / 2 * np.eye(2)  # traceless Hermitian directions
+    g[[0, n]] = 0.0
+    thetas = np.linspace(-3.0, 3.0, 25)
+    walks = [walk_curve(curve, thetas, ANALYTIC, 1e-5)[:2] for curve in (
+        GreatCirclePure(), GreatCirclePure(phase=0.7), TransverseCurve(0.25, 0.05, 0.3 - 2.0j, Chart.SOUTH))]
+    rho = np.concatenate([rho_of_kz_stack(k, z, chart).matrices for chart in Chart] + [r.matrices for r, _ in walks])
+    drho = np.concatenate([g] + [d for _, d in walks])
+    return DensityStack(rho), drho
+
+
+class TestMaximizeCfiStack:
+    def test_pair_equals_the_sld_eigenprojectors(self):
+        # the Bloch-axis pair is the SLD eigenbasis: P(+n) on the larger eigenvalue, P(-n) on the smaller
+        rho, drho = _oracle_rows()
+        ell = sld_solve_stack(rho, drho)
+        axes, outcomes, cfi, degenerate = maximize_cfi_stack(rho, drho, ell)
+        w, v, flags = sld_eigenbasis(ell)
+        assert (degenerate == flags).all() and degenerate.sum() == 2
+        keep = ~degenerate
+        w = w[keep]
+        scale = np.abs(w).max(axis=1) / (w[:, 1] - w[:, 0])  # the eigenvectors' condition
+        for pair, i in ((outcomes[0], 1), (outcomes[1], 0)):
+            gap = np.abs(pair - eigenprojector(v, i)).max(axis=(1, 2))[keep]
+            assert (gap <= 1e-12 * scale).all()
+        assert np.allclose(np.linalg.norm(axes, axis=1), 1.0, rtol=0, atol=1e-15)
+        basis = classical_fisher_stack(rho, drho, [eigenprojector(v, i) for i in range(2)])
+        assert np.allclose(cfi[keep], basis[keep], rtol=1e-10, atol=0)
+        assert (cfi[degenerate] == 0.0).all() and (axes[degenerate] == [0.0, 0.0, 1.0]).all()
+
+    def test_rows_equal_one_checked_row(self):
+        # a row's bits are its own: maximize_cfi, the one-row case, gives them for each row of the stack
+        rho, drho = _oracle_rows()
+        axes, outcomes, cfi, degenerate = maximize_cfi_stack(rho, drho, sld_solve_stack(rho, drho))
+        for i in range(0, len(rho), 7):
+            result = maximize_cfi(rho[i], drho[i])
+            assert (result.axis == axes[i]).all() and (result.povm.stack == outcomes[:, i]).all()
+            assert (result.value, result.degenerate) == (cfi[i], degenerate[i])
+
+    @pytest.mark.parametrize("exponent", [-200, -5, 0, 5, 200])
+    def test_degenerate_flags_agree_off_the_gap_edge(self, exponent):
+        # L = a I + r u.sigma has the gap 2 r against max|w| = |a| + r, degenerate at r ~ SLD_GAP |a| / 2;
+        # each ratio c = 2 r / (SLD_GAP |a|) lies a factor of 2 or more from that edge
+        rng = np.random.default_rng([59, exponent + 200])
+        n = 200
+        a = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n) * 10.0**exponent
+        c = np.concatenate([rng.uniform(0.0, 0.5, n // 2), 2.0 * 10.0 ** rng.uniform(0.0, 3.0, n // 2)])
+        c[0] = 0.0
+        u = rng.normal(size=(n, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        ell = a[:, None, None] * np.eye(2) + np.tensordot(c[:, None] * SLD_GAP * np.abs(a)[:, None] / 2 * u,
+                                                          np.array([PAULI_X, PAULI_Y, PAULI_Z]), axes=1)
+        ell = (ell + ell.conj().swapaxes(1, 2)) / 2
+        rho = DensityStack(np.broadcast_to(np.eye(2) / 2, ell.shape))
+        degenerate = maximize_cfi_stack(rho, np.zeros_like(ell), ell)[3]  # the flags read ell alone
+        assert (degenerate == sld_eigenbasis(ell)[2]).all()
+        assert (degenerate == (c <= 0.5)).all()
 
 
 class TestBlochHelpers:
