@@ -654,19 +654,6 @@ class TestVerifySubcommand:
         assert "FAIL" in out
 
 
-    def test_planted_axis_fault_fails_optimizer_attainment(self, monkeypatch):
-        # the optimizer and the scan's measurement take their pair from one kernel: with the y component of
-        # its axes negated, the suite that checks them must fail, and only that suite
-        import qfg.optimize
-
-        original = qfg.optimize.pair_outcomes
-        monkeypatch.setattr(qfg.optimize, "pair_outcomes", lambda axes: original(np.asarray(axes) * [1.0, -1.0, 1.0]))
-        failed = {name: [c.name for c in checks if not c.passed] for name, checks in verify.run_suites()}
-        assert set(failed["optimizer-attainment"]) >= {
-            "optimizer reaches QFI over 26 scenarios", "SLD eigenbasis attains QFI over 26 scenarios"}
-        assert not any(names for suite, names in failed.items() if suite != "optimizer-attainment")
-
-
 class TestErrorCatalog:
     def test_every_error_kind_is_unique_and_mapped(self):
         kinds = {}
