@@ -37,7 +37,7 @@ from .errors import (
     finite_closed_form,
 )
 from .fisher import _sphere_tensor, fisher_tensor_stack
-from .linalg import DensityOp, as_matrix, matmul, require_hermitian
+from .linalg import DensityOp, as_matrix, congruence, dagger, require_hermitian
 from .states import PureState, require_mixing_weight, unitary_of_z
 
 
@@ -116,7 +116,7 @@ def sphere_generator(z: complex, v: complex) -> np.ndarray:
     """
     lv = connection_coefficient.__wrapped__(z) * complex(v)
     u = unitary_of_z.__wrapped__(z)
-    return matmul(matmul(u, 1j * np.array([[0.0, -lv.conjugate()], [lv, 0.0]], dtype=complex)), u.conj().T)
+    return congruence(dagger(u), 1j * np.array([[0.0, -lv.conjugate()], [lv, 0.0]], dtype=complex))
 
 
 def complex_structure(xt) -> np.ndarray:

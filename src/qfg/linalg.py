@@ -17,7 +17,11 @@ are known by construction, which ``DensityStack.from_eigenpairs`` takes from
 qubit chart point's, (k, 1 - k) and the columns of U(z). Every matrix product
 goes through ``matmul``, which multiplies broadcasting stacks in one call:
 2 x 2 factors by the entry formulas c_ij = a_i0 b_0j + a_i1 b_1j as array
-operations, not one BLAS call per matrix, and d >= 3 by ``np.matmul``. A
+operations, not one BLAS call per matrix, and d >= 3 by ``np.matmul``.
+Every Hermitian change of basis v^dag h v goes through ``congruence``, whose
+result is exactly Hermitian: a 2 x 2 stack forms each row's three
+independent entries by entry formulas whose every product has a real factor,
+and d >= 3 symmetrizes the ``matmul`` pair. A
 row's max or min over its few trailing entries is taken along the contiguous
 stack axis by ``_reduce_rows``, not by numpy's loop per row, and an exactly
 Hermitian stack answers the Hermiticity check with one a == a^dag test. The single-matrix functions are
@@ -131,6 +135,48 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c = np.empty(np.shape(entries[0]) + (2, 2), dtype=complex)
     c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1] = entries
     return c
+
+
+def congruence(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian v^dag h v of each pair of two broadcasting (..., d, d) stacks, h exactly Hermitian.
+
+    It is the one Hermitian change of basis: ``congruence(v, h)`` takes h
+    into the basis of v's columns, ``congruence(dagger(v), h)`` back. A
+    2 x 2 row has three independent entries, and only they are formed, from
+    h's real diagonal p, q and its upper entry g = g_r + i g_i:
+
+    * (h v)_0j = p v_0j + g_r v_1j + g_i (i v_1j) and
+      (h v)_1j = g_r v_0j - g_i (i v_0j) + q v_1j;
+    * D_jj = Re(v_0j^* (h v)_0j) + Re(v_1j^* (h v)_1j), summed from the real
+      and imaginary parts, and its imaginary part is 0;
+    * D_01 = v_00^* (h v)_01 + v_10^* (h v)_11, likewise by parts, and
+      D_10 = D_01^*.
+
+    Every product has a real factor, as in ``matmul`` and for its reason: a
+    row's bits are its own, whatever the stack size, broadcasting or memory
+    layout. Each term is an array operation over the whole stack. d >= 3 is
+    the ``matmul`` pair, symmetrized as (c + c^dag) / 2. An entry that
+    overflows is non-finite, without a warning.
+    """
+    if v.shape[-1] != 2:
+        c = matmul(matmul(dagger(v), h), v)
+        return (c + dagger(c)) / 2
+    a, b, c, d = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+    p, q, g = h[..., 0, 0], h[..., 1, 1], h[..., 0, 1]  # h is exactly Hermitian: p and q are real
+    gr, gi = g.real.astype(complex), g.imag.astype(complex)  # cast once, not in each float-by-complex product
+    with np.errstate(over="ignore", invalid="ignore"):
+        ia, ib, ic, id_ = 1j * a, 1j * b, 1j * c, 1j * d
+        h00, h01 = p * a + (gr * c + gi * ic), p * b + (gr * d + gi * id_)
+        h10, h11 = (gr * a - gi * ia) + q * c, (gr * b - gi * ib) + q * d
+        ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+        d00 = (ar * h00.real + ai * h00.imag) + (cr * h10.real + ci * h10.imag)
+        d11 = (br * h01.real + bi * h01.imag) + (dr * h11.real + di * h11.imag)
+        re = (ar * h01.real + ai * h01.imag) + (cr * h11.real + ci * h11.imag)
+        im = (ar * h01.imag - ai * h01.real) + (cr * h11.imag - ci * h11.real)
+    out = np.empty(re.shape + (2, 2), dtype=complex)
+    out.real[..., 0, 0], out.real[..., 1, 1], out.imag[..., 0, 0], out.imag[..., 1, 1] = d00, d11, 0.0, 0.0
+    out.real[..., 0, 1], out.real[..., 1, 0], out.imag[..., 0, 1], out.imag[..., 1, 0] = re, re, im, -im
+    return out
 
 
 def frobenius_inner(h: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -334,8 +380,7 @@ def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     if low.any():
         raise NotPositiveSemidefinite(f"minimum eigenvalue {w[..., 0][low][0]:.3e} below {PSD_EIGENVALUE_FLOOR:.1e}")
     w = np.where(w > SQRT_RANK_CUTOFF * np.maximum(1.0, w[..., -1:]), w, 0.0)
-    root = matmul(v * np.sqrt(w)[..., None, :], dagger(v))
-    return (root + dagger(root)) / 2
+    return congruence(dagger(v), np.sqrt(w)[..., None] * np.eye(w.shape[-1], dtype=complex))
 
 
 class DensityStack:

@@ -53,6 +53,7 @@ from .linalg import (
     DensityStack,
     _reduce_rows,
     as_stack,
+    congruence,
     dagger,
     frobenius_norms,
     matmul,
@@ -445,17 +446,17 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     Trusts ``drho`` to be valid row by row (see ``require_direction``), as
     ``walk_curve`` returns it. In each rho's eigenbasis L_ij = 2 drho_ij /
     (lam_i + lam_j) on the support; both changes of basis, V^dag drho V and
-    V L V^dag, are ``linalg.matmul`` products, entry formulas on a qubit
-    stack. Entries over eigenvalue pairs outside the
-    support are set to 0 when drho vanishes there too, within SUPPORT_LEAK_TOL
-    * max(1, ||drho||_F) for each row and direction; otherwise the direction
-    leaves the support and SupportMismatch is raised.
+    V L V^dag, are ``linalg.congruence``, whose exactly Hermitian result
+    needs no symmetrizing: on a qubit stack it forms the three independent
+    entries of each row by entry formulas. Entries over eigenvalue pairs
+    outside the support are set to 0 when drho vanishes there too, within
+    SUPPORT_LEAK_TOL * max(1, ||drho||_F) for each row and direction;
+    otherwise the direction leaves the support and SupportMismatch is raised.
     """
     w, v = rho.eigenvalues, rho.eigenvectors
     if drho.ndim == 4:
         w, v = w[:, None], v[:, None]
-    vh = dagger(v)
-    dr = matmul(matmul(vh, drho), v)
+    dr = congruence(v, drho)
     denom = w[..., :, None] + w[..., None, :]
     support = denom > SUPPORT_CUTOFF
     if support.all():  # every rho of full rank: no pair to judge or zero
@@ -473,8 +474,7 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
             weight = abs(dr[tuple(np.argwhere(leak)[0])])
             raise SupportMismatch(f"drho has weight {weight:.3e} outside the support of rho")
         ell = np.divide(2.0 * dr, denom, out=np.zeros_like(dr), where=support)
-    out = matmul(matmul(v, ell), vh)
-    return (out + dagger(out)) / 2
+    return congruence(dagger(v), ell)
 
 
 def sld_solve(rho: DensityOp, drho) -> np.ndarray:

@@ -37,11 +37,11 @@ from .linalg import PAULI_Y, DensityStack, dagger, frobenius_norms, rank_one_pro
 from .optimize import (
     attainability_check,
     attainability_stack,
+    eigenprojector,
     fibonacci_sphere,
     maximize_cfi_stack,
     pair_outcomes,
     sld_eigenbasis,
-    sld_eigenbasis_cfi,
 )
 from .sld import (
     ANALYTIC,
@@ -273,7 +273,10 @@ def suite_optimizer_attainment() -> list[Check]:
     n = len(rho)
     ell = sld_solve_stack(rho, drho)
     qfi = quantum_fisher_of_sld(rho, ell)
-    basis = sld_eigenbasis_cfi(rho, drho, ell)  # the measurement ``qfg scan`` takes without a POVM
+    # the SLD eigenbasis by eigensolve: an oracle independent of the Bloch-axis kernel that the
+    # optimizer and ``qfg scan`` without a POVM share
+    _, vecs, _ = sld_eigenbasis(ell)
+    basis = classical_fisher_stack(rho, drho, (eigenprojector(vecs, i) for i in range(rho.dim)))
     thetas = np.linspace(0.05, math.pi - 0.05, 50)
     gc_rho, gc_drho, _ = walk_curve(GreatCirclePure(), thetas, ANALYTIC, DEFAULT_FD_STEP)
     rhos = DensityStack(np.concatenate([rho.matrices, gc_rho.matrices]))

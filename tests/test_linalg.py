@@ -25,6 +25,7 @@ from qfg.linalg import (
     _psd_root,
     _reduce_rows,
     as_stack,
+    congruence,
     dagger,
     eigh,
     frobenius_inner,
@@ -227,6 +228,43 @@ class TestMatmul:
         assert (np.isfinite(c) <= np.isfinite(want)).all()
         assert (c[1:] == matmul(a[1:], b[1:]) * 2.0 ** (ka + kb)[1:, None, None, None]).all()
         self._assert_close(a, b, matmul(a, b))
+
+
+def _unitary_and_hermitian(x):
+    """From (4, d, d) floats: the eigenvectors v of one Hermitian matrix and an exactly Hermitian h."""
+    a, h = x[0] + 1j * x[1], x[2] + 1j * x[3]
+    return eigh((a + dagger(a)) / 2)[1], (h + dagger(h)) / 2
+
+
+class TestCongruence:
+    """congruence(v, h) is v^dag h v, exactly Hermitian: at d = 2 by entry formulas, each row's bits its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda d: arrays(np.float64, (4, d, d), elements=st.floats(-1e3, 1e3))))
+    def test_is_the_matmul_pair_and_exactly_hermitian(self, x):
+        v, h = _unitary_and_hermitian(x)
+        c = congruence(v, h)
+        want = matmul(matmul(dagger(v), h), v)
+        assert c.shape == want.shape and c.dtype == want.dtype
+        assert np.abs(c - want).max() <= 1e-15 * max(1.0, float(np.linalg.norm(h)))
+        assert (c == dagger(c)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_row_bits_are_their_own(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        v = eigh(_hermitian_stack(rng, (n, d, d)))[1]
+        h, hp = _hermitian_stack(rng, (n, d, d)), _hermitian_stack(rng, (n, 3, d, d))
+        c, back, cp = congruence(v, h), congruence(dagger(v), h), congruence(v[:, None], hp)
+        # the same rows as a strided view and as a transposed view's contiguous copy
+        assert (congruence(np.repeat(v, 2, axis=0)[::2], np.repeat(h, 2, axis=0)[::2]) == c).all()
+        assert (congruence(np.ascontiguousarray(dagger(v)), h) == back).all()
+        for i in range(n):
+            assert (congruence(v[i], h[i]) == c[i]).all()
+            assert (congruence(v[i : i + 1], h[i : i + 1])[0] == c[i]).all()
+            assert (congruence(dagger(v[i]), h[i]) == back[i]).all()
+            for j in range(3):
+                assert (congruence(v[i], hp[i, j]) == cp[i, j]).all()
 
 
 class TestHermEigen:

@@ -1,13 +1,17 @@
 """The library has one matrix product, ``qfg.linalg.matmul``.
 
 Every product goes through it, so its 2 x 2 entry formulas take every qubit
-stack instead of one BLAS call per matrix. This parses each ``src/qfg``
-module with ``ast`` and fails on a product formed another way: the ``@``
-operator (or ``@=``), or numpy's ``matmul`` or ``einsum``, as an attribute
-of numpy or ``numpy.linalg`` (through any alias) or as a name imported from
-them. Two places are exempt: the body of ``linalg.matmul``, which holds the
-``np.matmul`` call for d >= 3, and ``verify.py``, whose oracles form products
-on purpose, to check the kernels by an independent route.
+stack instead of one BLAS call per matrix. A Hermitian change of basis
+v^dag h v goes through ``linalg.congruence``, which forms a qubit row's three
+independent entries by entry formulas with a real factor in every product
+and calls ``matmul`` at d >= 3, so it forms no matrix product of its own.
+This parses each ``src/qfg`` module with ``ast`` and fails on a product
+formed another way: the ``@`` operator (or ``@=``), or numpy's ``matmul`` or
+``einsum``, as an attribute of numpy or ``numpy.linalg`` (through any alias)
+or as a name imported from them. Two places are exempt: the body of
+``linalg.matmul``, which holds the ``np.matmul`` call for d >= 3, and
+``verify.py``, whose oracles form products on purpose, to check the kernels
+by an independent route.
 """
 
 import ast
