@@ -6,15 +6,19 @@ Classical Fisher information of a POVM {m_x}:
 
 with eps = EPS_P = 1e-12 realizing the restriction to outcomes of positive
 probability. Quantum Fisher information is Tr[rho L^2] for the SLD L, an
-upper bound on i for every POVM.
+upper bound on i for every POVM (Braunstein & Caves, PRL 72, 3439, 1994).
+By the SLD equation drho = (rho L + L rho) / 2 it is also the real pairing
+Tr[drho L], which is how ``quantum_fisher_of_sld`` takes it: one
+``linalg.frobenius_real``, with no matrix product. p and dp are the same
+pairing, of rho and drho with m.
 
 The Fisher tensor on tangent directions a, b is the complex number
 F_ab = Tr[rho L_a L_b] = conj(F_ba); its real part is the metric (Fubini-Study
 type) and its imaginary part the antisymmetric (KKS type) form.
 ``fisher_tensor_stack`` is the one kernel that forms it, over a stack of p
-SLDs per rho: the QFI is its real diagonal and ``fisher_tensor_general`` its
-one-row, two-direction case. On a qubit sphere tangent pair (v, v') it
-reduces to
+SLDs per rho; the QFI is its real diagonal by the SLD equation, and
+``fisher_tensor_general`` its one-row, two-direction case. On a qubit sphere
+tangent pair (v, v') it reduces to
 
     4 (k1-k2)^2 / (1+|z|^2)^2 * [ (k1+k2) Re(v* v') + i (k1-k2) Im(v* v') ],
 
@@ -48,10 +52,11 @@ from .linalg import (
     _square,
     eigh,
     frobenius_inner,
+    frobenius_real,
     hermitian_part,
     matmul,
 )
-from .sld import TableCurve, TransverseCurve, require_coefficients, require_direction, sld_solve, sld_solve_stack
+from .sld import TableCurve, TransverseCurve, require_coefficients, require_direction, sld_solve_stack
 from .states import Chart, require_mixing_weight
 
 #: Outcomes with probability at or below this are excluded from classical sums.
@@ -129,9 +134,9 @@ def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.
 
     Trusts ``drho`` to be valid row by row (see ``require_direction``), so
     exactly Hermitian, as ``rho.matrices`` are, and the outcomes to be of
-    rho's dimension: p = Tr[rho m] and
-    dp = Tr[drho m] are each one ``frobenius_inner`` with rho or drho as the
-    Hermitian operand, and m need not be exactly Hermitian.
+    rho's dimension: p = Re Tr[rho m] and dp = Re Tr[drho m] are each one
+    ``frobenius_real``, which for Hermitian rho and drho is the real part of
+    Tr[rho m] and Tr[drho m] whether or not m is exactly Hermitian.
     ``outcomes`` yields one POVM element per outcome: an (n, d, d) stack with
     the element of each row, or a (1, d, d) one that measures every row alike.
     A (k, 1, d, d) element measures every row with each of k POVMs and gives
@@ -139,8 +144,8 @@ def classical_fisher_stack(rho: DensityStack, drho: np.ndarray, outcomes) -> np.
     """
     total = np.zeros(len(drho))
     for m in outcomes:
-        p = frobenius_inner(rho.matrices, m).real
-        dp = frobenius_inner(drho, m).real
+        p = frobenius_real(rho.matrices, m)
+        dp = frobenius_real(drho, m)
         total = total + np.divide(dp * dp, p, out=np.zeros_like(p), where=p > EPS_P)
     return total
 
@@ -158,20 +163,29 @@ def fisher_tensor_stack(rho: DensityStack, ell: np.ndarray) -> np.ndarray:
 
     The SLDs must be exactly Hermitian, as ``sld_solve_stack`` returns them:
     F_ab is ``frobenius_inner`` of L_b, the Hermitian operand, with rho L_a,
-    the one matrix product formed, by ``linalg.matmul``.
+    the one matrix product formed, by ``linalg.matmul``. The complex kernel is
+    needed for the imaginary part; the real diagonal F_aa is the QFI, which
+    ``quantum_fisher_of_sld`` pairs as Tr[drho_a L_a] without the product.
     """
     rho_ell = matmul(rho.matrices[:, None], ell)
     return frobenius_inner(ell[:, None], rho_ell[:, :, None])
 
 
-def quantum_fisher_of_sld(rho: DensityStack, ell: np.ndarray) -> np.ndarray:
-    """Quantum Fisher information Tr[rho L^2] of each row, from the SLD stack ``ell``: the tensor's real diagonal."""
-    return np.maximum(fisher_tensor_stack(rho, ell[:, None])[:, 0, 0].real, 0.0)
+def quantum_fisher_of_sld(drho: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Quantum Fisher information of each row of the exactly Hermitian (n, d, d) stacks drho and its SLD ``ell``.
+
+    It is max(Tr[drho L], 0), one ``frobenius_real``: by the SLD equation
+    drho = (rho L + L rho) / 2, Tr[drho L] = Tr[rho L^2], the Fisher tensor's
+    real diagonal, with no rho L product formed. The pairing is also the
+    better-conditioned form: it gives a pure great circle's QFI as exactly 1.
+    """
+    return np.maximum(frobenius_real(drho, ell), 0.0)
 
 
 def quantum_fisher(rho: DensityOp, drho) -> float:
-    """Quantum Fisher information Tr[rho L^2]."""
-    return float(quantum_fisher_of_sld(rho.stack, sld_solve(rho, drho)[None])[0])
+    """Quantum Fisher information Tr[rho L^2] = Tr[drho L]."""
+    drho = require_direction(drho, rho.dim)[None]
+    return float(quantum_fisher_of_sld(drho, sld_solve_stack(rho.stack, drho))[0])
 
 
 def qfi_split(curve, rho: DensityStack, thetas: np.ndarray, stepped: np.ndarray, h: float, total: np.ndarray):

@@ -42,6 +42,7 @@ from .linalg import (
     eigh,
     frobenius_inner,
     frobenius_norms,
+    frobenius_real,
     matmul,
     rank_one_projectors,
     require_hermitian,
@@ -82,7 +83,7 @@ def attainability_stack(rho: DensityStack, ell: np.ndarray, outcomes: np.ndarray
     b = matmul(root_m, root_rho)
     a = matmul(matmul(root_m, ell), root_rho)
     norm_b = frobenius_norms(b)
-    vacuous = (frobenius_inner(rho.matrices, outcomes).real <= EPS_P) | (norm_b == 0.0)
+    vacuous = (frobenius_real(rho.matrices, outcomes) <= EPS_P) | (norm_b == 0.0)
     # <b, a> / <b, b>, the least-squares c
     c = np.divide(frobenius_inner(b, a), norm_b**2, out=np.zeros(norm_b.shape, complex), where=~vacuous)
     residual = frobenius_norms(a - c[..., None, None] * b)
@@ -277,7 +278,7 @@ def bloch_vector(matrix) -> np.ndarray:
     matrix = require_hermitian(matrix)
     if matrix.shape != (2, 2):
         raise DimensionUnsupported(f"Bloch vectors are defined for 2x2 matrices, not {matrix.shape}")
-    return frobenius_inner(np.array(PAULIS), matrix).real
+    return frobenius_real(np.array(PAULIS), matrix)
 
 
 def pair_outcomes(axes) -> np.ndarray:
@@ -369,5 +370,5 @@ def maximize_cfi(rho: DensityOp, drho) -> OptimizeResult:
     drho = require_direction(drho, 2)[None]
     ell = sld_solve_stack(rho.stack, drho)
     axes, outcomes, value, degenerate = maximize_cfi_stack(rho.stack, drho, ell)
-    qfi = float(quantum_fisher_of_sld(rho.stack, ell)[0])
+    qfi = float(quantum_fisher_of_sld(drho, ell)[0])
     return OptimizeResult(Povm.of_projectors(outcomes[:, 0]), float(value[0]), qfi, axes[0], bool(degenerate[0]))

@@ -66,7 +66,7 @@ def scan_rows(scenario: Scenario, thetas: np.ndarray, mode: str, h: float) -> np
     curve = scenario.curve
     rho, drho, stepped = walk_curve(curve, thetas, mode, h)
     ell = sld_solve_stack(rho, drho)
-    total = quantum_fisher_of_sld(rho, ell)
+    total = quantum_fisher_of_sld(drho, ell)
     sphere, transverse = qfi_split(curve, rho, thetas, stepped, h, total)
     if scenario.povm is not None:
         cfi = classical_fisher_stack(rho, drho, scenario.povm.stack[:, None])

@@ -448,7 +448,10 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     (lam_i + lam_j) on the support; both changes of basis, V^dag drho V and
     V L V^dag, are ``linalg.congruence``, whose exactly Hermitian result
     needs no symmetrizing: on a qubit stack it forms the three independent
-    entries of each row by entry formulas. Entries over eigenvalue pairs
+    entries of each row by entry formulas. A qubit row's denominators are the
+    sums w0 + w0, w0 + w1 and w1 + w1, and on a full-rank stack its L_ij the
+    real and imaginary parts of 2 drho_ij times 1 / (lam_i + lam_j), the bits
+    of numpy's complex-by-float division. Entries over eigenvalue pairs
     outside the support are set to 0 when drho vanishes there too, within
     SUPPORT_LEAK_TOL * max(1, ||drho||_F) for each row and direction;
     otherwise the direction leaves the support and SupportMismatch is raised.
@@ -457,9 +460,22 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     if drho.ndim == 4:
         w, v = w[:, None], v[:, None]
     dr = congruence(v, drho)
-    denom = w[..., :, None] + w[..., None, :]
+    qubit = w.shape[-1] == 2
+    if qubit:  # three (n,) sums: numpy's broadcast add would loop over 2 entries per row
+        w0, w1 = w[..., 0], w[..., 1]
+        denom = np.empty(w.shape + (2,))
+        denom[..., 0, 0], denom[..., 1, 1] = w0 + w0, w1 + w1
+        denom[..., 0, 1] = denom[..., 1, 0] = w0 + w1
+    else:
+        denom = w[..., :, None] + w[..., None, :]
     support = denom > SUPPORT_CUTOFF
-    if support.all():  # every rho of full rank: no pair to judge or zero
+    if support.all() and qubit:  # every rho of full rank: no pair to judge or zero
+        # numpy divides a complex by a float as re * (1 / c) + i im * (1 / c), the same bits but for the
+        # sign of a zero part, after casting the whole float stack to complex, which costs more
+        t, r = 2.0 * dr, 1.0 / denom
+        ell = np.empty(t.shape, dtype=complex)
+        ell.real, ell.imag = t.real * r, t.imag * r
+    elif support.all():
         ell = 2.0 * dr / denom
     else:
         mag = np.abs(dr)

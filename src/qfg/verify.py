@@ -97,7 +97,14 @@ def _qubit_stacks(k, z, dk, v) -> tuple[DensityStack, np.ndarray]:
 
 
 def _qfi(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
-    return quantum_fisher_of_sld(rho, sld_solve_stack(rho, drho))
+    return quantum_fisher_of_sld(drho, sld_solve_stack(rho, drho))
+
+
+def _sld_identity_defect(m: np.ndarray, drho: np.ndarray, ell: np.ndarray) -> float:
+    """max |QFI - Tr[rho L^2]| / max(1, QFI) over the rows, the QFI paired as Tr[drho L] and rho L^2 formed here."""
+    qfi = quantum_fisher_of_sld(drho, ell)
+    squared = np.maximum(np.trace(m @ ell @ ell, axis1=1, axis2=2).real, 0.0)
+    return float((np.abs(qfi - squared) / np.maximum(1.0, qfi)).max())
 
 
 def suite_sld_residual() -> list[Check]:
@@ -109,6 +116,7 @@ def suite_sld_residual() -> list[Check]:
     m = rho.matrices
     worst = float(frobenius_norms((m @ ell + ell @ m) / 2 - drho).max())
     checks = [_bound("sld-residual over 500 scenarios", worst, 1e-10)]
+    identity = _sld_identity_defect(m, drho, ell)
 
     worst = 0.0
     for d in range(2, 9):  # one stack of pure flows per d, rho's eigenpairs from the Householder lift
@@ -118,7 +126,11 @@ def suite_sld_residual() -> list[Check]:
         rho, drho, _ = walk_curve(curve, thetas, ANALYTIC, DEFAULT_FD_STEP)
         ell, m = sld_solve_stack(rho, drho), rho.matrices
         worst = max(worst, float(frobenius_norms((m @ ell + ell @ m) / 2 - drho).max()))
+        identity = max(identity, _sld_identity_defect(m, drho, ell))
     checks.append(_bound("pure-flow sld-residual at d = 2..8 over 350 thetas", worst, 1e-10))
+    # the QFI is read as Tr[drho L]; the SLD equation makes it Tr[rho L^2], the Fisher tensor's real diagonal
+    checks.append(_bound("SLD identity Tr[drho L] = Tr[rho L^2]", identity, 1e-12,
+                         "relative to max(1, QFI), 500 scenarios and 350 pure-flow thetas"))
     return checks
 
 
@@ -272,7 +284,7 @@ def suite_optimizer_attainment() -> list[Check]:
     rho, drho = _optimizer_scenarios()
     n = len(rho)
     ell = sld_solve_stack(rho, drho)
-    qfi = quantum_fisher_of_sld(rho, ell)
+    qfi = quantum_fisher_of_sld(drho, ell)
     # the SLD eigenbasis by eigensolve: an oracle independent of the Bloch-axis kernel that the
     # optimizer and ``qfg scan`` without a POVM share
     _, vecs, _ = sld_eigenbasis(ell)
@@ -311,7 +323,7 @@ def suite_attainability_soundness() -> list[Check]:
     # gauge phases leave rank-one projectors unchanged
     outcomes = np.array([rank_one_projectors(phases[:, i, None] * vecs[:, :, i]) for i in range(2)])
     attains, _, residual, _ = attainability_stack(rho, ell, outcomes)
-    gap = np.abs(classical_fisher_stack(rho, drho, outcomes) - quantum_fisher_of_sld(rho, ell))
+    gap = np.abs(classical_fisher_stack(rho, drho, outcomes) - quantum_fisher_of_sld(drho, ell))
     keep = ~degenerate
     worst = residual[:, keep].max(initial=0.0)
     checks = [

@@ -14,7 +14,7 @@ from qfg import verify
 
 #: Checks each suite reports, so that a rewrite cannot silently drop one.
 CHECK_COUNTS = {
-    "sld-residual": 2,
+    "sld-residual": 3,
     "bound-chain": 2,
     "closed-forms": 2,
     "mixing-suppression": 1,
@@ -97,7 +97,7 @@ def test_criterion_12_cli_determinism():
 def test_all_suites_registered():
     assert len(verify.SUITES) == 12
     assert list(verify.SUITES) == list(CHECK_COUNTS)
-    assert sum(CHECK_COUNTS.values()) == 33
+    assert sum(CHECK_COUNTS.values()) == 34
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))

@@ -137,7 +137,7 @@ def test_rows_equal_single_theta_calls(case, n, data):
     assert (states.matrices == rho.matrices).all() and (states.eigenvalues == rho.eigenvalues).all()
     assert (states.eigenvectors == rho.eigenvectors).all()
     ell = sld_solve_stack(rho, drho)
-    qfi = quantum_fisher_of_sld(rho, ell)
+    qfi = quantum_fisher_of_sld(drho, ell)
     sphere, transverse = qfi_split(curve, rho, thetas, stepped, h, qfi)
     cfi_sld = sld_eigenbasis_cfi(rho, drho, ell)  # a qubit's from maximize_cfi_stack, d >= 3 from the eigenbasis
     povm = scenario.povm
@@ -159,7 +159,9 @@ def test_rows_equal_single_theta_calls(case, n, data):
         d1 = differentiate_curve(curve, theta, mode, h)
         assert (d1 == drho[i]).all()
         assert (sld_solve(single, d1) == ell[i]).all()
-        assert quantum_fisher(single, d1) == qfi[i] == max(tensor[i, 0, 0].real, 0.0)
+        assert quantum_fisher(single, d1) == qfi[i]
+        # the SLD identity Tr[drho L] = Tr[rho L^2], the tensor's real diagonal
+        assert abs(qfi[i] - max(tensor[i, 0, 0].real, 0.0)) <= 1e-12 * max(1.0, qfi[i])
         assert fisher_tensor_general(single, d1, d2[i]).value == tensor[i, 0, 1]
         one = np.array([theta])
         split = qfi_split(curve, single.stack, one, walk_curve(curve, one, mode, h)[2], h, np.array([qfi[i]]))

@@ -17,14 +17,16 @@ from qfg.fisher import (
     classical_fisher,
     fisher_tensor,
     fisher_tensor_general,
+    fisher_tensor_stack,
     povm_diagnose,
     pure_qdit_fisher,
     qfi_qubit_closed_form,
     quantum_fisher,
+    quantum_fisher_of_sld,
     total_fisher_metric,
     wavefunction_fisher,
 )
-from qfg.linalg import DensityOp, PAULI_Y
+from qfg.linalg import DensityOp, PAULI_Y, dagger, frobenius_norms
 from qfg.optimize import mixed_conditions_check, reach_check_pure
 from qfg.geometry import (
     connection_coefficient,
@@ -33,8 +35,28 @@ from qfg.geometry import (
     sphere_generator,
     sphere_tangent_matrix,
 )
-from qfg.sld import GreatCirclePure, assemble_drho, assemble_drho_stack, differentiate_curve, sld_transverse
-from qfg.states import Chart, QubitPoint, qubit_point, rho_of_kz, s3_tangent, spherical_tangent, unitary_of_z
+from qfg.sld import (
+    ANALYTIC,
+    GreatCirclePure,
+    PureQditCoeffs,
+    assemble_drho,
+    assemble_drho_stack,
+    differentiate_curve,
+    sld_solve_stack,
+    sld_transverse,
+    walk_curve,
+)
+from qfg.states import (
+    Chart,
+    QubitPoint,
+    chart_matrices,
+    qubit_point,
+    rho_of_kz,
+    rho_of_kz_stack,
+    s3_tangent,
+    spherical_tangent,
+    unitary_of_z,
+)
 
 SZ_PAIR = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 SY_PAIR = Povm([(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2])
@@ -488,3 +510,52 @@ def test_finite_results_keep_their_bits():
     for seed in range(20):
         for fn, args in _guarded_calls(np.random.default_rng(seed)).items():
             assert pickle.dumps(fn(*args)) == pickle.dumps(fn.__wrapped__(*args)), (seed, fn.__name__)
+
+
+def _assert_sld_identity(rho, drho, slack=0.0):
+    """quantum_fisher_of_sld's pairing Tr[drho L] is Tr[rho L^2], the tensor's real diagonal, within 1e-12 max(1, qfi).
+
+    ``slack`` times 4 eps ||rho||_F ||L||_F^2, the rounding of Tr[rho L^2], is added to the bound.
+    """
+    ell = sld_solve_stack(rho, drho)
+    qfi = quantum_fisher_of_sld(drho, ell)
+    diagonal = np.maximum(fisher_tensor_stack(rho, ell[:, None])[:, 0, 0].real, 0.0)
+    rounding = 4 * np.finfo(float).eps * frobenius_norms(rho.matrices) * frobenius_norms(ell) ** 2
+    assert (np.abs(qfi - diagonal) <= 1e-12 * np.maximum(1.0, qfi) + slack * rounding).all()
+    return qfi
+
+
+class TestSldIdentity:
+    """The QFI as the pairing Tr[drho L] equals Tr[rho L^2] by the SLD equation drho = (rho L + L rho) / 2."""
+
+    @pytest.mark.parametrize("chart", list(Chart))
+    def test_both_charts(self, chart):
+        rng = np.random.default_rng(31 + list(Chart).index(chart))
+        n = 400
+        k = rng.uniform(1e-3, 0.5, n)
+        coord = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 2, n)
+        x = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        drho = (x + dagger(x)) / 2
+        drho[:, [0, 1], [0, 1]] = (drho[:, 0, 0] - drho[:, 1, 1])[:, None] * [0.5, -0.5]  # traceless
+        _assert_sld_identity(rho_of_kz_stack(k, coord, chart), drho)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_pure_flows(self, d):
+        rng = np.random.default_rng(40 + d)
+        a = rng.normal(size=d) + 1j * rng.normal(size=d)
+        a[0] = 1j * rng.normal()
+        rho, drho, _ = walk_curve(PureQditCoeffs(a=tuple(a)), rng.uniform(-np.pi, np.pi, 200), ANALYTIC, 1e-5)
+        qfi = _assert_sld_identity(rho, drho)
+        assert np.allclose(qfi, 4.0 * np.sum(np.abs(a[1:]) ** 2), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("chart", list(Chart))
+    def test_transverse_rows_down_to_small_k(self, chart):
+        # below a curve's rank guard (1e-9): the chart points and their transverse tangent, the (1, -1) chart matrix.
+        # Where rho is diagonal (coord 0) Tr[rho L^2] is exact too; elsewhere it rounds as ||rho|| ||L||^2 ~ 1 / k^2
+        # while the pairing stays within a few ulps of the closed form 1 / (k (1 - k)), k = 1e-11 included
+        k = 10.0 ** np.linspace(-11, np.log10(0.5), 120)
+        for coord, slack in ((0j, 0.0), (0.7 - 1.3j, 1.0), (30 + 2j, 1.0)):
+            coords = np.full(len(k), coord)
+            rho, drho = rho_of_kz_stack(k, coords, chart), chart_matrices(1.0, -1.0, coords, chart)
+            qfi = _assert_sld_identity(rho, drho, slack)
+            assert np.allclose(qfi, 1.0 / (k * (1.0 - k)), rtol=4 * np.finfo(float).eps, atol=0.0)

@@ -30,6 +30,7 @@ from qfg.linalg import (
     eigh,
     frobenius_inner,
     frobenius_norms,
+    frobenius_real,
     herm_eigen,
     hermitian_part,
     matmul,
@@ -265,6 +266,40 @@ class TestCongruence:
             assert (congruence(dagger(v[i]), h[i]) == back[i]).all()
             for j in range(3):
                 assert (congruence(v[i], hp[i, j]) == cp[i, j]).all()
+
+
+
+class TestRealPairing:
+    """frobenius_real(h, a) is Re Tr[h^dag a], one float vecdot, with each row's bits its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda d: arrays(np.float64, (4, 6, d, d), elements=st.floats(-1e3, 1e3))))
+    def test_is_the_real_part_of_the_complex_pairing(self, x):
+        h, a = x[0] + 1j * x[1], x[2] + 1j * x[3]
+        got = frobenius_real(h, a)
+        assert got.shape == (6,) and got.dtype == np.float64
+        assert (np.abs(got - frobenius_inner(h, a).real) <= 4 * EPS * frobenius_norms(h) * frobenius_norms(a)).all()
+        # a real operand is cast to complex: its imaginary part pairs as 0
+        assert (frobenius_real(x[0], a) == frobenius_real(x[0].astype(complex), a)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_row_bits_are_their_own(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        h, a = _hermitian_stack(rng, (n, d, d)), _stack(rng, (n, d, d))
+        hp, outcomes, x = _stack(rng, (n, 3, d, d)), _hermitian_stack(rng, (5, 1, d, d)), _stack(rng, (n, d, d))
+        full, paired, measured = frobenius_real(h, a), frobenius_real(h[:, None], hp), frobenius_real(outcomes, h)
+        assert paired.shape == (n, 3) and measured.shape == (5, n)
+        assert (frobenius_real(np.repeat(h, 2, axis=0)[::2], np.repeat(a, 2, axis=0)[::2]) == full).all()
+        assert (frobenius_real(dagger(x), a) == frobenius_real(np.ascontiguousarray(dagger(x)), a)).all()
+        assert (frobenius_real(np.repeat(h, 64, axis=0), np.repeat(a, 64, axis=0))[::64] == full).all()
+        for i in range(n):
+            assert frobenius_real(h[i], a[i]) == full[i]
+            assert frobenius_real(h[i : i + 1], a[i : i + 1])[0] == full[i]
+            for j in range(3):
+                assert frobenius_real(h[i], hp[i, j]) == paired[i, j]
+            for j in range(5):
+                assert frobenius_real(outcomes[j, 0], h[i]) == measured[j, i]
 
 
 class TestHermEigen:

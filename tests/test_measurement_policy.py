@@ -60,17 +60,17 @@ def _pure_rho_drho(a):
 
 
 def _first_probability(monkeypatch, module, rho, call):
-    """The first p = Tr[rho m] that ``call`` takes through ``module``'s inner-product kernel."""
-    kernel, seen = module.frobenius_inner, []
+    """The first p = Re Tr[rho m] that ``call`` takes through ``module``'s real-pairing kernel."""
+    kernel, seen = module.frobenius_real, []
 
     def spy(h, a):
         out = kernel(h, a)
         if np.shares_memory(h, rho.stack.matrices):
-            seen.append(float(np.ravel(out)[0].real))
+            seen.append(float(np.ravel(out)[0]))
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "frobenius_inner", spy)
+        patch.setattr(module, "frobenius_real", spy)
         call()
     return seen[0]
 
