@@ -5,7 +5,6 @@ import numpy as np
 
 import qfg.optimize
 import qfg.sld
-import qfg.verify
 from qfg import verify
 
 
@@ -46,8 +45,8 @@ def test_the_qubit_change_of_basis_transposed(monkeypatch):
 def test_the_qfi_paired_with_the_transposed_sld(monkeypatch):
     # Tr[drho L^T] is Tr[drho L] with the phases of L's off-diagonal entries flipped: still real, but not the
     # QFI unless drho and L are real. The SLD identity Tr[drho L] = Tr[rho L^2] must catch it
-    original = qfg.verify.quantum_fisher_of_sld
-    monkeypatch.setattr(qfg.verify, "quantum_fisher_of_sld", lambda drho, ell: original(drho, ell.swapaxes(-1, -2)))
+    original = verify.quantum_fisher_of_sld
+    monkeypatch.setattr(verify, "quantum_fisher_of_sld", lambda drho, ell: original(drho, ell.swapaxes(-1, -2)))
     failed = _failed()
     assert any(failed.values())
     assert "SLD identity Tr[drho L] = Tr[rho L^2]" in failed["sld-residual"]
