@@ -3,6 +3,7 @@
 import decimal
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,24 @@ class TestCongruence:
 
 
 
+TINY = np.finfo(float).smallest_subnormal
+
+
+def _unscaled_norms(a):
+    """Frobenius norms of an (..., d, d) stack, each taken of its matrix scaled by a power of two near its max |entry|.
+
+    ``frobenius_norms`` squares the entries, so a matrix of entries below about 1e-162 has norm 0.
+    """
+    e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
+    f = -e[..., None, None]
+    return np.ldexp(frobenius_norms(np.ldexp(a.real, f) + 1j * np.ldexp(a.imag, f)), e)
+
+
+def _exact_real_pairing(h, a):
+    """Re Tr[h^dag a] of one pair of complex matrices, summed in rationals and rounded once."""
+    return float(sum(Fraction(x) * Fraction(y) for x, y in zip(h.reshape(-1).view(float), a.reshape(-1).view(float))))
+
+
 class TestRealPairing:
     """frobenius_real(h, a) is Re Tr[h^dag a], one float vecdot, with each row's bits its own."""
 
@@ -278,7 +297,16 @@ class TestRealPairing:
         h, a = x[0] + 1j * x[1], x[2] + 1j * x[3]
         got = frobenius_real(h, a)
         assert got.shape == (6,) and got.dtype == np.float64
-        assert (np.abs(got - frobenius_inner(h, a).real) <= 4 * EPS * frobenius_norms(h) * frobenius_norms(a)).all()
+        # against the exact sum, within the a priori bound gamma_n sum |h_ij| |a_ij| of an n = 2 d^2 term dot
+        # product in any summation order (gamma_{n + 1}: the exact sum is itself rounded), bounded in turn by
+        # Cauchy-Schwarz with norms that do not underflow, plus a subnormal per product for rounding below the
+        # normal range; the complex pairing's real part is within the same bound
+        n = 2 * h[0].size
+        gamma = (n + 1) * EPS / 2 / (1 - (n + 1) * EPS / 2)
+        bound = gamma * _unscaled_norms(h) * _unscaled_norms(a) + n * TINY
+        exact = np.array([_exact_real_pairing(hi, ai) for hi, ai in zip(h, a)])
+        assert (np.abs(got - exact) <= bound).all()
+        assert (np.abs(frobenius_inner(h, a).real - exact) <= bound).all()
         # a real operand is cast to complex: its imaginary part pairs as 0
         assert (frobenius_real(x[0], a) == frobenius_real(x[0].astype(complex), a)).all()
 
