@@ -36,7 +36,6 @@ from .fisher import (
     classical_fisher,
     fisher_tensor,
     fisher_tensor_general,
-    povm_diagnose,
     pure_qdit_fisher,
     qfi_qubit_closed_form,
     quantum_fisher,
@@ -72,7 +71,6 @@ from .optimize import (
     fibonacci_sphere,
     maximize_cfi,
     mixed_conditions_check,
-    projector_pair,
     reach_check_pure,
     sld_eigenbasis_povm,
 )

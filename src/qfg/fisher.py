@@ -65,45 +65,38 @@ EPS_P = 1e-12
 POVM_TOL = 1e-9
 
 
-def _povm_stack(elements: Sequence) -> tuple[np.ndarray | None, str | None]:
-    """The exactly Hermitian (m, d, d) stack of a POVM's elements, or None and its first defect."""
+def _povm_stack(elements: Sequence) -> np.ndarray:
+    """The exactly Hermitian (m, d, d) stack of a POVM's elements; InvalidPovm names the first defect."""
     if len(elements) == 0:
-        return None, "POVM has no elements"
+        raise InvalidPovm("POVM has no elements")
     try:
         mats = [_square(m) for m in elements]
     except (DimensionMismatch, TypeError, ValueError) as exc:
-        return None, f"element is not Hermitian: {exc}"
+        raise InvalidPovm(f"element is not Hermitian: {exc}") from None
     dim = mats[0].shape[0]
     for i, m in enumerate(mats):
         if m.shape[0] != dim:
-            return None, f"element {i} has dimension {m.shape[0]}, expected {dim}"
+            raise InvalidPovm(f"element {i} has dimension {m.shape[0]}, expected {dim}")
     try:
         stack = hermitian_part(np.array(mats))
     except QfgError as exc:
-        return None, f"element is not Hermitian: {exc}"
+        raise InvalidPovm(f"element is not Hermitian: {exc}") from None
     low = eigh(stack)[0][:, 0]
     bad = low < PSD_EIGENVALUE_FLOOR
     if bad.any():
         i = int(np.argmax(bad))
-        return None, f"element {i} has negative eigenvalue {low[i]:.3e}"
+        raise InvalidPovm(f"element {i} has negative eigenvalue {low[i]:.3e}")
     defect = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
     if defect > POVM_TOL:
-        return None, f"elements sum to identity with defect {defect:.3e} > {POVM_TOL:g}"
-    return stack, None
-
-
-def povm_diagnose(elements: Sequence) -> str | None:
-    """Return a defect description for an operator family, or None if it is a POVM."""
-    return _povm_stack(elements)[1]
+        raise InvalidPovm(f"elements sum to identity with defect {defect:.3e} > {POVM_TOL:g}")
+    return stack
 
 
 class Povm:
     """Finite POVM: PSD elements summing to the identity within POVM_TOL."""
 
     def __init__(self, elements: Sequence):
-        stack, defect = _povm_stack(elements)
-        if defect is not None:
-            raise InvalidPovm(defect)
+        stack = _povm_stack(elements)
         stack.setflags(write=False)
         self.stack = stack
 

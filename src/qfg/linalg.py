@@ -8,13 +8,12 @@ Conventions used everywhere downstream:
 * eigenvalues are returned ascending, eigenvectors as unitary column matrices.
 
 Every eigendecomposition goes through ``eigh``, which decomposes a whole
-stack in one call: a 2 x 2 stack in closed form as array operations, by the
-formulas of LAPACK's ``dlaev2`` (LAPACK Users' Guide, 3rd ed., 1999; Golub &
-Van Loan, Matrix Computations, section 8.5), and d >= 3 by
-``np.linalg.eigh``. The states built without it are those whose eigenpairs
-are known by construction, which ``DensityStack.from_eigenpairs`` takes from
-``states``: a pure one's, from the Householder lift of psi, and a mixed
-qubit chart point's, (k, 1 - k) and the columns of U(z). Every matrix product
+stack in one ``np.linalg.eigh`` (LAPACK) call at every d, and raises
+NonHermitianInput on a non-finite row. The states built without it are
+those whose eigenpairs are known by construction, which
+``DensityStack.from_eigenpairs`` takes from ``states``: a pure one's, from
+the Householder lift of psi, and a mixed qubit chart point's, (k, 1 - k)
+and the columns of U(z). Every matrix product
 goes through ``matmul``, which multiplies broadcasting stacks in one call:
 2 x 2 factors by the entry formulas c_ij = a_i0 b_0j + a_i1 b_1j as array
 operations, not one BLAS call per matrix, and d >= 3 by ``np.matmul``.
@@ -53,8 +52,6 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 SQRT_RANK_CUTOFF = 1e-12
 TRACE_TOL = 1e-9
 MAX_DIM = 8
-_TINY = np.finfo(float).smallest_subnormal
-_EPS = np.finfo(float).eps / 2  # LAPACK's dlamch('E'), the unit roundoff
 
 IDENTITY2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -213,8 +210,19 @@ def frobenius_real(h: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in an (..., d, d) stack."""
-    return np.sqrt(frobenius_real(a, a))
+    """Frobenius norm of each matrix in an (..., d, d) stack.
+
+    Each matrix is scaled by the power of two of its largest real or
+    imaginary part before its squares are summed by ``frobenius_real``, as
+    ``optimize.maximize_cfi_stack`` scales |l|: the bits are those of
+    sqrt(Re Tr[a^dag a]) where the squares neither overflow nor underflow,
+    and entries of 1e-234 or 1e200 still give a nonzero, finite norm.
+    """
+    f = np.ascontiguousarray(a, dtype=complex).view(float)
+    exp = np.frexp(_reduce_rows(np.maximum, np.abs(f), axes=2, initial=0.0))[1]
+    scaled = np.ldexp(f, -exp[..., None, None]).view(complex)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(frobenius_real(scaled, scaled)), exp)
 
 
 def _reduce_rows(ufunc, a: np.ndarray, axes: int = 1, initial=None) -> np.ndarray:
@@ -287,93 +295,20 @@ def require_hermitian(m) -> np.ndarray:
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of an exactly Hermitian matrix or stack: w ascending, V unitary.
 
-    The eigenvectors are V's columns. A 2 x 2 matrix or stack is solved in
-    closed form as array operations by ``_eigh2``, the formulas of LAPACK's
-    ``dlaev2``; d >= 3 goes to ``np.linalg.eigh``. Either way a row's bits
-    depend on that row alone. A NaN or infinite entry of a 2 x 2 row raises
-    NonHermitianInput; so does LAPACK's failure to converge on entries that
-    overflow, instead of numpy's LinAlgError.
+    The eigenvectors are V's columns. It is ``np.linalg.eigh`` at every d, one
+    LAPACK call per stack, so a row's bits depend on that row alone. A row with
+    a NaN or infinite entry has NaN eigenvalues, or LAPACK fails to converge on
+    it; either raises NonHermitianInput, instead of a NaN spectrum or numpy's
+    LinAlgError. The check reads only the (..., d) spectrum, so finite
+    entries whose eigenvalue lies beyond the float range give +-inf, as
+    LAPACK returns it.
     """
-    if a.shape[-1] == 2:
-        return _eigh2(a)
     try:
-        return np.linalg.eigh(a)
+        w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError:
-        raise NonHermitianInput("matrix entries overflow; eigendecomposition did not converge") from None
-
-
-def _eigh2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a (..., 2, 2) stack as array operations, by LAPACK's ``dlaev2``.
-
-    With b = a_10, the row is D [[p, |b|], [|b|, q]] D^dag for D = diag(1, b/|b|),
-    and dlaev2 (LAPACK Users' Guide, 3rd ed., 1999) solves the real matrix:
-    rt1, the eigenvalue of larger magnitude, is (sm +- rt)/2 with sm = p + q
-    and rt = sqrt((p - q)^2 + 4|b|^2) formed without overflow; the other is
-    det / rt1, which does not cancel as (sm -+ rt)/2 would; its eigenvector
-    (cs1, sn1) follows dlaev2's branch rules, the other is perpendicular, and
-    D puts the phase of b on the second component. A row that LAPACK's
-    dsteqr would deflate is its own diagonal, so diagonal input is exact.
-    Each row is first scaled by the power of two of its largest entry, which
-    changes no bits, so neither an overflow nor a subnormal |b| breaks the
-    formulas; an eigenvalue beyond the float range is +-inf, as LAPACK
-    returns it. The sign of each column is a choice, as LAPACK's is.
-    """
-    f = np.ascontiguousarray(a, dtype=complex).reshape(*a.shape[:-2], 4).view(float)  # re, im of a_00, a_01, a_10, a_11
-    big = _reduce_rows(np.maximum, np.abs(f))
-    if not np.isfinite(big).all():
+        raise NonHermitianInput("matrix has NaN, Inf or overflowing entries; eigendecomposition did not converge") from None
+    if np.isnan(w).any():
         raise NonHermitianInput("matrix contains NaN or Inf entries")
-    exp = np.frexp(big)[1]
-    f = np.ldexp(f, -exp[..., None])
-    p, br, bi, q = f[..., 0], f[..., 4], f[..., 5], f[..., 6]
-    ab = np.hypot(br, bi)
-    # the phase from b scaled to |b| ~ 1, so that a subnormal b keeps a unit phase
-    bexp = -np.frexp(ab)[1]
-    ur, ui = np.ldexp(br, bexp), np.ldexp(bi, bexp)
-    ub = np.hypot(ur, ui)
-    phase = np.ones(ab.shape, dtype=complex)
-    nonzero = ub > 0
-    np.divide(ur, ub, out=phase.real, where=nonzero)
-    np.divide(ui, ub, out=phase.imag, where=nonzero)
-
-    sm, df, tb = p + q, p - q, ab + ab
-    adf = np.abs(df)
-    hi, lo = np.maximum(adf, tb), np.minimum(adf, tb)
-    rt = hi * np.sqrt(1.0 + (r := lo / np.maximum(hi, _TINY)) * r)
-    s1 = np.copysign(rt, sm)
-    rt1 = 0.5 * (sm + s1)
-    zero = sm == 0  # rt1 = rt/2 and rt2 = -rt/2; else rt2 = (acmx/rt1)*acmn - (|b|/rt1)*|b|
-    ap, aq = np.abs(p), np.abs(q)
-    wider = ap > aq
-    acmx, acmn = np.where(wider, p, q), np.where(wider, q, p)
-    den = rt1 + zero
-    rt2 = np.where(zero, -rt1, (acmx / den) * acmn - (ab / den) * ab)
-
-    s2 = np.copysign(rt, df)
-    cs = df + s2
-    acs = np.abs(cs)
-    first = acs > tb  # ct = -tb/cs, else tn = -cs/tb (0 when tb = 0): the smaller over the larger
-    t = np.copysign(np.minimum(acs, tb) / np.maximum(np.maximum(acs, tb), _TINY), -cs)
-    h = 1.0 / np.sqrt(1.0 + t * t)
-    th = t * h
-    c, s = np.where(first, th, h), np.where(first, h, th)
-    # (c, s) belongs to rt1 turned by 90 degrees when sgn1 = sgn2; the column
-    # of the smaller eigenvalue is rt1's turned by 90 degrees when rt2 < rt1
-    turn = (s1 == s2) != (rt2 < rt1)
-    x, y = np.where(turn, -s, c), np.where(turn, c, s)
-    # LAPACK's dsteqr deflates |b| <= sqrt|p| sqrt|q| eps: such a row is its diagonal, with unit vectors
-    split = ab <= np.sqrt(ap) * np.sqrt(aq) * _EPS
-    rt1, rt2 = np.where(split, p, rt1), np.where(split, q, rt2)
-    low_p = p <= q
-    x, y = np.where(split, low_p, x), np.where(split, ~low_p, y)
-
-    w = np.empty(a.shape[:-1])
-    np.minimum(rt1, rt2, out=w[..., 0])
-    np.maximum(rt1, rt2, out=w[..., 1])
-    with np.errstate(over="ignore"):
-        w = np.ldexp(w, exp[..., None])
-    v = np.empty(a.shape, dtype=complex)
-    v[..., 0, 0], v[..., 0, 1] = x, -y
-    v[..., 1, 0], v[..., 1, 1] = phase * y, phase * x
     return w, v
 
 
@@ -458,9 +393,15 @@ class DensityStack:
         return len(self.matrices)
 
     def __getitem__(self, i: int) -> "DensityOp":
-        """Row i as a DensityOp, without checking it again."""
+        """Row i as a DensityOp, without checking it again; a negative i counts from the end.
+
+        An i outside [-n, n) raises IndexError, which also ends iteration.
+        """
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"row {i} of a stack of {n}")
         row = object.__new__(DensityStack)
-        rows = slice(i, i + 1)
+        rows = slice(i % n, i % n + 1)
         row.matrices, row.eigenvalues, row.eigenvectors = (
             self.matrices[rows], self.eigenvalues[rows], self.eigenvectors[rows]
         )

@@ -299,11 +299,6 @@ def pair_outcomes(axes) -> np.ndarray:
     return pair
 
 
-def projector_pair(axis) -> Povm:
-    """Projective pair {P(n), P(-n)} for a unit Bloch axis n."""
-    return Povm(pair_outcomes(axis))
-
-
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic quasi-uniform grid of n unit vectors."""
     i = np.arange(n)

@@ -234,12 +234,15 @@ def suite_tensor_identities() -> list[Check]:
     d = u @ np.stack([x1, x2], axis=1) @ dagger(u)  # sphere drho at the rotated point equals U xtilde0 U^dag
     rotated = DensityStack(w @ rho.matrices @ dagger(w))
     w = w[:, None]
-    worst_equi = float(np.abs(tensor(rho, d) - tensor(rotated, w @ d @ dagger(w))).max())
+    kernel = tensor(rho, d)
+    worst_kernel = float(np.abs(kernel - value).max())
+    worst_equi = float(np.abs(kernel - tensor(rotated, w @ d @ dagger(w))).max())
     ref = abs(fisher_tensor(0.25, 0j, 1.0, 1j).value - (-0.5j))
     return [
         _bound("closed form vs matrix oracle over 200 draws", worst_oracle, 1e-10),
         _bound("matched-tangent antisymmetric identity", worst_im, 1e-10),
         _bound("matched-tangent symmetric identity", worst_re, 1e-10),
+        _bound("Fisher-tensor kernel vs closed form over 200 draws", worst_kernel, 1e-10),
         _bound("equivariance under unitary rotation", worst_equi, 1e-10),
         _bound("reference value -i/2 at (1/4, 0, 1, i)", ref, 1e-12),
     ]

@@ -19,7 +19,7 @@ CHECK_COUNTS = {
     "closed-forms": 2,
     "mixing-suppression": 1,
     "s3-identity": 1,
-    "tensor-identities": 5,
+    "tensor-identities": 6,
     "gkks-relation": 2,
     "optimizer-attainment": 4,
     "attainability-soundness": 3,
@@ -97,7 +97,7 @@ def test_criterion_12_cli_determinism():
 def test_all_suites_registered():
     assert len(verify.SUITES) == 12
     assert list(verify.SUITES) == list(CHECK_COUNTS)
-    assert sum(CHECK_COUNTS.values()) == 34
+    assert sum(CHECK_COUNTS.values()) == 35
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))

@@ -18,9 +18,9 @@ import qfg.sld
 from qfg import cli
 from qfg import scan as scan_module
 from qfg.errors import DegenerateSld, QfgError
-from qfg.fisher import classical_fisher, fisher_tensor_general, quantum_fisher
+from qfg.fisher import Povm, classical_fisher, fisher_tensor_general, quantum_fisher
 from qfg.linalg import PAULI_X, PAULI_Z, DensityOp
-from qfg.optimize import attainability_check, maximize_cfi, projector_pair, sld_eigenbasis_povm
+from qfg.optimize import attainability_check, maximize_cfi, pair_outcomes, sld_eigenbasis_povm
 from qfg.scenario import parse_scenario
 from qfg.sld import ANALYTIC, FD, differentiate_curve, sld_solve
 
@@ -33,7 +33,7 @@ ENTRY_POINTS = {
     "fisher_tensor_general": lambda rho, d: fisher_tensor_general(rho, DRHO, d),
     "sld_eigenbasis_povm": lambda rho, d: sld_eigenbasis_povm(rho, d),
     "attainability_check": lambda rho, d: attainability_check(rho, d, np.diag([1.0, 0.0])),
-    "classical_fisher": lambda rho, d: classical_fisher(rho, d, projector_pair([0, 0, 1])),
+    "classical_fisher": lambda rho, d: classical_fisher(rho, d, Povm(pair_outcomes([0, 0, 1]))),
     "maximize_cfi": lambda rho, d: maximize_cfi(rho, d),
 }
 

@@ -18,7 +18,6 @@ from qfg.fisher import (
     fisher_tensor,
     fisher_tensor_general,
     fisher_tensor_stack,
-    povm_diagnose,
     pure_qdit_fisher,
     qfi_qubit_closed_form,
     quantum_fisher,
@@ -78,8 +77,9 @@ class TestPovm:
             Povm([big, np.eye(2) - big])
 
     def test_diagnose_reports_defect(self):
-        assert "defect" in povm_diagnose([np.diag([0.99, 0.99])])
-        assert povm_diagnose([np.eye(2) / 2, np.eye(2) / 2]) is None
+        with pytest.raises(InvalidPovm, match="^elements sum to identity with defect 1.414e-02 > 1e-09$"):
+            Povm([np.diag([0.99, 0.99])])
+        assert len(Povm([np.eye(2) / 2, np.eye(2) / 2])) == 2
 
 
 class TestClassicalFisher:

@@ -1,32 +1,17 @@
 """``NonFiniteResult`` is raised in two places only.
 
-A closed form reports a non-finite result through ``errors.finite_closed_form``
-and the writers through ``serialize.format_float``; a module that raises it by
-hand has a second finiteness policy. No linter ships with the project, so
-this parses each ``src/qfg`` module with ``ast``.
+A closed form reports a non-finite result through
+``errors.finite_closed_form`` and the writers through
+``serialize.format_float``; a module that raises it by hand has a second
+finiteness policy. The rule ``RULES["non-finite raise"]`` of ``ast_guards``
+checks every other ``src/qfg`` module.
 """
-
-import ast
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qfg"
-ALLOWED = {"errors.py", "serialize.py"}
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name not in ALLOWED)
+from ast_guards import RULES
 
-
-def non_finite_raises(source: str) -> list[int]:
-    """Lines that raise NonFiniteResult, called or not, by bare or dotted name."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Raise) or node.exc is None:
-            continue
-        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-        if name == "NonFiniteResult":
-            lines.append(node.lineno)
-    return sorted(lines)
+RAISES = RULES["non-finite raise"]
 
 
 def test_checker_flags_a_raise():
@@ -37,9 +22,9 @@ def test_checker_flags_a_raise():
         "    raise errors.NonFiniteResult\n"
         "error = NonFiniteResult('not raised')\n"
     )
-    assert non_finite_raises(source) == [3, 4]
+    assert RAISES.violations(source) == ["line 3: raise NonFiniteResult('x')", "line 4: raise errors.NonFiniteResult"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", RAISES.modules, ids=lambda p: p.name)
 def test_module_does_not_raise_non_finite_result(path):
-    assert non_finite_raises(path.read_text(encoding="utf-8")) == []
+    assert RAISES.check(path) == []

@@ -9,13 +9,14 @@ from qfg.errors import (
     DegenerateSld,
     DimensionUnsupported,
     DomainError,
+    InvalidPovm,
     SupportMismatch,
     ZeroVelocityCurve,
 )
 from qfg.fisher import (
+    Povm,
     classical_fisher,
     classical_fisher_stack,
-    povm_diagnose,
     quantum_fisher,
 )
 from qfg.linalg import DensityOp, DensityStack, PAULI_X, PAULI_Y, PAULI_Z
@@ -29,7 +30,6 @@ from qfg.optimize import (
     maximize_cfi_stack,
     mixed_conditions_check,
     pair_outcomes,
-    projector_pair,
     reach_check_pure,
     sld_eigenbasis,
     sld_eigenbasis_povm,
@@ -49,10 +49,11 @@ from qfg.states import Chart, qubit_point, rho_of_kz, rho_of_kz_stack
 
 class TestPovmValidate:
     def test_projective_pair(self):
-        assert povm_diagnose([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]) is None
+        assert len(Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])) == 2
 
     def test_incomplete(self):
-        assert povm_diagnose([np.diag([1.0, 0.0])]) is not None
+        with pytest.raises(InvalidPovm, match="^elements sum to identity with defect 1.000e\\+00 > 1e-09$"):
+            Povm([np.diag([1.0, 0.0])])
 
     def test_trine(self):
         elements = []
@@ -60,10 +61,11 @@ class TestPovmValidate:
             ang = 2 * math.pi * j / 3
             n = math.cos(ang) * PAULI_X + math.sin(ang) * PAULI_Z
             elements.append((2 / 3) * (np.eye(2) + n) / 2)
-        assert povm_diagnose(elements) is None
+        assert len(Povm(elements)) == 3
 
     def test_negative_element(self):
-        assert povm_diagnose([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])]) is not None
+        with pytest.raises(InvalidPovm, match="^element 1 has negative eigenvalue -5.000e-01$"):
+            Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
 
 class TestAttainabilityCheck:
@@ -411,7 +413,7 @@ class TestBlochHelpers:
         assert np.allclose(bloch_vector(np.eye(2) / 2), [0, 0, 0])
 
     def test_projector_pair_sums_to_identity(self):
-        povm = projector_pair([0, 0, 1])
+        povm = Povm(pair_outcomes([0, 0, 1]))
         assert np.allclose(sum(np.asarray(m) for m in povm), np.eye(2))
 
     def test_pair_cfi_closed_form(self):
@@ -427,9 +429,9 @@ class TestBlochHelpers:
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
             closed = (n @ w) ** 2 / (1 - (n @ s) ** 2)
-            assert classical_fisher(rho, drho, projector_pair(n)) == pytest.approx(closed, rel=1e-12)
+            assert classical_fisher(rho, drho, Povm(pair_outcomes(n))) == pytest.approx(closed, rel=1e-12)
             axis = maximize_cfi(rho, drho).axis
-            assert classical_fisher(rho, drho, projector_pair(axis)) == pytest.approx(
+            assert classical_fisher(rho, drho, Povm(pair_outcomes(axis))) == pytest.approx(
                 quantum_fisher(rho, drho), rel=1e-12
             )
 
@@ -445,7 +447,7 @@ class TestBlochHelpers:
         assert table.shape == (6, 4)
         for j, n in enumerate(axes):
             for i, (rho, drho) in enumerate(zip(rhos, drhos)):
-                assert table[j, i] == pytest.approx(classical_fisher(rho, drho, projector_pair(n)), rel=1e-12)
+                assert table[j, i] == pytest.approx(classical_fisher(rho, drho, Povm(pair_outcomes(n))), rel=1e-12)
 
     def test_fibonacci_sphere_is_unit(self):
         grid = fibonacci_sphere(128)

@@ -85,7 +85,7 @@ class TestHouseholderLift:
         rho, w, v = stack.matrices, stack.eigenvalues, stack.eigenvectors
         assert (w == np.eye(d)[-1]).all() and (np.diff(w, axis=1) >= 0).all()
         assert np.isfinite(v).all() and v.flags.c_contiguous
-        # linalg.eigh on the same matrices, LAPACK's at d >= 3, is the reference: it reads up to 6 eps
+        # linalg.eigh on the same matrices, LAPACK's, is the reference: it reads up to 6 eps
         # and 18 eps on these stacks, the lift up to 4 eps and 11 eps, its unitarity defect taking in
         # the rows' own 1 - |psi|^2
         w_ref, v_ref = eigh(rho)

@@ -1,43 +1,22 @@
 """Every module-level import in the library is used by its module.
 
-No linter ships with the project, so this parses each ``src/qfg`` module with
-``ast``. ``__init__.py`` (whose imports are the public API) and imports marked
+The rule ``RULES["unused import"]`` of ``ast_guards`` checks each ``src/qfg``
+module. ``__init__.py`` (whose imports are the public API) and imports marked
 ``# noqa: F401`` (deliberate re-exports) are exempt.
 """
 
-import ast
-from pathlib import Path
-
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qfg"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+from ast_guards import RULES
 
-
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    imported = {}
-    for node in tree.body:
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        for alias in node.names:
-            if "# noqa: F401" in lines[alias.lineno - 1] or "# noqa: F401" in lines[node.lineno - 1]:
-                continue
-            name = alias.asname or alias.name.split(".")[0]
-            imported[name] = alias.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
-            if name not in used]
+UNUSED = RULES["unused import"]
 
 
 def test_checker_flags_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n\nprint(pi)\n"
-    assert unused_imports(source) == ["line 1: os", "line 3: tau"]
+    assert UNUSED.violations(source) == ["line 1: os", "line 3: tau"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", UNUSED.modules, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+    assert UNUSED.check(path) == []

@@ -3,6 +3,8 @@ makes ``verify.run_suites`` report at least one failed check."""
 
 import numpy as np
 
+import qfg.fisher
+import qfg.geometry
 import qfg.optimize
 import qfg.sld
 from qfg import verify
@@ -52,3 +54,14 @@ def test_the_qfi_paired_with_the_transposed_sld(monkeypatch):
     assert "SLD identity Tr[drho L] = Tr[rho L^2]" in failed["sld-residual"]
     monkeypatch.undo()
     assert not any(_failed(["sld-residual"]).values())
+
+
+def test_the_fisher_tensor_kernel_conjugated(monkeypatch):
+    # F and its conjugate share their real part, and a unitary rotation conjugates neither, so equivariance
+    # cannot tell them apart; the kernel against the closed form must
+    original = qfg.fisher.fisher_tensor_stack
+    for module in (qfg.fisher, qfg.geometry, verify):
+        monkeypatch.setattr(module, "fisher_tensor_stack", lambda rho, ell: original(rho, ell).conj())
+    assert _failed(["tensor-identities"])["tensor-identities"] == ["Fisher-tensor kernel vs closed form over 200 draws"]
+    monkeypatch.undo()
+    assert not any(_failed(["tensor-identities"]).values())
