@@ -89,6 +89,18 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _dagger_copy(a: np.ndarray) -> np.ndarray:
+    """``dagger(a)`` as a C-contiguous copy, conjugated in place: the same entries, laid out as a's.
+
+    An elementwise ufunc of a with the transposed view ``dagger(a)`` copies
+    that operand into numpy's ufunc buffer (8192 entries, a whole 2000-row
+    qubit stack) on top of the conjugate ``dagger`` forms; this one copy is
+    all a sum a + a^dag needs.
+    """
+    ah = np.ascontiguousarray(a.swapaxes(-1, -2))
+    return np.conjugate(ah, out=ah)
+
+
 def rank_one_projectors(vecs: np.ndarray) -> np.ndarray:
     """The exactly Hermitian projectors |v><v| of the rows v of an (n, d) array of unit vectors.
 
@@ -102,12 +114,12 @@ def rank_one_projectors(vecs: np.ndarray) -> np.ndarray:
     if vecs.shape[1] != 2:
         p = vecs[:, :, None] * vecs.conj()[:, None, :]
         return (p + dagger(p)) / 2
-    cols = (vecs[:, 0], vecs[:, 1])
-    p = [[x * y.conj() for y in cols] for x in cols]
+    x, y = vecs[:, 0], vecs[:, 1]
     m = np.empty((len(vecs), 2, 2), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            m[:, i, j] = (p[i][j] + p[j][i].conj()) / 2
+    for i, p in ((0, x * x.conj()), (1, y * y.conj())):
+        m[:, i, i] = (p + p.conj()) / 2
+    p, q = x * y.conj(), y * x.conj()  # p_01 and p_10, formed after the diagonal's products are dropped
+    m[:, 0, 1], m[:, 1, 0] = (p + q.conj()) / 2, (q + p.conj()) / 2
     return m
 
 
@@ -165,12 +177,17 @@ def congruence(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     a, b, c, d = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
     p, q, g = h[..., 0, 0], h[..., 1, 1], h[..., 0, 1]  # h is exactly Hermitian: p and q are real
     gr, gi = g.real.astype(complex), g.imag.astype(complex)  # cast once, not in each float-by-complex product
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        ia, ib, ic, id_ = 1j * a, 1j * b, 1j * c, 1j * d
-        h00, h01 = p * a + (gr * c + gi * ic), p * b + (gr * d + gi * id_)
-        h10, h11 = (gr * a - gi * ia) + q * c, (gr * b - gi * ib) + q * d
-        ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+        # h v's first column and D_00, then its second column: each temporary dies at its last read
+        ia, ic = 1j * a, 1j * c
+        h00, h10 = p * a + (gr * c + gi * ic), (gr * a - gi * ia) + q * c
+        del ia, ic
         d00 = (ar * h00.real + ai * h00.imag) + (cr * h10.real + ci * h10.imag)
+        del h00, h10
+        ib, id_ = 1j * b, 1j * d
+        h01, h11 = p * b + (gr * d + gi * id_), (gr * b - gi * ib) + q * d
+        del gr, gi, ib, id_
         d11 = (br * h01.real + bi * h01.imag) + (dr * h11.real + di * h11.imag)
         re = (ar * h01.real + ai * h01.imag) + (cr * h11.real + ci * h11.imag)
         im = (ar * h01.imag - ai * h01.real) + (cr * h11.imag - ci * h11.real)
@@ -191,7 +208,7 @@ def frobenius_inner(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     ``frobenius_real``, which costs half as much.
     """
     h, a = np.ascontiguousarray(h), np.ascontiguousarray(a)
-    return np.vecdot(h.reshape(*h.shape[:-2], -1), a.reshape(*a.shape[:-2], -1))
+    return np.vecdot(_flat(h), _flat(a))
 
 
 def frobenius_real(h: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -206,7 +223,12 @@ def frobenius_real(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     layout.
     """
     h, a = np.ascontiguousarray(h, dtype=complex), np.ascontiguousarray(a, dtype=complex)
-    return np.vecdot(h.reshape(*h.shape[:-2], -1).view(float), a.reshape(*a.shape[:-2], -1).view(float))
+    return np.vecdot(_flat(h).view(float), _flat(a).view(float))
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """The contiguous (..., d, d) stack a as (..., d * d): an explicit length, so a stack of no rows reshapes too."""
+    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])
 
 
 def frobenius_norms(a: np.ndarray) -> np.ndarray:
@@ -263,15 +285,21 @@ def hermitian_part(m) -> np.ndarray:
     and halved first where an entry at or above 2^1023 could overflow the sum.
     An exactly Hermitian stack (a == a^dag entry for entry, as every curve
     family builds its states) has defect 0 in every row, so one comparison
-    answers the check, and with no entry at or above 2^1023 it returns the
-    same (a + a^dag) / 2. Any other stack is judged row by row on
-    a / max(1, max|a_ij|), whose norms cannot overflow.
+    answers the check. When, besides, no real or imaginary part reaches
+    +-2^1022 (four reductions of the parts, with no |a_ij| stack formed), no
+    |a_ij| reaches 2^1023, and it returns the same (a + a^dag) / 2, halved in
+    the sum's buffer. An exactly Hermitian stack with a part in [2^1022,
+    2^1023) is judged row by row, whose answer is then the same bits. Any
+    other stack is judged row by row on a / max(1, max|a_ij|), whose norms
+    cannot overflow.
     """
     a = as_stack(m)
-    ah, mag = dagger(a), np.abs(a)
-    if (a == ah).all() and mag.max(initial=0.0) < 2.0**1023:
-        return (a + ah) / 2
-    s = _reduce_rows(np.maximum, mag, axes=2, initial=1.0)
+    ah, edge = _dagger_copy(a), 2.0**1022
+    if (a == ah).all() and all(-edge < x.min(initial=0.0) and x.max(initial=0.0) < edge for x in (a.real, a.imag)):
+        out = a + ah
+        out /= 2
+        return out
+    s = _reduce_rows(np.maximum, np.abs(a), axes=2, initial=1.0)
     b = a / s[:, None, None]
     defect, norm = frobenius_norms(b - dagger(b)), frobenius_norms(b)
     bad = defect > HERMITIAN_RTOL * np.maximum(1.0 / s, norm)

@@ -347,6 +347,7 @@ def maximize_cfi_stack(rho: DensityStack, drho: np.ndarray, ell: np.ndarray):
     axes = np.zeros_like(l)
     axes[:, 2] = 1.0
     np.divide(scaled, norm[:, None], out=axes, where=~degenerate[:, None])
+    del a, l, scaled, norm, radius  # dead before the (2, n, 2, 2) outcomes are formed
     outcomes = pair_outcomes(axes)
     return axes, outcomes, classical_fisher_stack(rho, drho, outcomes), degenerate
 

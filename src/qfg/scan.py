@@ -68,6 +68,7 @@ def scan_rows(scenario: Scenario, thetas: np.ndarray, mode: str, h: float) -> np
     ell = sld_solve_stack(rho, drho)
     total = quantum_fisher_of_sld(drho, ell)
     sphere, transverse = qfi_split(curve, rho, thetas, stepped, h, total)
+    del stepped  # its last read: a table's split
     if scenario.povm is not None:
         cfi = classical_fisher_stack(rho, drho, scenario.povm.stack[:, None])
     else:

@@ -51,6 +51,7 @@ from .linalg import (
     DensityOp,
     MAX_DIM,
     DensityStack,
+    _dagger_copy,
     _reduce_rows,
     as_stack,
     congruence,
@@ -198,12 +199,12 @@ class TransverseCurve(_StackedCurve):
         return QubitPoint(float(self._weights(_thetas(theta))[0]), self.coord, self.chart)
 
     def rho_matrices(self, thetas: np.ndarray) -> np.ndarray:
-        k = self._weights(thetas)
-        return chart_matrices(k, 1.0 - k, np.full(len(thetas), self.coord, dtype=complex), self.chart)
+        k = self._weights(thetas)  # n weights at one point
+        return chart_matrices(k, 1.0 - k, np.array([self.coord], dtype=complex), self.chart)
 
     def _states(self, thetas: np.ndarray, m: np.ndarray) -> DensityStack:
         # the weights that rho_matrices checked
-        return chart_states(m, self.k_at(thetas), np.full(len(thetas), self.coord, dtype=complex), self.chart)
+        return chart_states(m, self.k_at(thetas), np.array([self.coord], dtype=complex), self.chart)
 
     def drho_stack(self, thetas: np.ndarray, rho: np.ndarray) -> np.ndarray:
         unit = chart_matrices(1.0, -1.0, np.array([self.coord], dtype=complex), self.chart)  # the same at every theta
@@ -380,14 +381,18 @@ def _require_mode(mode: str):
 def _central_difference(stepped: np.ndarray, h: float) -> np.ndarray:
     """(rho(theta + h) - rho(theta - h)) / 2h from the matrices at theta + h, then theta - h."""
     plus, minus = np.split(stepped, 2)
-    return (plus - minus) / (2 * h)
+    diff = plus - minus
+    diff /= 2 * h
+    return diff
 
 
 def _directions(drho: np.ndarray) -> np.ndarray:
-    """drho made exactly Hermitian, and traceless by projection."""
-    drho = (drho + dagger(drho)) / 2
-    dim = drho.shape[1]
-    return drho - (traces(drho).real / dim)[:, None, None] * np.eye(dim)
+    """drho made exactly Hermitian, and traceless by projection, both in the buffer of the symmetrized sum."""
+    sym = drho + _dagger_copy(drho)
+    sym /= 2
+    dim = sym.shape[1]
+    sym -= (traces(sym).real / dim)[:, None, None] * np.eye(dim)
+    return sym
 
 
 @finite_closed_form
@@ -405,18 +410,21 @@ def walk_curve(curve, thetas: np.ndarray, mode: str, h: float) -> tuple[DensityS
       family's ``drho_stack``, which reads the matrices of ``rho`` (a pure
       flow's A rho - rho A); the finite difference reads ``stepped``;
     * ``stepped``, the unchecked matrices rho(theta + h) then rho(theta - h),
-      (2n, d, d), which a finite difference and a table's QFI split
-      (``fisher.qfi_split``, in either mode) read; (0, d, d) where neither
-      does. A step past a table's end follows the end segment.
+      (2n, d, d), which a table's QFI split (``fisher.qfi_split``, in either
+      mode) reads; (0, d, d) for any other curve, whose finite difference,
+      here, is their last read. A step past a table's end follows the end
+      segment.
 
     A theta +- h or a drho that overflows (in the curve's formula, the
     difference quotient or the symmetrization) raises NonFiniteResult.
     """
     _require_mode(mode)
-    # a table's split reads its spectra at theta +- h in either mode
-    steps = _step_thetas(thetas, h) if mode == FD or isinstance(curve, TableCurve) else _NO_THETAS
+    split = isinstance(curve, TableCurve)  # a table's split reads its spectra at theta +- h in either mode
+    steps = _step_thetas(thetas, h) if mode == FD or split else _NO_THETAS
     rho, stepped = curve.walk(thetas, steps)
     drho = curve.drho_stack(thetas, rho.matrices) if mode == ANALYTIC else _central_difference(stepped, h)
+    if not split:  # not even an empty view of the walk's matrices, which would keep them all alive
+        stepped = stepped[:0].copy()
     return rho, _directions(drho), stepped
 
 
@@ -451,10 +459,12 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     entries of each row by entry formulas. A qubit row's denominators are the
     sums w0 + w0, w0 + w1 and w1 + w1, and on a full-rank stack its L_ij the
     real and imaginary parts of 2 drho_ij times 1 / (lam_i + lam_j), the bits
-    of numpy's complex-by-float division. Entries over eigenvalue pairs
-    outside the support are set to 0 when drho vanishes there too, within
-    SUPPORT_LEAK_TOL * max(1, ||drho||_F) for each row and direction;
-    otherwise the direction leaves the support and SupportMismatch is raised.
+    of numpy's complex-by-float division. L is formed in the buffer of
+    V^dag drho V, and the divisors die before the back-transform. Entries
+    over eigenvalue pairs outside the support are set to 0 when drho
+    vanishes there too, within SUPPORT_LEAK_TOL * max(1, ||drho||_F) for
+    each row and direction; otherwise the direction leaves the support and
+    SupportMismatch is raised.
     """
     w, v = rho.eigenvalues, rho.eigenvectors
     if drho.ndim == 4:
@@ -469,28 +479,43 @@ def sld_solve_stack(rho: DensityStack, drho: np.ndarray) -> np.ndarray:
     else:
         denom = w[..., :, None] + w[..., None, :]
     support = denom > SUPPORT_CUTOFF
-    if support.all() and qubit:  # every rho of full rank: no pair to judge or zero
+    full = support.all()  # every rho of full rank: no pair to judge or zero
+    if not full:
+        _require_support(dr, support)
+    # L_ij = 2 dr_ij / (lam_i + lam_j) on the support and 0 off it, each step written over its operand
+    np.multiply(2.0, dr, out=dr)
+    if full and qubit:
         # numpy divides a complex by a float as re * (1 / c) + i im * (1 / c), the same bits but for the
         # sign of a zero part, after casting the whole float stack to complex, which costs more
-        t, r = 2.0 * dr, 1.0 / denom
-        ell = np.empty(t.shape, dtype=complex)
-        ell.real, ell.imag = t.real * r, t.imag * r
-    elif support.all():
-        ell = 2.0 * dr / denom
+        np.divide(1.0, denom, out=denom)
+        for part in (dr.real, dr.imag):
+            np.multiply(part, denom, out=part)
+    elif full:
+        np.divide(dr, denom, out=dr)
     else:
-        mag = np.abs(dr)
-        # roundoff off the support grows with ||drho||_F = ||dr||_F, so the rule is relative to it; that
-        # tolerance is never below SUPPORT_LEAK_TOL, so it is formed only where the bare one is exceeded
-        leak = ~support & (mag > SUPPORT_LEAK_TOL)
-        if leak.any():
-            peak = _reduce_rows(np.maximum, mag, axes=2, initial=1.0)  # norms of dr / peak cannot overflow
-            tol = SUPPORT_LEAK_TOL * np.maximum(1.0, peak * frobenius_norms(dr / peak[..., None, None]))
-            leak &= mag > tol[..., None, None]
-        if leak.any():
-            weight = abs(dr[tuple(np.argwhere(leak)[0])])
-            raise SupportMismatch(f"drho has weight {weight:.3e} outside the support of rho")
-        ell = np.divide(2.0 * dr, denom, out=np.zeros_like(dr), where=support)
-    return congruence(dagger(v), ell)
+        np.divide(dr, denom, out=dr, where=support)
+        np.copyto(dr, 0.0, where=~support)
+    del denom, support  # dead before the back-transform, which holds its own temporaries
+    return congruence(dagger(v), dr)
+
+
+def _require_support(dr: np.ndarray, support: np.ndarray):
+    """Raise SupportMismatch if a row's V^dag drho V has weight on an eigenvalue pair outside the support.
+
+    Weight up to SUPPORT_LEAK_TOL * max(1, ||drho||_F) is roundoff: it grows
+    with ||drho||_F = ||dr||_F, so the rule is relative to it. That tolerance
+    is never below SUPPORT_LEAK_TOL, so it is formed only where the bare one
+    is exceeded.
+    """
+    mag = np.abs(dr)
+    leak = ~support & (mag > SUPPORT_LEAK_TOL)
+    if leak.any():
+        peak = _reduce_rows(np.maximum, mag, axes=2, initial=1.0)  # norms of dr / peak cannot overflow
+        tol = SUPPORT_LEAK_TOL * np.maximum(1.0, peak * frobenius_norms(dr / peak[..., None, None]))
+        leak &= mag > tol[..., None, None]
+    if leak.any():
+        weight = abs(dr[tuple(np.argwhere(leak)[0])])
+        raise SupportMismatch(f"drho has weight {weight:.3e} outside the support of rho")
 
 
 def sld_solve(rho: DensityOp, drho) -> np.ndarray:

@@ -177,10 +177,12 @@ def _householder_lift(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mag = np.abs(a)
     k = np.argmax(mag, axis=0)
     at_k, top = np.arange(d)[:, None] == k, mag.max(axis=0)
+    del mag
     # u_k = psi_k + psi_k / |psi_k|, in real arithmetic
     pr, pi = np.choose(k, a.real), np.choose(k, a.imag)
     ukr, uki = pr + pr / top, pi + pi / top
     ur, ui = np.where(at_k, ukr, a.real), np.where(at_k, uki, a.imag)
+    del a, pr, pi
     # t = u^dag / -(1 + |psi_k|) with its components k and d - 1 swapped: V = P + u t for the swap P
     c = 1.0 + top
     tr, ti = ur / -c, ui / c
@@ -191,8 +193,15 @@ def _householder_lift(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     swap[:, -1] = at_k
     ur, ui = ur[:, None], ui[:, None]
     v = np.empty((n, d, d), dtype=complex)
-    v.real[...] = (swap + (ur * tr - ui * ti)).transpose(2, 0, 1)
-    v.imag[...] = (ur * ti + ui * tr).transpose(2, 0, 1)
+    # (d, d, n) parts formed in place: P + (u_r t_r - u_i t_i), then u_r t_i + u_i t_r
+    part = ur * tr
+    part -= ui * ti
+    part += swap
+    v.real[...] = part.transpose(2, 0, 1)
+    del swap
+    np.multiply(ur, ti, out=part)
+    part += ui * tr
+    v.imag[...] = part.transpose(2, 0, 1)
     w = np.zeros((n, d))
     w[:, -1] = 1.0
     return w, v
@@ -203,13 +212,18 @@ def chart_states(matrices: np.ndarray, k, coord: np.ndarray, chart: Chart) -> De
 
     Each row is checked as ``DensityStack`` checks it, but its eigenpairs are
     not solved for: they are the chart point's own (``_chart_eigenpairs``).
-    ``k`` is an array of n weights or one weight for all points.
+    ``k`` and ``coord`` are arrays of n values or one for all rows.
     """
     return DensityStack.from_eigenpairs(matrices, *_chart_eigenpairs(k, coord, chart))
 
 
 def _chart_eigenpairs(k, coord: np.ndarray, chart: Chart) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of U diag(k, 1 - k) U^dag at n points of one chart: w = (k, 1 - k) and V, U's columns.
+
+    ``k`` and ``coord`` broadcast, as in ``chart_matrices``: V is formed once
+    per coordinate, so n weights at one point (a transverse curve's fixed
+    one) give one V, broadcast read-only to the n rows, with the bits n
+    copies of the point would give.
 
     U(c) = [[|c|, e], [-e^*, |c|]] / sqrt(1 + |c|^2), e = c / |c| (1 at c = 0),
     is ``unitary_of_z`` at c = z in the north chart. The south chart at w is
@@ -233,9 +247,9 @@ def _chart_eigenpairs(k, coord: np.ndarray, chart: Chart) -> tuple[np.ndarray, n
     v = np.zeros((n, 2, 2), dtype=complex)
     v.real[:, 0, p], v.real[:, 1, p], v.imag[:, 1, p] = a, -er, ei
     v.real[:, 0, 1 - p], v.imag[:, 0, 1 - p], v.real[:, 1, 1 - p] = er, ei, a
-    w = np.empty((n, 2))
+    w = np.empty(np.broadcast_shapes(np.shape(k), c.shape) + (2,))
     w[:, 0], w[:, 1] = k, 1.0 - k
-    return w, v
+    return w, np.broadcast_to(v, w.shape + (2,))
 
 
 @finite_closed_form
@@ -263,8 +277,8 @@ def rho_of_kz(point: QubitPoint) -> DensityOp:
 def rho_of_kz_stack(k, coord: np.ndarray, chart: Chart) -> DensityStack:
     """``rho_of_kz`` for n chart points of one chart: weights ``k`` and coordinates ``coord``.
 
-    ``k`` is an array of n weights or one weight for all points; the points
-    must be valid, as QubitPoint checks them. A coordinate whose |coord|^2
+    ``k`` and ``coord`` are arrays of n values or one for all points; the
+    points must be valid, as QubitPoint checks them. A coordinate whose |coord|^2
     overflows the float range raises NonFiniteResult, once for the stack.
     The eigenpairs are the points' own (``chart_states``), not an eigensolve.
     """
@@ -273,19 +287,23 @@ def rho_of_kz_stack(k, coord: np.ndarray, chart: Chart) -> DensityStack:
 
 @finite_closed_form
 def chart_matrices(k1, k2, coord: np.ndarray, chart: Chart) -> np.ndarray:
-    """The (n, 2, 2) matrices U diag(k1, k2) U^dag at n coordinates of one chart; weights are n values or one.
+    """The (n, 2, 2) matrices U diag(k1, k2) U^dag at n points of one chart; each argument is n values or one.
 
-    The south chart at w is the north formula at (k2, k1, -w*), so w = 0 gives diag(k1, k2).
+    The south chart at w is the north formula at (k2, k1, -w*), so w = 0 gives
+    diag(k1, k2). |coord|^2 is formed once per coordinate and broadcast
+    against the weights, and the entries are divided by 1 + |coord|^2 in
+    place.
     """
     if chart is Chart.SOUTH:
         k1, k2, coord = k2, k1, -coord.conj()
     ac2 = np.abs(coord) ** 2
-    m = np.empty((len(coord), 2, 2), dtype=complex)
+    m = np.empty(np.broadcast_shapes(np.shape(k1), np.shape(k2), coord.shape) + (2, 2), dtype=complex)
     m[:, 0, 0] = k1 * ac2 + k2
     m[:, 0, 1] = (k2 - k1) * coord
     m[:, 1, 0] = (k2 - k1) * coord.conj()
     m[:, 1, 1] = k1 + ac2 * k2
-    return m / (1.0 + ac2)[:, None, None]
+    m /= (1.0 + ac2)[:, None, None]
+    return m
 
 
 @finite_closed_form

@@ -905,3 +905,64 @@ def test_hermitian_part_of_an_inexact_stack_is_the_scaled_answer(factor, scale):
     m *= scale
     m[2, 0, 0] += 0.5j * HERMITIAN_RTOL * factor * bound
     assert _assert_scaled_answer(m) == (factor < 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_pairings_and_norms_of_a_stack_of_no_matrices(d):
+    empty = np.empty((0, d, d), dtype=complex)
+    for got in (frobenius_real(empty, empty), frobenius_inner(empty, empty), frobenius_norms(empty)):
+        assert got.shape == (0,)
+
+
+def _modulus_rule_hermitian_part(m):
+    """``hermitian_part`` deciding its exact branch on the complex |a_ij| < 2^1023: the parts' rule's reference."""
+    a = as_stack(m)
+    if (a == dagger(a)).all() and np.abs(a).max(initial=0.0) < 2.0**1023:
+        return (a + dagger(a)) / 2
+    return _scaled_hermitian_part(m)
+
+
+def _answer(f, m):
+    """The bits of f(m), or the text of the NonHermitianInput it raises."""
+    try:
+        return _bits(f(m)).tobytes()
+    except NonHermitianInput as exc:
+        return str(exc)
+
+
+_EDGE_MAGNITUDES = st.one_of(
+    st.floats(2.0**1021, 1.5 * 2.0**1023),  # parts across 2^1022 and 2^1023, moduli across 2^1023
+    st.sampled_from([2.0**1022, np.nextafter(2.0**1022, 0), 2.0**1023, np.nextafter(2.0**1023, 0), 2.0**1022.5]),
+    st.floats(0.0, 4.0),
+)
+_EDGE_PARTS = st.tuples(_EDGE_MAGNITUDES, st.booleans()).map(lambda x: -x[0] if x[1] else x[0])
+
+
+@st.composite
+def _edge_hermitian_stacks(draw):
+    """Exactly Hermitian (n, d, d) stacks whose parts or moduli straddle 2^1022 and 2^1023."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    m = np.zeros((n, d, d), dtype=complex)
+    for r in range(n):
+        for i in range(d):
+            m[r, i, i] = draw(_EDGE_PARTS)
+            for j in range(i + 1, d):
+                m[r, i, j] = complex(draw(_EDGE_PARTS), draw(_EDGE_PARTS))
+                m[r, j, i] = m[r, i, j].conjugate()
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_hermitian_stacks())
+def test_parts_rule_near_2_1022_answers_as_the_modulus_rule(m):
+    assert (m == dagger(m)).all()
+    assert _answer(hermitian_part, m) == _answer(_modulus_rule_hermitian_part, m)
+
+
+def test_an_exact_stack_with_a_part_at_2_1022_is_judged_row_by_row(monkeypatch):
+    # |a_ij| = 2^1022 is below 2^1023, but its real part is not below 2^1022: the edge row takes the scaled path
+    m = np.array([[[2.0**1022, 0.5], [0.5, 1.0]]], dtype=complex)
+    calls = []
+    monkeypatch.setattr(qfg.linalg, "frobenius_norms", lambda a: calls.append(a) or frobenius_norms(a))
+    assert _answer(hermitian_part, m) == _answer(_modulus_rule_hermitian_part, m)
+    assert calls

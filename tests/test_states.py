@@ -163,6 +163,29 @@ class TestChartEigenpairs:
                 assert (a.view(np.uint64) == b.view(np.uint64)).all()
         assert (strided.eigenvectors.view(np.uint64) == stack.eigenvectors.view(np.uint64)).all()
 
+    def test_one_point_is_broadcast_to_every_weight(self, chart, n):
+        # a transverse chunk: n weights at one point form |coord|^2 and V once, with the bits of n copies of it
+        k, coord = _chart_points(np.random.default_rng(600 + n), n)
+        for c in coord[:: max(1, n // 8)]:
+            one, full = rho_of_kz_stack(k, np.array([c]), chart), rho_of_kz_stack(k, np.full(n, c), chart)
+            for a, b in ((one.matrices, full.matrices), (one.eigenvalues, full.eigenvalues),
+                         (one.eigenvectors, full.eigenvectors)):
+                assert a.shape == b.shape and len(a) == n
+                assert (a.view(np.uint64) == b.view(np.uint64)).all()
+            assert n == 1 or one.eigenvectors.strides[0] == 0  # one V, read by every row
+
+
+@pytest.mark.parametrize("chart", list(Chart), ids=lambda c: c.value)
+def test_transverse_states_share_one_eigenvector_matrix(chart):
+    curve = TransverseCurve(k0=0.1, rate=0.3, coord=0.8 - 0.5j, chart=chart)
+    thetas = np.linspace(0.0, 1.0, 2000)
+    stack = curve.rho_stack(thetas)
+    assert stack.eigenvectors.shape == (2000, 2, 2) and stack.eigenvectors.strides[0] == 0
+    for i in (0, 999, 1999):
+        row = rho_of_kz(curve.point_at(thetas[i]))
+        assert (row.eigenvectors.view(np.uint64) == stack.eigenvectors[i].view(np.uint64)).all()
+        assert (row.matrix.view(np.uint64) == stack.matrices[i].view(np.uint64)).all()
+
 
 def test_chart_eigenpairs_at_the_poles_and_the_origin():
     # rho is diagonal at z = 0 and at the south-chart origin w = 0: V is a signed permutation
