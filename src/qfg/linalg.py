@@ -90,15 +90,15 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def _dagger_copy(a: np.ndarray) -> np.ndarray:
-    """``dagger(a)`` as a C-contiguous copy, conjugated in place: the same entries, laid out as a's.
+    """``dagger(a)`` as a new C-contiguous array.
 
     An elementwise ufunc of a with the transposed view ``dagger(a)`` copies
     that operand into numpy's ufunc buffer (8192 entries, a whole 2000-row
-    qubit stack) on top of the conjugate ``dagger`` forms; this one copy is
-    all a sum a + a^dag needs.
+    qubit stack) on top of the conjugate ``dagger`` forms; this one new array
+    is all a sum a + a^dag needs. It never shares a's memory, whatever a's
+    layout, so a is never written.
     """
-    ah = np.ascontiguousarray(a.swapaxes(-1, -2))
-    return np.conjugate(ah, out=ah)
+    return np.conjugate(a.swapaxes(-1, -2), order="C")
 
 
 def rank_one_projectors(vecs: np.ndarray) -> np.ndarray:

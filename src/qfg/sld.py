@@ -129,9 +129,14 @@ class _StackedCurve:
         return self.rho_matrices(_NO_THETAS).shape[-1]
 
     def walk(self, thetas: np.ndarray, steps: np.ndarray) -> tuple[DensityStack, np.ndarray]:
-        """The checked states rho(thetas) and the unchecked matrices rho(steps), from one evaluation at both."""
+        """The checked states rho(thetas) and the unchecked matrices rho(steps), from one evaluation at both.
+
+        With no steps, the matrices of no step are a new (0, d, d) array: an
+        empty view of the walk's matrices would keep them all alive.
+        """
         m = self.rho_matrices(np.concatenate([thetas, steps]))
-        return self._states(thetas, m[: len(thetas)]), m[len(thetas) :]
+        rest = m[len(thetas) :] if len(steps) else m[:0].copy()
+        return self._states(thetas, m[: len(thetas)]), rest
 
     def _states(self, thetas: np.ndarray, m: np.ndarray) -> DensityStack:
         """The checked states of the matrices m = rho(thetas)."""
@@ -422,9 +427,12 @@ def walk_curve(curve, thetas: np.ndarray, mode: str, h: float) -> tuple[DensityS
     split = isinstance(curve, TableCurve)  # a table's split reads its spectra at theta +- h in either mode
     steps = _step_thetas(thetas, h) if mode == FD or split else _NO_THETAS
     rho, stepped = curve.walk(thetas, steps)
-    drho = curve.drho_stack(thetas, rho.matrices) if mode == ANALYTIC else _central_difference(stepped, h)
-    if not split:  # not even an empty view of the walk's matrices, which would keep them all alive
-        stepped = stepped[:0].copy()
+    if mode == ANALYTIC:
+        drho = curve.drho_stack(thetas, rho.matrices)
+    else:
+        drho = _central_difference(stepped, h)
+        if not split:  # the difference was the step rows' last read: keep none of them alive
+            stepped = np.empty((0,) + drho.shape[1:], dtype=complex)
     return rho, _directions(drho), stepped
 
 

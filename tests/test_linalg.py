@@ -43,7 +43,7 @@ from qfg.linalg import (
 )
 from qfg.optimize import SLD_GAP, sld_eigenbasis
 from qfg.scenario import load_scenario
-from qfg.sld import RANK_GUARD
+from qfg.sld import RANK_GUARD, _directions
 
 
 def random_hermitian(rng, dim):
@@ -707,6 +707,47 @@ def test_hermitian_check_survives_huge_entries():
 def _bits(a):
     """The IEEE bits of a float or complex array, so that equality also tells the signs of zeros apart."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestInputsAreNeverWritten:
+    """The symmetrization reads a transposed or Fortran-ordered input, whose transpose is C-contiguous, without writing it."""
+
+    @staticmethod
+    def _reference(a):
+        return (a + dagger(a)) / 2  # the out-of-place (a + a^dag) / 2, which allocates its result
+
+    def test_require_hermitian_of_a_transpose(self):
+        a = random_hermitian(np.random.default_rng(7), 3)
+        before = a.copy()
+        a.setflags(write=False)  # a write into it would raise, not pass unseen
+        got = require_hermitian(a.T)
+        assert (_bits(a) == _bits(before)).all()
+        assert (_bits(got) == _bits(self._reference(before.T))).all()
+        assert (got == before.conj()).all()
+
+    def test_density_op_of_a_fortran_matrix(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho = x @ x.conj().T
+        rho = np.asfortranarray(self._reference(rho / np.trace(rho).real))
+        before = rho.copy()
+        state = DensityOp(rho)
+        assert (_bits(rho) == _bits(before)).all()
+        assert (_bits(state.matrix) == _bits(self._reference(before))).all()
+
+    def test_directions_of_a_transposed_stack(self):
+        drho = _hermitian_stack(np.random.default_rng(9), (4, 2, 2)).transpose(0, 2, 1)
+        before = drho.copy()
+        _directions(drho)
+        assert (_bits(drho) == _bits(before)).all()
+
+    @pytest.mark.parametrize("m", [[[1 + 1j]], [[[0.5]], [[0.5 + 1e-3j]], [[1.0]]]])
+    def test_a_non_real_1x1_entry_is_rejected(self, m):
+        m = np.array(m)
+        before = m.copy()
+        with pytest.raises(NonHermitianInput):
+            require_hermitian(m) if m.ndim == 2 else hermitian_part(m)
+        assert (_bits(m) == _bits(before)).all()
 
 
 REDUCTIONS = [(np.maximum, "max"), (np.minimum, "min")]

@@ -6,15 +6,22 @@ benchmark runs it, after one untraced run of the same command) stays under a
 budget per family and mode. A 2000-row chunk is a few (2000, 2, 2) complex
 stacks of 125 KB each: the states, their eigenvectors, drho, the SLD and the
 temporaries of the stage at work. Each budget is about 10% above the peak
-measured when it was set (Python 3.11, numpy 2.4). Like the runtime budgets
-in ``test_acceptance.py``, a budget may be tightened, never loosened.
+measured when it was set, and holds only for the interpreter and numpy it
+was measured on: the traced heap also counts Python's own objects and
+numpy's internal temporaries, which differ between versions. On a Python
+and numpy pair with no measured budgets the test is skipped, saying so; a
+pair is added with the peaks measured on it, not with a wider margin. Like
+the runtime budgets in ``test_acceptance.py``, a budget may be tightened,
+never loosened.
 """
 
 import contextlib
 import io
 import json
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qfg.cli import main
@@ -30,13 +37,17 @@ CURVES = {
                         "path": {"type": "linear", "k0": 0.45, "rate": -0.4}}, "0:1"),
     "great-circle": ({"family": "great_circle_pure", "phase": 0.7}, "0.3:2.8"),
 }
-#: Peak KB per (family, mode); measured 974 (sphere), 864 (both transverse) and 947 / 1085 (great circle, fd).
-BUDGET_KB = {
-    ("sphere", "analytic"): 1070, ("sphere", "fd"): 1070,
-    ("transverse-z", "analytic"): 950, ("transverse-z", "fd"): 950,
-    ("transverse-inf", "analytic"): 950, ("transverse-inf", "fd"): 950,
-    ("great-circle", "analytic"): 1040, ("great-circle", "fd"): 1195,
+#: Peak KB per (family, mode), per (Python, numpy) minor version pair. On Python 3.11.7 with numpy 2.4.6 the
+#: peaks were 973 (sphere), 863 (both transverse) and 946 / 1084 (great circle, fd).
+BUDGETS_KB = {
+    ("3.11", "2.4"): {
+        ("sphere", "analytic"): 1070, ("sphere", "fd"): 1070,
+        ("transverse-z", "analytic"): 950, ("transverse-z", "fd"): 950,
+        ("transverse-inf", "analytic"): 950, ("transverse-inf", "fd"): 950,
+        ("great-circle", "analytic"): 1040, ("great-circle", "fd"): 1195,
+    },
 }
+ENVIRONMENT = (f"{sys.version_info.major}.{sys.version_info.minor}", ".".join(np.__version__.split(".")[:2]))
 
 
 def _run(argv):
@@ -46,8 +57,12 @@ def _run(argv):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("family, mode", BUDGET_KB)
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("family", CURVES)
 def test_warm_qubit_scan_stays_under_its_heap_budget(tmp_path, family, mode):
+    if ENVIRONMENT not in BUDGETS_KB:
+        pytest.skip("no heap budget measured on Python {} with numpy {}".format(*ENVIRONMENT))
+    budget = BUDGETS_KB[ENVIRONMENT][family, mode]
     curve, span = CURVES[family]
     scenario = {"curve": curve, "theta0": 0.5, "options": {"mode": mode}}
     if family == "great-circle":
@@ -63,4 +78,4 @@ def test_warm_qubit_scan_stays_under_its_heap_budget(tmp_path, family, mode):
         peak = tracemalloc.get_traced_memory()[1] / 1024
     finally:
         tracemalloc.stop()
-    assert peak <= BUDGET_KB[family, mode], f"{family} ({mode}): {peak:.0f} KB > {BUDGET_KB[family, mode]} KB"
+    assert peak <= budget, f"{family} ({mode}): {peak:.0f} KB > {budget} KB"
